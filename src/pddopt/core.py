@@ -179,6 +179,7 @@ class PddRecord:
     eta: float
     branch: str
     inner_iters: int
+    inner_converged: bool  # rbsum_run's flag: its stop rule, not max_inner, ended it
     time_s: float
 
 
@@ -191,7 +192,7 @@ class PddTrace:
     rho_floor_hits: int = 0
 
     CSV_COLUMNS = ("k", "objective", "al_value", "h_inf", "rho", "eta",
-                   "branch", "inner_iters", "time_ms")
+                   "branch", "inner_iters", "inner_converged", "time_ms")
 
     def append(self, rec):
         self.records.append(rec)
@@ -202,7 +203,7 @@ class PddTrace:
     def csv_row(self, rec):
         return [rec.k, repr(rec.objective), repr(rec.al_value), repr(rec.h_inf),
                 repr(rec.rho), repr(rec.eta), rec.branch, rec.inner_iters,
-                repr(rec.time_s * 1e3)]
+                int(rec.inner_converged), repr(rec.time_s * 1e3)]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -347,7 +348,8 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
         rec = PddRecord(
             k=k, al_value=float(al), objective=float(problem.objective(state.z)),
             h_inf=float(h_inf), rho=float(rho_k), eta=float(eta_k), branch=branch,
-            inner_iters=inner_iters, time_s=time.perf_counter() - t_start,
+            inner_iters=inner_iters, inner_converged=bool(inner_ok),
+            time_s=time.perf_counter() - t_start,
         )
         trace.append(rec)
         if on_iteration is not None:

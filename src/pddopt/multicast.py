@@ -23,7 +23,13 @@ JITTER_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class MulticastInstance:
-    """Immutable problem data for one multicast network."""
+    """Immutable problem data for one multicast network.
+
+    Only the channels are stored. Every quadratic form and product of the
+    per-user matrices A_k, B_k follows from the K x n_g gain matrix
+    ``h_k^H w_i``. The dense forms are properties built on demand as a
+    reference for checks; the solver never builds them.
+    """
 
     n_t: int                 # BS antennas
     groups: tuple            # tuple of tuples of user indices
@@ -31,10 +37,6 @@ class MulticastInstance:
     sigma2: np.ndarray       # K noise powers
     p_bs: float              # BS power budget
     group_of: np.ndarray     # K, group index of each user
-    A: np.ndarray            # K x n x n, n = n_g * N_t, Hermitian PSD
-    B: np.ndarray            # K x n x n, Hermitian PD
-    A_eq: np.ndarray         # K x 2n x 2n real embeddings
-    B_eq: np.ndarray
 
     @property
     def n_groups(self):
@@ -48,6 +50,40 @@ class MulticastInstance:
     def dim(self):
         return self.n_groups * self.n_t
 
+    @property
+    def A(self):
+        """Dense K x n x n ``A_k = kron(e_i e_i^T, h_k h_k^H)``, n = n_g * N_t (PSD)."""
+        return self._dense_forms(signal=True)
+
+    @property
+    def B(self):
+        """Dense K x n x n ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k/P) I`` (PD)."""
+        return self._dense_forms(signal=False)
+
+    @property
+    def A_eq(self):
+        """K x 2n x 2n real embeddings of :attr:`A`."""
+        return np.stack([numerics.real_embed_hermitian(M) for M in self.A])
+
+    @property
+    def B_eq(self):
+        """K x 2n x 2n real embeddings of :attr:`B`."""
+        return np.stack([numerics.real_embed_hermitian(M) for M in self.B])
+
+    def _dense_forms(self, signal):
+        n = self.dim
+        forms = np.empty((self.n_users, n, n), dtype=complex)
+        for k, h in enumerate(self.channels):
+            R = np.outer(h, h.conj())
+            sel = np.zeros(self.n_groups)
+            sel[self.group_of[k]] = 1.0
+            if signal:
+                forms[k] = np.kron(np.diag(sel), R)
+            else:
+                forms[k] = (np.kron(np.diag(1.0 - sel), R)
+                            + (self.sigma2[k] / self.p_bs) * np.eye(n))
+        return forms
+
 
 @dataclass(frozen=True)
 class MulticastIterate:
@@ -58,7 +94,7 @@ class MulticastIterate:
 
 
 def build_instance(channels, groups, sigma2, p_bs):
-    """Assemble the quadratic-form matrices A_k, B_k from channels.
+    """Validate and store the channels, groups and noise powers of a network.
 
     Parameters
     ----------
@@ -73,7 +109,11 @@ def build_instance(channels, groups, sigma2, p_bs):
 
     With the stacked unit-norm beamformer w, ``w^H A_k w / w^H B_k w``
     equals the SINR of user k when the per-group beamformers are scaled
-    by sqrt(p_bs).
+    by sqrt(p_bs). For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)``
+    and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
+    instance keeps only the O(K N_t) channel data; the dense forms are
+    properties for reference checks. A user with an all-zero channel is
+    accepted here and rejected by :func:`initial_iterate`.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
@@ -91,40 +131,66 @@ def build_instance(channels, groups, sigma2, p_bs):
     if np.any(sigma2 <= 0):
         raise InvalidInputError("noise powers must be positive")
 
-    n_g = len(groups)
-    n = n_g * n_t
     group_of = np.empty(K, dtype=int)
     for i, g in enumerate(groups):
         for u in g:
             group_of[u] = i
-
-    A = np.zeros((K, n, n), dtype=complex)
-    B = np.zeros((K, n, n), dtype=complex)
-    for k in range(K):
-        R = np.outer(channels[k], channels[k].conj())
-        i = group_of[k]
-        sel = np.zeros(n_g)
-        sel[i] = 1.0
-        A[k] = np.kron(np.diag(sel), R)
-        B[k] = np.kron(np.diag(1.0 - sel), R) + (sigma2[k] / p_bs) * np.eye(n)
-    A_eq = np.stack([numerics.real_embed_hermitian(A[k]) for k in range(K)])
-    B_eq = np.stack([numerics.real_embed_hermitian(B[k]) for k in range(K)])
     return MulticastInstance(
         n_t=n_t, groups=groups, channels=channels, sigma2=sigma2, p_bs=float(p_bs),
-        group_of=group_of, A=A, B=B, A_eq=A_eq, B_eq=B_eq,
+        group_of=group_of,
     )
 
 
-def _quad(M, w):
-    """Re(w^H M w), clipped at zero (M is PSD up to rounding)."""
-    return max(float(np.real(np.vdot(w, M @ w))), 0.0)
+def _gains(w, instance):
+    """K x n_g gain matrix ``h_k^H w_i`` of the stacked beamformer w."""
+    return instance.channels.conj() @ group_beamformers(w, instance).T
+
+
+def _own_group(instance):
+    """K x n_g mask of each user's own group."""
+    return instance.group_of[:, None] == np.arange(instance.n_groups)
+
+
+def _signal_interference(G, instance):
+    """Received power of each user from its own group and from all others."""
+    power = np.abs(G) ** 2
+    own = _own_group(instance)
+    return power[own], np.where(own, 0.0, power).sum(axis=1)
+
+
+def _quad_forms(G, w_sq, instance):
+    """``(w^H A_k w, w^H B_k w)`` for all k from the gains ``G`` at w.
+
+    ``w_sq`` is ``||w||^2``, a scalar or one value per user.
+    """
+    signal, interference = _signal_interference(G, instance)
+    return signal, interference + (instance.sigma2 / instance.p_bs) * w_sq
+
+
+def _user_products(G, W, instance):
+    """Rows ``A_k w_k`` and ``B_k w_k`` (K x n, complex) from ``G[k] = h_k^H W_k``.
+
+    ``W`` holds the point of each user as group rows, K x n_g x N_t, or
+    n_g x N_t when all users share one point.
+    """
+    own = _own_group(instance)[:, :, None]
+    HW = G[:, :, None] * instance.channels[:, None, :]  # h_k h_k^H w_i in block i
+    Aw = np.where(own, HW, 0.0)
+    Bw = np.where(own, 0.0, HW) + (instance.sigma2 / instance.p_bs)[:, None, None] * W
+    K = instance.n_users
+    return Aw.reshape(K, -1), Bw.reshape(K, -1)
+
+
+def _embed_rows(M):
+    """Row-wise :func:`numerics.real_embed_vec` of a complex matrix."""
+    return np.concatenate([M.real, M.imag], axis=1)
 
 
 def coupling_norms(w, instance):
     """(||A_k^(1/2) w||, ||B_k^(1/2) w||) for all k, as two K-vectors."""
-    na = np.sqrt([_quad(instance.A[k], w) for k in range(instance.n_users)])
-    nb = np.sqrt([_quad(instance.B[k], w) for k in range(instance.n_users)])
-    return na, nb
+    w = np.asarray(w, dtype=complex).ravel()
+    qa, qb = _quad_forms(_gains(w, instance), np.vdot(w, w).real, instance)
+    return np.sqrt(qa), np.sqrt(qb)
 
 
 def constraint_h(w, t, instance):
@@ -188,6 +254,11 @@ def build_surrogate_C(w_tilde, t, lam, rho, instance):
     Cauchy-Schwarz linearization; the sign of each multiplier selects which
     norm factor absorbs the ``||w|| = 1`` identity so the bound stays valid.
 
+    C is assembled from the channel gains, without the dense A_k, B_k: the
+    real embedding of a group-block-diagonal matrix, a scaled identity, and
+    the per-user rank-2 terms summed by one matrix product. It is exactly
+    symmetric.
+
     If ``||A_k^(1/2) w_tilde||`` is degenerate (below 1e-10), that user's
     expansion point is nudged by a small deterministic isotropic
     perturbation and renormalized, which keeps the bound valid while
@@ -196,37 +267,53 @@ def build_surrogate_C(w_tilde, t, lam, rho, instance):
     w_tilde = np.asarray(w_tilde, dtype=complex).ravel()
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    K = instance.n_users
-    dim = 2 * instance.dim
-    C = np.zeros((dim, dim))
-    const = 0.0
-    jitter_rng = np.random.default_rng(0)
-    for k in range(K):
-        Ae, Be = instance.A_eq[k], instance.B_eq[k]
-        wt = w_tilde
-        na = np.sqrt(_quad(instance.A[k], wt))
-        if na < DEGENERATE_NORM_TOL:
-            noise = jitter_rng.standard_normal(wt.size) + 1j * jitter_rng.standard_normal(wt.size)
-            wt = wt + JITTER_SCALE * noise
-            wt = wt / np.linalg.norm(wt)
-            na = np.sqrt(_quad(instance.A[k], wt))
-        nb = np.sqrt(_quad(instance.B[k], wt))
-        we = numerics.real_embed_vec(wt)[:, None]
-        nw = float(np.linalg.norm(we))
-        Awe = Ae @ we
-        Bwe = Be @ we
-        cross = (t[k] / (na * nb)) * (Awe @ Bwe.T + Bwe @ Awe.T)
-        rl = rho * lam[k]
-        if lam[k] >= 0:
-            Ck = (1.0 + rl / na) * Ae + t[k] ** 2 * Be - cross
-            Ck -= (rl * t[k] / (nw * nb)) * (we @ Bwe.T + Bwe @ we.T)
-            const += rl**2 + rl * na
-        else:
-            Ck = Ae + (t[k] ** 2 - rl * t[k] / nb) * Be - cross
-            Ck += (rl / (nw * na)) * (we @ Awe.T + Awe @ we.T)
-            const += rl**2 - rl * t[k] * nb
-        C += Ck
-    return 0.5 * (C + C.T), const
+    K, n_g, n_t, n = instance.n_users, instance.n_groups, instance.n_t, instance.dim
+    H = instance.channels
+    # expansion point of each user, as group rows; only degenerate users move
+    W = np.broadcast_to(w_tilde.reshape(n_g, n_t), (K, n_g, n_t)).copy()
+    G = _gains(w_tilde, instance)
+    degenerate = np.flatnonzero(np.abs(G[_own_group(instance)]) < DEGENERATE_NORM_TOL)
+    jitter_rng = np.random.default_rng(0) if degenerate.size else None
+    for k in degenerate:
+        noise = jitter_rng.standard_normal(n) + 1j * jitter_rng.standard_normal(n)
+        wt = w_tilde + JITTER_SCALE * noise
+        W[k] = (wt / np.linalg.norm(wt)).reshape(n_g, n_t)
+        G[k] = H[k].conj() @ W[k].T
+    nw = np.linalg.norm(W.reshape(K, n), axis=1)
+    qa, qb = _quad_forms(G, nw**2, instance)
+    na, nb = np.sqrt(qa), np.sqrt(qb)
+
+    # per user: a A_k + b B_k - cross (Awe Bwe^T + Bwe Awe^T), plus for
+    # lam_k >= 0 the term -d (we Bwe^T + Bwe we^T), else +e (we Awe^T + Awe we^T)
+    rl = rho * lam
+    pos = lam >= 0
+    a = np.where(pos, 1.0 + rl / na, 1.0)
+    b = np.where(pos, t**2, t**2 - rl * t / nb)
+    cross = t / (na * nb)
+    d = np.where(pos, rl * t / (nw * nb), 0.0)
+    e = np.where(pos, 0.0, rl / (nw * na))
+    const = float(np.sum(np.where(pos, rl**2 + rl * na, rl**2 - rl * t * nb)))
+
+    # sum_k a_k A_k + b_k B_k: group-block-diagonal part plus a scaled identity;
+    # block i is sum_k c_ik h_k h_k^H with c_ik = a_k in the own group, else b_k
+    c = np.where(_own_group(instance).T, a, b)
+    blocks = (c[:, :, None] * H[None]).transpose(0, 2, 1) @ H.conj()
+    blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))  # so that C == C.T exactly
+    C = np.zeros((2 * n, 2 * n))
+    C4 = C.reshape(2, n_g, n_t, 2, n_g, n_t)  # view: (re/im, group, antenna)^2
+    diag = np.arange(n_g)
+    C4[0, diag, :, 0, diag, :] = C4[1, diag, :, 1, diag, :] = blocks.real
+    C4[0, diag, :, 1, diag, :] = -blocks.imag
+    C4[1, diag, :, 0, diag, :] = blocks.imag
+    C[np.diag_indices(2 * n)] += float(np.dot(b, instance.sigma2)) / instance.p_bs
+
+    # rank-2 corrections: P + P^T with P = L^T R over stacked user rows
+    Aw, Bw = _user_products(G, W, instance)
+    Awe, Bwe, we = _embed_rows(Aw), _embed_rows(Bw), _embed_rows(W.reshape(K, n))
+    L = np.concatenate([-cross[:, None] * Awe - d[:, None] * we, e[:, None] * we])
+    P = L.T @ np.concatenate([Bwe, Awe])
+    C += P + P.T
+    return C, const
 
 
 class MulticastProblem(BlockProblem):
@@ -274,18 +361,17 @@ class MulticastProblem(BlockProblem):
     def al_block_gradient(self, i, z, lam, rho):
         """Smooth-part AL gradient; the -min(t) term is carried by the t prox."""
         inst = self.instance
-        na, nb = coupling_norms(z.w, inst)
+        G = _gains(z.w, inst)
+        qa, qb = _quad_forms(G, np.vdot(z.w, z.w).real, inst)
+        na, nb = np.sqrt(qa), np.sqrt(qb)
         h = na - z.t * nb
         mult = lam + h / rho
         if i == 0:
             return -mult * nb
-        we = numerics.real_embed_vec(z.w)
-        g = np.zeros_like(we)
-        for k in range(inst.n_users):
-            grad_h = inst.A_eq[k] @ we / max(na[k], 1e-300) \
-                - z.t[k] * (inst.B_eq[k] @ we) / max(nb[k], 1e-300)
-            g += mult[k] * grad_h
-        return g
+        # sum_k mult_k (A_k w / ||A_k^.5 w|| - t_k B_k w / ||B_k^.5 w||), embedded
+        Aw, Bw = _user_products(G, group_beamformers(z.w, inst), inst)
+        g = (mult / np.maximum(na, 1e-300)) @ Aw - (mult * z.t / np.maximum(nb, 1e-300)) @ Bw
+        return numerics.real_embed_vec(g)
 
     def block_projector(self, i):
         if i == 0:
@@ -327,7 +413,20 @@ def default_config(instance, seed=0, **overrides):
 
 
 def initial_iterate(instance, rng):
-    """Random unit beamformer with t chosen feasible (h = 0 at the start)."""
+    """Random unit beamformer with t chosen feasible (h = 0 at the start).
+
+    Raises
+    ------
+    InvalidInputError
+        If a user has an all-zero channel: its SINR is 0 for every
+        beamformer, and the w-update surrogate divides by its gain.
+    """
+    dead = np.flatnonzero(~np.any(instance.channels, axis=1))
+    if dead.size:
+        raise InvalidInputError(
+            f"multicast user {int(dead[0])} has an all-zero channel; "
+            "its SINR is 0 for every beamformer"
+        )
     n = instance.dim
     w0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w0 /= np.linalg.norm(w0)
@@ -359,16 +458,8 @@ def group_beamformers(w_scaled, instance):
 
 def sinr_values(w_scaled, instance):
     """Per-user SINR evaluated directly from channels and group beamformers."""
-    W = group_beamformers(w_scaled, instance)
-    gains = np.abs(instance.channels.conj() @ W.T) ** 2  # K x n_g, |h_k^H w_i|^2
-    K = instance.n_users
-    sinr = np.empty(K)
-    for k in range(K):
-        i = instance.group_of[k]
-        signal = gains[k, i]
-        interf = gains[k].sum() - signal
-        sinr[k] = signal / (interf + instance.sigma2[k])
-    return sinr
+    signal, interference = _signal_interference(_gains(w_scaled, instance), instance)
+    return signal / (interference + instance.sigma2)
 
 
 def min_rate(w_scaled, instance):
@@ -378,13 +469,11 @@ def min_rate(w_scaled, instance):
 
 def rayleigh_gradients(w, instance):
     """Real-embedded gradients of the per-user ratios w^H A_k w / w^H B_k w."""
-    we = numerics.real_embed_vec(np.asarray(w, dtype=complex))
-    cols = []
-    for k in range(instance.n_users):
-        qa = float(we @ instance.A_eq[k] @ we)
-        qb = float(we @ instance.B_eq[k] @ we)
-        cols.append(2.0 * (instance.A_eq[k] @ we - (qa / qb) * (instance.B_eq[k] @ we)) / qb)
-    return np.column_stack(cols)
+    w = np.asarray(w, dtype=complex).ravel()
+    G = _gains(w, instance)
+    qa, qb = _quad_forms(G, np.vdot(w, w).real, instance)
+    Aw, Bw = _user_products(G, group_beamformers(w, instance), instance)
+    return _embed_rows(2.0 * (Aw - (qa / qb)[:, None] * Bw) / qb[:, None]).T
 
 
 def kkt_residual(w, instance, tol=1e-8, max_iter=200_000):

@@ -251,9 +251,19 @@ def default_config(instance, seed=0, **overrides):
 
 
 def initial_iterate(instance, rng):
-    """Seed X with random data columns (plus jitter); S from projected least squares."""
+    """Seed X with random data columns (plus jitter); S from projected least squares.
+
+    Raises
+    ------
+    InvalidInputError
+        If the data has fewer columns L than the rank K.
+    """
     A = instance.A
     K = instance.rank
+    if instance.n_cols < K:
+        raise InvalidInputError(
+            f"need at least K data columns to seed X: K={K}, L={instance.n_cols}"
+        )
     cols = rng.choice(instance.n_cols, size=K, replace=False)
     X0 = A[:, cols] + 1e-6 * rng.standard_normal((instance.n_rows, K))
     S0, *_ = np.linalg.lstsq(X0, A, rcond=None)

@@ -219,3 +219,25 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("verify", "nonsense")
+
+
+class TestInvalidInputExitCode:
+    def test_multicast_zero_channel_user(self, tmp_path, capsys):
+        from pddopt import multicast as mc
+
+        channels = np.array([[1.0 + 0j, 0.5j], [0.0, 0.0]])
+        inst = tmp_path / "mc.json"
+        inst.write_text(json.dumps(mc.instance_to_dict(
+            mc.build_instance(channels, [[0], [1]], 1.0, 1.0))))
+        code = run_cli("solve", "--app", "multicast", "--instance", inst,
+                       "--out", tmp_path / "run")
+        assert code == 2
+        assert "user 1 has an all-zero channel" in capsys.readouterr().err
+
+    def test_volmin_fewer_columns_than_rank(self, tmp_path, capsys):
+        data = tmp_path / "a.csv"
+        ioformats.write_matrix_csv(data, np.arange(8.0).reshape(4, 2))
+        code = run_cli("solve", "--app", "volmin", "--instance", data, "--k", 3,
+                       "--out", tmp_path / "run")
+        assert code == 2
+        assert "need at least K data columns" in capsys.readouterr().err

@@ -372,3 +372,40 @@ class TestTrace:
         assert data["iterations"] == 3
         assert len(data["records"]) == 3
         assert data["records"][0]["k"] == 1
+
+
+class TestInnerConverged:
+    def _run(self, monkeypatch, max_inner):
+        from pddopt import core
+
+        flags = []
+
+        def recording(*args, **kwargs):
+            out = rbsum_run(*args, **kwargs)
+            flags.append(out[2])
+            return out
+
+        monkeypatch.setattr(core, "rbsum_run", recording)
+        cfg = PddConfig(mode="pdd", rho0=1.0, c=0.5, eps0=1e-6, max_outer=4,
+                        inner_stop="objective-progress", max_inner=max_inner,
+                        eps_outer=0.0)
+        _, _, trace = pdd_run(ToyEquality(), np.array([3.0, 1.0]), np.zeros(1), cfg)
+        return trace, flags
+
+    def test_records_the_inner_stop_reason(self, monkeypatch):
+        # the exact single-block step repeats the AL on its second sweep
+        capped, flags = self._run(monkeypatch, max_inner=1)
+        assert capped.column("inner_converged") == flags == [False] * 4
+        stopped, flags = self._run(monkeypatch, max_inner=5)
+        assert stopped.column("inner_converged") == flags == [True] * 4
+        assert stopped.column("inner_iters") == [2] * 4
+
+    def test_csv_and_json_columns(self, monkeypatch, tmp_path):
+        trace, _ = self._run(monkeypatch, max_inner=1)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["inner_converged"] for r in rows] == ["0"] * 4
+        data = trace.to_dict()
+        assert [r["inner_converged"] for r in data["records"]] == [False] * 4

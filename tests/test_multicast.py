@@ -358,3 +358,211 @@ class TestSolveAndMetrics:
         np.testing.assert_allclose(back.channels, inst422.channels)
         np.testing.assert_allclose(back.A, inst422.A)
         assert back.groups == inst422.groups
+
+
+# --- dense reference: the per-user loops over the stored forms A_k, B_k ---
+
+def _dense_quad(M, w):
+    return max(float(np.real(np.vdot(w, M @ w))), 0.0)
+
+
+def dense_coupling_norms(w, inst):
+    A, B = inst.A, inst.B
+    na = np.sqrt([_dense_quad(A[k], w) for k in range(inst.n_users)])
+    nb = np.sqrt([_dense_quad(B[k], w) for k in range(inst.n_users)])
+    return na, nb
+
+
+def dense_surrogate_C(w_tilde, t, lam, rho, inst):
+    A, B, A_eq, B_eq = inst.A, inst.B, inst.A_eq, inst.B_eq
+    dim = 2 * inst.dim
+    C = np.zeros((dim, dim))
+    const = 0.0
+    jitter_rng = np.random.default_rng(0)
+    for k in range(inst.n_users):
+        Ae, Be = A_eq[k], B_eq[k]
+        wt = w_tilde
+        na = np.sqrt(_dense_quad(A[k], wt))
+        if na < mc.DEGENERATE_NORM_TOL:
+            noise = jitter_rng.standard_normal(wt.size) + 1j * jitter_rng.standard_normal(wt.size)
+            wt = wt + mc.JITTER_SCALE * noise
+            wt = wt / np.linalg.norm(wt)
+            na = np.sqrt(_dense_quad(A[k], wt))
+        nb = np.sqrt(_dense_quad(B[k], wt))
+        we = numerics.real_embed_vec(wt)[:, None]
+        nw = float(np.linalg.norm(we))
+        Awe, Bwe = Ae @ we, Be @ we
+        cross = (t[k] / (na * nb)) * (Awe @ Bwe.T + Bwe @ Awe.T)
+        rl = rho * lam[k]
+        if lam[k] >= 0:
+            Ck = (1.0 + rl / na) * Ae + t[k] ** 2 * Be - cross
+            Ck -= (rl * t[k] / (nw * nb)) * (we @ Bwe.T + Bwe @ we.T)
+            const += rl**2 + rl * na
+        else:
+            Ck = Ae + (t[k] ** 2 - rl * t[k] / nb) * Be - cross
+            Ck += (rl / (nw * na)) * (we @ Awe.T + Awe @ we.T)
+            const += rl**2 - rl * t[k] * nb
+        C += Ck
+    return 0.5 * (C + C.T), const
+
+
+def dense_w_gradient(z, lam, rho, inst):
+    A_eq, B_eq = inst.A_eq, inst.B_eq
+    na, nb = dense_coupling_norms(z.w, inst)
+    mult = lam + (na - z.t * nb) / rho
+    we = numerics.real_embed_vec(z.w)
+    g = np.zeros_like(we)
+    for k in range(inst.n_users):
+        g += mult[k] * (A_eq[k] @ we / max(na[k], 1e-300)
+                        - z.t[k] * (B_eq[k] @ we) / max(nb[k], 1e-300))
+    return g
+
+
+def dense_rayleigh_gradients(w, inst):
+    A_eq, B_eq = inst.A_eq, inst.B_eq
+    we = numerics.real_embed_vec(w)
+    cols = []
+    for k in range(inst.n_users):
+        qa, qb = float(we @ A_eq[k] @ we), float(we @ B_eq[k] @ we)
+        cols.append(2.0 * (A_eq[k] @ we - (qa / qb) * (B_eq[k] @ we)) / qb)
+    return np.column_stack(cols)
+
+
+def _rel_err(x, ref):
+    ref = np.asarray(ref, dtype=float)
+    return float(np.abs(np.asarray(x, dtype=float) - ref).max()
+                 / max(np.abs(ref).max(), 1e-300))
+
+
+class TestStructuredMatchesDense:
+    """The gain-matrix kernels against the per-user loops over dense forms."""
+
+    RTOL = 1e-12
+
+    def _check_point(self, inst, w, t, lam, rho, surrogate=True, w_gradient=True):
+        na, nb = mc.coupling_norms(w, inst)
+        na_d, nb_d = dense_coupling_norms(w, inst)
+        assert _rel_err(na, na_d) <= self.RTOL and _rel_err(nb, nb_d) <= self.RTOL
+        h_dense = np.append(na_d - t * nb_d, np.linalg.norm(w) ** 2 - 1.0)
+        assert _rel_err(mc.constraint_h(w, t, inst), h_dense) <= self.RTOL
+        prob = mc.MulticastProblem(inst)
+        z = mc.MulticastIterate(w=w, t=t)
+        mult = lam + (na_d - t * nb_d) / rho
+        assert _rel_err(prob.al_block_gradient(0, z, lam, rho), -mult * nb_d) <= self.RTOL
+        if w_gradient:
+            assert _rel_err(prob.al_block_gradient(1, z, lam, rho),
+                            dense_w_gradient(z, lam, rho, inst)) <= self.RTOL
+        if surrogate:
+            C, const = mc.build_surrogate_C(w, t, lam, rho, inst)
+            C_d, const_d = dense_surrogate_C(w, t, lam, rho, inst)
+            assert _rel_err(C, C_d) <= self.RTOL
+            assert _rel_err(const, const_d) <= self.RTOL
+        assert _rel_err(mc.rayleigh_gradients(w, inst),
+                        dense_rayleigh_gradients(w, inst)) <= self.RTOL
+
+    def _check_kkt(self, inst, w, monkeypatch):
+        r = mc.kkt_residual(w, inst)
+        monkeypatch.setattr(mc, "rayleigh_gradients", dense_rayleigh_gradients)
+        assert abs(r - mc.kkt_residual(w, inst)) <= self.RTOL * max(r, 1e-300)
+
+    def test_random_points(self, inst422, monkeypatch):
+        rng = np.random.default_rng(20)
+        K = inst422.n_users
+        for _ in range(10):
+            w = unit_vec(rng, inst422.dim)
+            self._check_point(inst422, w, rng.uniform(0.0, 3.0, K),
+                              rng.standard_normal(K), float(rng.uniform(0.05, 2.0)))
+        with monkeypatch.context() as m:
+            self._check_kkt(inst422, unit_vec(rng, inst422.dim), m)
+
+    def test_jittered_users(self, inst422, monkeypatch):
+        # w vanishes on group 0's block: A_k w = 0 exactly for users 0 and 1,
+        # so both surrogate expansion points are jittered, in user order
+        rng = np.random.default_rng(21)
+        w = unit_vec(rng, inst422.dim)
+        w[:inst422.n_t] = 0.0
+        w /= np.linalg.norm(w)
+        assert np.all(mc.coupling_norms(w, inst422)[0][:2] == 0.0)
+        t = np.array([0.4, 1.1, 0.8, 1.9])
+        for lam in ([-0.6, -0.2, 0.7, -1.1], [0.3, 0.5, -0.4, 0.9]):
+            self._check_point(inst422, w, t, np.array(lam), 0.6)
+        with monkeypatch.context() as m:
+            self._check_kkt(inst422, w, m)
+
+    @staticmethod
+    def _guard_point():
+        # the point of TestSurrogate.test_degenerate_gain_guard: w is
+        # orthogonal to h_0 within the group, so h_0^H w is pure rounding
+        inst = mc.gen_instance(2, 1, 2, 10.0, seed=10)
+        h0 = inst.channels[0]
+        w = np.array([h0[1].conj(), -h0[0].conj()])
+        return inst, w / np.linalg.norm(w)
+
+    def test_degenerate_gain_guard_point(self, monkeypatch):
+        # Surrogate and w-gradient are left to the next test: there the dense
+        # quadratic form at the jittered expansion point (|h_0^H w~| ~ 1e-8
+        # from O(1) entries) loses its digits, and the dense w-gradient
+        # divides a rounding-level A_0 w by a norm clipped to 1e-300.
+        inst, w = self._guard_point()
+        t, lam = np.ones(2), np.array([0.5, -0.5])
+        self._check_point(inst, w, t, lam, 0.5, surrogate=False, w_gradient=False)
+        with monkeypatch.context() as m:
+            self._check_kkt(inst, w, m)
+
+    def test_degenerate_expansion_point_is_exact(self):
+        from fractions import Fraction as F
+
+        inst, w = self._guard_point()
+        t, lam, rho = np.ones(2), np.array([0.5, -0.5]), 0.5
+        # the jitter: default_rng(0), drawn for degenerate users only, in user
+        # order, real parts then imaginary parts, then renormalized
+        rng = np.random.default_rng(0)
+        wt = w + mc.JITTER_SCALE * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        wt /= np.linalg.norm(wt)
+        h0 = inst.channels[0]
+        # h_0^H w~ in exact rational arithmetic over the stored floats
+        re = sum(F(a.real) * F(b.real) + F(a.imag) * F(b.imag) for a, b in zip(h0, wt))
+        im = sum(F(a.real) * F(b.imag) - F(a.imag) * F(b.real) for a, b in zip(h0, wt))
+        qa_exact = float(re * re + im * im)
+        na0 = mc.coupling_norms(wt, inst)[0][0]
+        # the O(1) terms cancel down to ~1e-8: condition number ~1e8
+        assert abs(na0**2 - qa_exact) <= 1e-6 * qa_exact
+        _, const = mc.build_surrogate_C(w, t, lam, rho, inst)
+        nb1 = mc.coupling_norms(w, inst)[1][1]
+        rl = rho * lam
+        expect = rl[0] ** 2 + rl[0] * na0 + rl[1] ** 2 - rl[1] * t[1] * nb1
+        assert const == pytest.approx(expect, rel=1e-12)
+
+
+class TestNoDenseForms:
+    def test_solver_never_builds_dense_forms(self, monkeypatch):
+        inst = mc.gen_instance(4, 2, 2, 10.0, seed=3)
+
+        def forbidden(self):
+            raise AssertionError("dense quadratic form built")
+
+        for name in ("A", "B", "A_eq", "B_eq"):
+            monkeypatch.setattr(mc.MulticastInstance, name, property(forbidden))
+        w_scaled, _, trace = mc.solve(inst, mc.default_config(inst, seed=3, max_outer=2))
+        assert len(trace.records) == 2
+        assert np.isfinite(mc.kkt_residual(w_scaled, inst))
+
+    def test_large_instance_memory_and_step(self):
+        inst = mc.gen_instance(32, 8, 2, 10.0, seed=0)
+        held = sum(a.nbytes for a in vars(inst).values() if isinstance(a, np.ndarray))
+        assert held < 64 * 1024
+        problem = mc.MulticastProblem(inst)
+        z = mc.initial_iterate(inst, np.random.default_rng(0))
+        z = problem.step(1, z, np.zeros(inst.n_users), 0.5 * inst.n_users)
+        assert z.w.shape == (inst.dim,)
+        assert abs(np.linalg.norm(z.w) - 1.0) < 1e-12
+
+
+class TestZeroChannelUser:
+    def test_initial_iterate_names_the_user(self):
+        channels = np.array([[1.0 + 0j, 0.5j], [0.0, 0.0], [0.3, 1.0 - 1j]])
+        inst = mc.build_instance(channels, [[0, 1], [2]], 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="user 1 "):
+            mc.initial_iterate(inst, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="all-zero channel"):
+            mc.solve(inst)

@@ -302,3 +302,12 @@ class TestSolve:
         inst, _ = vm.gen_data(5, 2, 10, 0.9, None, seed=0)
         with pytest.raises(InvalidInputError):
             vm.solve_restarts(inst, restarts=0)
+
+    def test_fewer_columns_than_rank_rejected(self):
+        # build_instance accepts L < K (the S-step alone is well defined);
+        # seeding X needs K distinct data columns
+        inst = vm.build_instance(np.arange(8.0).reshape(4, 2), rank=3)
+        with pytest.raises(InvalidInputError, match="need at least K data columns"):
+            vm.initial_iterate(inst, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="need at least K data columns"):
+            vm.solve_restarts(inst, restarts=1)
