@@ -20,6 +20,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from . import ioformats
 from . import multicast as mc
 from . import relay as rl
 from . import volmin as vm
-from .core import PddTrace, pdd_run
-from .errors import PddOptError
+from .core import PddConfig, PddTrace
+from .errors import InvalidInputError, PddOptError
 from .verify import run_suites
 
 log = logging.getLogger("pddopt")
@@ -137,13 +138,30 @@ def _config_overrides(args):
     """CLI flags > config file (app defaults fill the rest)."""
     overrides = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides.update(json.load(fh))
+        overrides.update(_read_config_file(args.config))
     for name in CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     return overrides
+
+
+def _read_config_file(path):
+    """PddConfig overrides from a JSON object; the seed comes only from --seed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise InvalidInputError(f"cannot read JSON config file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"config file {path} must hold a JSON object")
+    if "seed" in data:
+        raise InvalidInputError(f"config file {path} sets 'seed'; use --seed instead")
+    unknown = sorted(set(data) - {f.name for f in fields(PddConfig)})
+    if unknown:
+        raise InvalidInputError(
+            f"config file {path}: unknown PddConfig field(s) {', '.join(unknown)}")
+    return data
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +234,10 @@ def _load_instance(args, seed):
 def cmd_solve(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    overrides = _config_overrides(args)
     inst, truth = _load_instance(args, args.seed)
-    results, trace = _run_app(args, inst, truth, args.seed, outdir / "trace.csv")
+    results, trace = _run_app(args, overrides, inst, truth, args.seed,
+                              outdir / "trace.csv")
     _dump_json(outdir / "results.json", results)
     log.info("results written to %s", outdir)
     return 0 if trace.converged else 1
@@ -238,45 +258,35 @@ def _trace_writer(path):
     return fh, on_iteration
 
 
-def _run_app(args, inst, truth, seed, trace_path):
-    overrides = _config_overrides(args)
+def _run_app(args, overrides, inst, truth, seed, trace_path):
     fh, on_iteration = _trace_writer(trace_path)
     try:
         if args.app == "multicast":
             config = mc.default_config(inst, seed=seed, **overrides)
-            problem = mc.MulticastProblem(inst)
-            rng = np.random.default_rng(config.seed)
-            z0 = mc.initial_iterate(inst, rng)
-            z, _, trace = pdd_run(problem, z0, np.zeros(inst.n_users), config,
-                                  on_iteration=on_iteration)
-            w_scaled = np.sqrt(inst.p_bs) * z.w
+            w_scaled, _, trace = mc.solve(inst, config, on_iteration)
             results = {
                 "w": ioformats.complex_to_pairs(w_scaled),
                 "min_rate_bits": mc.min_rate(w_scaled, inst),
-                "kkt_residual": mc.kkt_residual(z.w, inst),
+                "kkt_residual": mc.kkt_residual(w_scaled, inst),
                 "feasibility_gap": trace.records[-1].h_inf,
                 "iterations": len(trace.records),
             }
             return results, trace
         if args.app == "relay":
             config = rl.default_config(inst, seed=seed, **overrides)
-            problem = rl.RelayProblem(inst)
-            rng = np.random.default_rng(config.seed)
-            z0 = rl.initial_iterate(inst, rng)
-            lam0 = np.zeros(rl.constraint_h(z0, inst).size)
-            z, _, trace = pdd_run(problem, z0, lam0, config,
-                                  on_iteration=on_iteration)
-            V, F, scales = rl.repair_feasibility(z.V, z.F, inst)
+            res = rl.solve_detailed(inst, config, on_iteration)
+            trace = res["trace"]
             results = {
-                "V": ioformats.complex_to_pairs(V),
-                "F": ioformats.complex_to_pairs(F),
-                "sum_rate_nats": rl.sum_rate(V, F, inst),
+                "V": ioformats.complex_to_pairs(res["V"]),
+                "F": ioformats.complex_to_pairs(res["F"]),
+                "sum_rate_nats": res["sum_rate_nats"],
                 "feasibility_gap": trace.records[-1].h_inf,
-                "repair_scale": list(scales),
+                "repair_scale": list(res["repair_scale"]),
                 "iterations": len(trace.records),
             }
             return results, trace
-        # volmin: restarts, optional prescaling, last restart streams its trace
+        # volmin: restarts and optional prescaling; the winning restart's
+        # records are written to the trace after all restarts have finished
         scale = 1.0
         if args.prescale:
             scale = _volmin_prescale(inst)
@@ -318,14 +328,20 @@ def _volmin_prescale(inst):
 # --------------------------------------------------------------------------
 
 def _parse_seeds(expr):
-    if ".." in expr:
-        a, b = expr.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in expr.split(",") if s != ""]
+    try:
+        if ".." in expr:
+            a, b = expr.split("..")
+            return list(range(int(a), int(b) + 1))
+        return [int(s) for s in expr.split(",") if s != ""]
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"malformed --seeds value {expr!r}: expected a comma list or a range a..b"
+        ) from exc
 
 
 def cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
+    overrides = _config_overrides(args)
     if not seeds:
         print("error: need at least one seed", file=sys.stderr)
         return 2
@@ -336,7 +352,7 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         try:
             inst, truth = _load_instance(args, seed)
-            results, trace = _run_app(args, inst, truth, seed,
+            results, trace = _run_app(args, overrides, inst, truth, seed,
                                       outdir / f"trace_seed{seed}.csv")
             objective = {
                 "multicast": results.get("min_rate_bits"),

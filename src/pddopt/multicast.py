@@ -390,13 +390,6 @@ class MulticastProblem(BlockProblem):
         return prox
 
 
-def bsum_inner_step(iterate, lam, rho, instance):
-    """One full BSUM sweep (t-update then w-update); never increases the AL."""
-    problem = MulticastProblem(instance)
-    z = problem.step(0, iterate, lam, rho)
-    return problem.step(1, z, lam, rho)
-
-
 def default_config(instance, seed=0, **overrides):
     """Penalty and tolerance schedule used by the reference experiments.
 
@@ -434,11 +427,12 @@ def initial_iterate(instance, rng):
     return MulticastIterate(w=w0, t=na / nb)
 
 
-def solve(instance, config=None):
+def solve(instance, config=None, on_iteration=None):
     """Run PDD on a multicast instance.
 
     Returns ``(w_scaled, t, trace)`` where ``w_scaled`` is the stacked
     beamformer scaled to meet the power budget with equality.
+    ``on_iteration`` is passed to :func:`pddopt.core.pdd_run`.
     """
     if config is None:
         config = default_config(instance)
@@ -446,7 +440,7 @@ def solve(instance, config=None):
     z0 = initial_iterate(instance, rng)
     problem = MulticastProblem(instance)
     lam0 = np.zeros(instance.n_users)
-    z, lam, trace = _pdd_run(problem, z0, lam0, config)
+    z, lam, trace = _pdd_run(problem, z0, lam0, config, on_iteration)
     w_scaled = np.sqrt(instance.p_bs) * z.w
     return w_scaled, z.t, trace
 

@@ -65,7 +65,7 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
 
 @dataclass(frozen=True)
 class RelayIterate:
-    """Primal blocks, barred copies, dual matrices and MMSE scalars."""
+    """Primal blocks, barred copies and MMSE scalars."""
 
     V: np.ndarray    # N_s x K
     F: np.ndarray    # N_r x N_r
@@ -73,10 +73,6 @@ class RelayIterate:
     Vb: np.ndarray
     Fb: np.ndarray
     Xb: np.ndarray
-    Z: np.ndarray    # dual of X - FHV
-    Zf: np.ndarray   # dual of sigma_R (F - Fb)
-    Zx: np.ndarray   # dual of X - Xb
-    Zv: np.ndarray   # dual of V - Vb
     u: np.ndarray    # K complex receive scalars
     w: np.ndarray    # K weights, >= 1
 
@@ -150,47 +146,51 @@ def mse_matrices(u, w, instance):
     return G_w, D_w
 
 
-def update_F(iterate, rho, instance):
+def update_F(iterate, duals, rho, instance):
     """Relay-precoder block: solve the Sylvester optimality system."""
     z = iterate
+    Z, Zf, _, _ = duals
     G_w, _ = mse_matrices(z.u, z.w, instance)
     sr = instance.sigma_r
     HV = instance.H @ z.V
     A = instance.sigma_r2 * (2.0 * rho * G_w + np.eye(instance.n_r))
     B = HV @ HV.conj().T
-    C = sr * (sr * z.Fb - rho * z.Zf) + (z.X + rho * z.Z) @ HV.conj().T
+    C = sr * (sr * z.Fb - rho * Zf) + (z.X + rho * Z) @ HV.conj().T
     return numerics.solve_sylvester(A, B, C)
 
 
-def update_bars(iterate, rho, instance):
+def update_bars(iterate, duals, rho, instance):
     """Barred block: two independent ball projections that own the budgets."""
     z = iterate
+    _, Zf, Zx, Zv = duals
     sr = instance.sigma_r
-    Vb = numerics.project_ball(z.V + rho * z.Zv, np.sqrt(instance.p_s))
+    Vb = numerics.project_ball(z.V + rho * Zv, np.sqrt(instance.p_s))
     K = instance.n_users
-    stacked = np.concatenate([z.X + rho * z.Zx, sr * z.F + rho * z.Zf], axis=1)
+    stacked = np.concatenate([z.X + rho * Zx, sr * z.F + rho * Zf], axis=1)
     proj = numerics.project_ball(stacked, np.sqrt(instance.p_r))
     Xb = proj[:, :K]
     Fb = proj[:, K:] / sr
     return Vb, Xb, Fb
 
 
-def update_X(iterate, rho, instance):
+def update_X(iterate, duals, rho, instance):
     """Auxiliary received-signal block: unconstrained quadratic minimum."""
     z = iterate
+    Z, _, Zx, _ = duals
     G_w, D_w = mse_matrices(z.u, z.w, instance)
     Gcol = instance.g.T
     rhs = 2.0 * rho * (Gcol * D_w[None, :]) \
-        + (z.F @ instance.H @ z.V - rho * z.Z) + (z.Xb - rho * z.Zx)
+        + (z.F @ instance.H @ z.V - rho * Z) + (z.Xb - rho * Zx)
     return 0.5 * np.linalg.solve(rho * G_w + np.eye(instance.n_r), rhs)
 
 
-def update_V(iterate, rho, instance):
+def update_V(iterate, duals, rho, instance):
     """Source-precoder block: unconstrained quadratic minimum."""
     z = iterate
+    Z, _, _, Zv = duals
     FH = z.F @ instance.H
     lhs = np.eye(instance.n_s) + FH.conj().T @ FH
-    rhs = (z.Vb - rho * z.Zv) + FH.conj().T @ (z.X + rho * z.Z)
+    rhs = (z.Vb - rho * Zv) + FH.conj().T @ (z.X + rho * Z)
     return np.linalg.solve(lhs, rhs)
 
 
@@ -199,24 +199,14 @@ def refresh_weights(iterate, instance):
     return replace(iterate, u=u, w=w)
 
 
-def bsum_inner_step(iterate, rho, instance):
-    """One full sweep: weight refresh, then F, bars, X, V in order."""
-    z = refresh_weights(iterate, instance)
-    z = replace(z, F=update_F(z, rho, instance))
-    Vb, Xb, Fb = update_bars(z, rho, instance)
-    z = replace(z, Vb=Vb, Xb=Xb, Fb=Fb)
-    z = replace(z, X=update_X(z, rho, instance))
-    return replace(z, V=update_V(z, rho, instance))
-
-
 class RelayProblem(BlockProblem):
     """Four-block AL problem: F, barred copies, X, V.
 
     Every ``step`` refreshes (u, w) at the current point before its block
     update, which makes each individual step a tight surrogate minimization
     of the AL and keeps the descent property under any block visit order.
-    The dual matrices mirrored on the iterate are kept in sync with the
-    outer loop's flat dual vector.
+    The duals live only in the outer loop's flat vector ``lam``; each call
+    unpacks the matrices it needs.
     """
 
     n_blocks = 4
@@ -237,6 +227,7 @@ class RelayProblem(BlockProblem):
         return np.concatenate([_cvec(M) for M in (Z, Zf, Zx, Zv)])
 
     def unpack_duals(self, lam):
+        """``(Z, Zf, Zx, Zv)``: duals of X - FHV, sigma_R (F - Fb), X - Xb, V - Vb."""
         out = []
         pos = 0
         for shape in self._shapes:
@@ -244,10 +235,6 @@ class RelayProblem(BlockProblem):
             out.append(_cmat(lam[pos:pos + n], shape))
             pos += n
         return tuple(out)
-
-    def sync_duals(self, z, lam):
-        Z, Zf, Zx, Zv = self.unpack_duals(lam)
-        return replace(z, Z=Z, Zf=Zf, Zx=Zx, Zv=Zv)
 
     # --- BlockProblem interface --------------------------------------------
 
@@ -265,15 +252,16 @@ class RelayProblem(BlockProblem):
 
     def step(self, i, z, lam, rho):
         inst = self.instance
-        z = refresh_weights(self.sync_duals(z, lam), inst)
+        duals = self.unpack_duals(lam)
+        z = refresh_weights(z, inst)
         if i == 0:
-            return replace(z, F=update_F(z, rho, inst))
+            return replace(z, F=update_F(z, duals, rho, inst))
         if i == 1:
-            Vb, Xb, Fb = update_bars(z, rho, inst)
+            Vb, Xb, Fb = update_bars(z, duals, rho, inst)
             return replace(z, Vb=Vb, Xb=Xb, Fb=Fb)
         if i == 2:
-            return replace(z, X=update_X(z, rho, inst))
-        return replace(z, V=update_V(z, rho, inst))
+            return replace(z, X=update_X(z, duals, rho, inst))
+        return replace(z, V=update_V(z, duals, rho, inst))
 
     # --- diagnostics --------------------------------------------------------
     # The barred block uses (Vb, Xb, sigma_R * Fb) coordinates so that both
@@ -321,13 +309,13 @@ class RelayProblem(BlockProblem):
 
     def al_block_gradient(self, i, z, lam, rho):
         inst = self.instance
-        z = self.sync_duals(z, lam)
+        Z, Zf, Zx, Zv = self.unpack_duals(lam)
         H = inst.H
         sr = inst.sigma_r
-        M1 = z.Z + (z.X - z.F @ H @ z.V) / rho
-        M2 = z.Zf + sr * (z.F - z.Fb) / rho
-        M3 = z.Zx + (z.X - z.Xb) / rho
-        M4 = z.Zv + (z.V - z.Vb) / rho
+        M1 = Z + (z.X - z.F @ H @ z.V) / rho
+        M2 = Zf + sr * (z.F - z.Fb) / rho
+        M3 = Zx + (z.X - z.Xb) / rho
+        M4 = Zv + (z.V - z.Vb) / rho
         if i == 0:
             total, _, interf = _received_powers(z.X, z.F, inst)
             coef = inst.alpha * (1.0 / total - 1.0 / interf)
@@ -381,12 +369,9 @@ def initial_iterate(instance, rng):
                                + inst.sigma_r2 * inst.n_r))
     F0 = beta * np.eye(inst.n_r, dtype=complex)
     X0 = F0 @ inst.H @ V0
-    zeros = lambda shape: np.zeros(shape, dtype=complex)
     z = RelayIterate(
         V=V0, F=F0, X=X0, Vb=V0.copy(), Fb=F0.copy(), Xb=X0.copy(),
-        Z=zeros(X0.shape), Zf=zeros(F0.shape), Zx=zeros(X0.shape),
-        Zv=zeros(V0.shape), u=np.zeros(inst.n_users, dtype=complex),
-        w=np.ones(inst.n_users),
+        u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
     )
     return refresh_weights(z, inst)
 
@@ -406,13 +391,16 @@ def repair_feasibility(V, F, instance):
     return V, s_f * F, (float(s_v), float(s_f))
 
 
-def solve(instance, config=None):
-    """Run PDD and return ``(V, F, trace)`` with (V, F) repaired to feasibility."""
-    result = solve_detailed(instance, config)
+def solve(instance, config=None, on_iteration=None):
+    """Run PDD and return ``(V, F, trace)`` with (V, F) repaired to feasibility.
+
+    ``on_iteration`` is passed to :func:`pddopt.core.pdd_run`.
+    """
+    result = solve_detailed(instance, config, on_iteration)
     return result["V"], result["F"], result["trace"]
 
 
-def solve_detailed(instance, config=None):
+def solve_detailed(instance, config=None, on_iteration=None):
     """Like :func:`solve` but also reports the repair scales and final rate."""
     if config is None:
         config = default_config(instance)
@@ -420,7 +408,7 @@ def solve_detailed(instance, config=None):
     z0 = initial_iterate(instance, rng)
     problem = RelayProblem(instance)
     lam0 = np.zeros(constraint_h(z0, instance).size)
-    z, lam, trace = _pdd_run(problem, z0, lam0, config)
+    z, lam, trace = _pdd_run(problem, z0, lam0, config, on_iteration)
     V, F, scales = repair_feasibility(z.V, z.F, instance)
     return {
         "V": V, "F": F, "trace": trace, "repair_scale": scales,

@@ -409,7 +409,8 @@ def suite_multicast(seed=0):
         rho = float(rng.uniform(0.1, 2.0))
         L_prev = prob.al_value(z, lam, rho)
         for _ in range(3):
-            z = mc.bsum_inner_step(z, lam, rho, inst)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, rho)
             L = prob.al_value(z, lam, rho)
             ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
             L_prev = L
@@ -468,21 +469,21 @@ def suite_multicast(seed=0):
 # relay
 # --------------------------------------------------------------------------
 
-def _surrogate_block_gradients(z, lam, rho, inst, prob):
+def _surrogate_block_gradients(z, duals, rho, inst):
     """Independent gradients of the quadratic MSE surrogate for F, X, V.
 
     Written directly from the surrogate objective (weighted MSE plus
     penalty), as the oracle against which the closed-form block updates
     are checked.
     """
-    z = prob.sync_duals(z, lam)
+    Z, Zf, Zx, Zv = duals
     G_w, D_w = rl.mse_matrices(z.u, z.w, inst)
     Gcol = inst.g.T
     H, sr = inst.H, inst.sigma_r
-    M1 = z.Z + (z.X - z.F @ H @ z.V) / rho
-    M2 = z.Zf + sr * (z.F - z.Fb) / rho
-    M3 = z.Zx + (z.X - z.Xb) / rho
-    M4 = z.Zv + (z.V - z.Vb) / rho
+    M1 = Z + (z.X - z.F @ H @ z.V) / rho
+    M2 = Zf + sr * (z.F - z.Fb) / rho
+    M3 = Zx + (z.X - z.Xb) / rho
+    M4 = Zv + (z.V - z.Vb) / rho
     HV = H @ z.V
     g_F = 2.0 * inst.sigma_r2 * G_w @ z.F - M1 @ HV.conj().T + sr * M2
     g_X = 2.0 * (G_w @ z.X - Gcol * D_w[None, :]) + M1 + M3
@@ -504,17 +505,17 @@ def suite_relay(seed=0):
             V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
             X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
             Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
-            Z=cm((inst.n_r, inst.n_users)), Zf=cm((inst.n_r, inst.n_r)),
-            Zx=cm((inst.n_r, inst.n_users)), Zv=cm((inst.n_s, inst.n_users)),
             u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
         )
-        return rl.refresh_weights(z, inst)
+        duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
+                 cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
+        return rl.refresh_weights(z, inst), duals
 
     # weights: w = 1 + SINR identity and w >= 1
     worst = 0.0
     ok_w = True
     for _ in range(50):
-        z = rand_iterate()
+        z, _ = rand_iterate()
         u, w = rl.wmmse_weights(z.X, z.F, inst)
         ok_w &= bool(np.all(w >= 1.0 - 1e-12))
         total, _, interf = rl._received_powers(z.X, z.F, inst)
@@ -540,12 +541,12 @@ def suite_relay(seed=0):
 
     worst_viol, worst_eq = 0.0, 0.0
     for _ in range(10):
-        zt = rand_iterate()
+        zt, _ = rand_iterate()
         ut, wt = rl.wmmse_weights(zt.X, zt.F, inst)
         eq_gap = np.abs(rate_k(zt.X, zt.F) - (np.log(wt) - wt * mse_k(ut, zt.X, zt.F) + 1.0))
         worst_eq = max(worst_eq, eq_gap.max())
         for _ in range(100):
-            z = rand_iterate()
+            z, _ = rand_iterate()
             bound = np.log(wt) - wt * mse_k(ut, z.X, z.F) + 1.0
             worst_viol = max(worst_viol, (bound - rate_k(z.X, z.F)).max())
     _check(res, "relay", "rate-lower-bound", worst_viol <= 1e-8,
@@ -556,16 +557,16 @@ def suite_relay(seed=0):
     # closed-form block updates zero the surrogate block gradients
     worst = 0.0
     for _ in range(20):
-        z = rand_iterate()
+        z, duals = rand_iterate()
         rho = float(rng.uniform(0.1, 2.0))
-        zF = rl.replace(z, F=rl.update_F(z, rho, inst))
-        g_F, _, _ = _surrogate_block_gradients(zF, prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv), rho, inst, prob)
+        zF = rl.replace(z, F=rl.update_F(z, duals, rho, inst))
+        g_F, _, _ = _surrogate_block_gradients(zF, duals, rho, inst)
         worst = max(worst, np.abs(g_F).max())
-        zX = rl.replace(z, X=rl.update_X(z, rho, inst))
-        _, g_X, _ = _surrogate_block_gradients(zX, prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv), rho, inst, prob)
+        zX = rl.replace(z, X=rl.update_X(z, duals, rho, inst))
+        _, g_X, _ = _surrogate_block_gradients(zX, duals, rho, inst)
         worst = max(worst, np.abs(g_X).max())
-        zV = rl.replace(z, V=rl.update_V(z, rho, inst))
-        _, _, g_V = _surrogate_block_gradients(zV, prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv), rho, inst, prob)
+        zV = rl.replace(z, V=rl.update_V(z, duals, rho, inst))
+        _, _, g_V = _surrogate_block_gradients(zV, duals, rho, inst)
         worst = max(worst, np.abs(g_V).max())
     _check(res, "relay", "block-updates-zero-gradient", worst <= 1e-7,
            f"worst grad entry {worst:.2e}")
@@ -573,13 +574,14 @@ def suite_relay(seed=0):
     # barred block: projection beats random feasible candidates
     worst = 0.0
     for _ in range(5):
-        z = rand_iterate(2.0)
+        z, duals = rand_iterate(2.0)
+        _, Zf, Zx, Zv = duals
         rho = 0.8
-        Vb, Xb, Fb = rl.update_bars(z, rho, inst)
+        Vb, Xb, Fb = rl.update_bars(z, duals, rho, inst)
         def bar_obj(Vb_, Xb_, Fb_):
-            return (np.linalg.norm(z.V + rho * z.Zv - Vb_) ** 2
-                    + np.linalg.norm(z.X + rho * z.Zx - Xb_) ** 2
-                    + np.linalg.norm(inst.sigma_r * z.F + rho * z.Zf
+            return (np.linalg.norm(z.V + rho * Zv - Vb_) ** 2
+                    + np.linalg.norm(z.X + rho * Zx - Xb_) ** 2
+                    + np.linalg.norm(inst.sigma_r * z.F + rho * Zf
                                      - inst.sigma_r * Fb_) ** 2)
         best = bar_obj(Vb, Xb, Fb)
         ok = True
@@ -597,12 +599,13 @@ def suite_relay(seed=0):
     # AL monotone over sweeps from random starts; feasibility invariants
     ok, ok_feas = True, True
     for _ in range(50):
-        z = rand_iterate()
-        lam = prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv)
+        z, duals = rand_iterate()
+        lam = prob.pack_duals(*duals)
         rho = float(rng.uniform(0.2, 2.0))
         L_prev = prob.al_value(z, lam, rho)
         for _ in range(3):
-            z = rl.bsum_inner_step(z, rho, inst)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, rho)
             L = prob.al_value(z, lam, rho)
             ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
             L_prev = L
@@ -615,8 +618,8 @@ def suite_relay(seed=0):
     # finite-difference check of the relay AL gradients, all four blocks
     worst = 0.0
     for _ in range(3):
-        z = rand_iterate()
-        lam = 0.3 * prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv)
+        z, duals = rand_iterate()
+        lam = 0.3 * prob.pack_duals(*duals)
         rho = 0.9
         for i in range(4):
             fd = fd_block_gradient(prob, i, z, lam, rho)
@@ -637,13 +640,14 @@ def suite_volmin(seed=0):
     N, K, L = inst.n_rows, inst.rank, inst.n_cols
 
     def rand_iterate(scale=1.0):
-        return vm.VolMinIterate(
+        z = vm.VolMinIterate(
             X=scale * rng.standard_normal((N, K)),
             S=numerics.project_simplex_columns(rng.standard_normal((K, L))),
             Y=scale * rng.standard_normal((N, K)),
-            P=0.3 * rng.standard_normal((N, L)),
-            Q=0.3 * rng.standard_normal((N, K)),
         )
+        P = 0.3 * rng.standard_normal((N, L))
+        Q = 0.3 * rng.standard_normal((N, K))
+        return z, P, Q
 
     # smoothed-volume C^1 property across the breakpoint
     xs = np.concatenate([np.linspace(1e-4, 3 * inst.eps, 400),
@@ -660,15 +664,15 @@ def suite_volmin(seed=0):
     # Y update: normal-equations oracle and vanishing block gradient
     worst_g, worst_o = 0.0, 0.0
     for _ in range(20):
-        z = rand_iterate()
+        z, P, Q = rand_iterate()
         rho = float(rng.uniform(0.1, 2.0))
-        Y = vm.update_Y(z, rho, inst)
+        Y = vm.update_Y(z, P, Q, rho, inst)
         zy = vm.replace(z, Y=Y)
-        lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+        lam = np.concatenate([P.ravel(), Q.ravel()])
         worst_g = max(worst_g, np.abs(prob.al_block_gradient(0, zy, lam, rho)).max())
         # stacked least-squares oracle: Y [S I] ~ [A + rho P, X + rho Q]
         W = np.concatenate([z.S, np.eye(K)], axis=1)
-        B = np.concatenate([inst.A + rho * z.P, z.X + rho * z.Q], axis=1)
+        B = np.concatenate([inst.A + rho * P, z.X + rho * Q], axis=1)
         Y_orc = np.linalg.lstsq(W.T, B.T, rcond=None)[0].T
         worst_o = max(worst_o, np.abs(Y - Y_orc).max())
     _check(res, "volmin", "y-update-zero-gradient", worst_g <= 1e-9,
@@ -679,11 +683,11 @@ def suite_volmin(seed=0):
     # S update: majorization and descent of the data-fit objective
     ok_major, ok_desc = True, True
     for _ in range(100):
-        z = rand_iterate()
+        z, P, _ = rand_iterate()
         rho = float(rng.uniform(0.1, 2.0))
         beta = vm.default_beta(z.Y)
-        S_new = vm.update_S(z, rho, inst)
-        target = inst.A + rho * z.P
+        S_new = vm.update_S(z, P, rho, inst)
+        target = inst.A + rho * P
 
         def fit(S):
             return np.linalg.norm(z.Y @ S - target) ** 2
@@ -702,10 +706,10 @@ def suite_volmin(seed=0):
     worst = 0.0
     ok_desc = True
     for _ in range(100):
-        z = rand_iterate()
+        z, _, Q = rand_iterate()
         rho = float(rng.uniform(0.05, 2.0))
-        X_new = vm.update_X(z, rho, inst.eps)
-        X_bar = z.Y - rho * z.Q
+        X_new = vm.update_X(z, Q, rho, inst.eps)
+        X_bar = z.Y - rho * Q
 
         def obj38(X):
             return vm.f_eps(X, inst.eps) + np.linalg.norm(X - X_bar) ** 2 / (2 * rho)
@@ -730,8 +734,8 @@ def suite_volmin(seed=0):
     # inner AL monotone over (Y, S, X) sweeps
     ok = True
     for _ in range(50):
-        z = rand_iterate()
-        lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+        z, P, Q = rand_iterate()
+        lam = np.concatenate([P.ravel(), Q.ravel()])
         rho = float(rng.uniform(0.1, 2.0))
         al_prev = prob.al_value(z, lam, rho)
         for _ in range(3):
@@ -745,8 +749,8 @@ def suite_volmin(seed=0):
     # FD gradients of the volmin AL
     worst = 0.0
     for _ in range(3):
-        z = rand_iterate()
-        lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+        z, P, Q = rand_iterate()
+        lam = np.concatenate([P.ravel(), Q.ravel()])
         for i in range(3):
             fd = fd_block_gradient(prob, i, z, lam, 0.8)
             worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, lam, 0.8)))
@@ -757,10 +761,10 @@ def suite_volmin(seed=0):
     ok_align, ok_perm = True, True
     import itertools as it
     for _ in range(20):
-        z = rand_iterate()
+        z, _, Q = rand_iterate()
         rho = 0.5
-        X_new = vm.update_X(z, rho, inst.eps)
-        X_bar = z.Y - rho * z.Q
+        X_new = vm.update_X(z, Q, rho, inst.eps)
+        X_bar = z.Y - rho * Q
         U, s_bar, V = numerics.thin_svd(X_bar)
         sig = np.diag(U.T @ X_new @ V)
         ok_align &= np.linalg.norm(U @ np.diag(sig) @ V.T - X_new) <= 1e-10

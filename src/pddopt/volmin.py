@@ -56,13 +56,11 @@ def build_instance(A, rank, eps=1e-2):
 
 @dataclass(frozen=True)
 class VolMinIterate:
-    """Factors, the copy Y of X, and mirrored dual matrices."""
+    """Factors and the copy Y of X."""
 
     X: np.ndarray    # N x K
     S: np.ndarray    # K x L, columns on the simplex
     Y: np.ndarray    # N x K
-    P: np.ndarray    # dual of A - YS (N x L)
-    Q: np.ndarray    # dual of X - Y  (N x K)
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,11 @@ def f_eps_gradient(X, eps):
     return U @ np.diag(2.0 * s * der / val) @ V.T
 
 
-def update_Y(iterate, rho, instance):
+def update_Y(iterate, P, Q, rho, instance):
     """Exact minimizer of the Y block (normal equations with I + S S^T)."""
     z = iterate
     A = instance.A
-    rhs = (A + rho * z.P) @ z.S.T + (z.X + rho * z.Q)
+    rhs = (A + rho * P) @ z.S.T + (z.X + rho * Q)
     K = z.S.shape[0]
     return np.linalg.solve(np.eye(K) + z.S @ z.S.T, rhs.T).T
 
@@ -115,7 +113,7 @@ def default_beta(Y):
     return 1.01 * float(np.linalg.norm(Y, ord=2)) ** 2 + 1e-12
 
 
-def update_S(iterate, rho, instance, beta_policy=default_beta):
+def update_S(iterate, P, rho, instance, beta_policy=default_beta):
     """Majorize-minimize step on S followed by column-wise simplex projection.
 
     The quadratic coupling Y^T Y is upper-bounded by beta I with
@@ -125,7 +123,7 @@ def update_S(iterate, rho, instance, beta_policy=default_beta):
     """
     z = iterate
     beta = beta_policy(z.Y)
-    target = z.Y.T @ (instance.A + rho * z.P) + (beta * np.eye(z.S.shape[0])
+    target = z.Y.T @ (instance.A + rho * P) + (beta * np.eye(z.S.shape[0])
                                                  - z.Y.T @ z.Y) @ z.S
     return numerics.project_simplex_columns(target / beta)
 
@@ -153,7 +151,7 @@ def sigma_subproblem(sigma_bar, g_tilde, rho, eps):
     return cand1 if v1 < v2 else cand2
 
 
-def update_X(iterate, rho, eps):
+def update_X(iterate, Q, rho, eps):
     """Singular-value shrinkage step on X.
 
     The target Y - rho*Q is factored by thin SVD, each singular value is
@@ -162,7 +160,7 @@ def update_X(iterate, rho, eps):
     target's singular vectors (trace-inequality alignment).
     """
     z = iterate
-    X_bar = z.Y - rho * z.Q
+    X_bar = z.Y - rho * Q
     U, s_bar, V = numerics.thin_svd(X_bar)
     s_tilde = np.linalg.svd(z.X, compute_uv=False)
     g_tilde, _ = g_eps(s_tilde**2, eps)
@@ -181,17 +179,14 @@ class VolMinProblem(BlockProblem):
     def __init__(self, instance):
         self.instance = instance
 
-    # duals (P, Q) mirror the outer loop's flat dual vector
     def unpack_duals(self, lam):
+        """``(P, Q)``: duals of A - YS and X - Y, reshaped from the flat vector."""
         N, L = self.instance.A.shape
         K = self.instance.rank
+        lam = np.asarray(lam, dtype=float)
         P = lam[:N * L].reshape(N, L)
         Q = lam[N * L:].reshape(N, K)
         return P, Q
-
-    def sync_duals(self, z, lam):
-        P, Q = self.unpack_duals(np.asarray(lam, dtype=float))
-        return replace(z, P=P, Q=Q)
 
     def constraint(self, z):
         r1 = self.instance.A - z.Y @ z.S
@@ -207,12 +202,12 @@ class VolMinProblem(BlockProblem):
         return f_eps(z.X, self.instance.eps)
 
     def step(self, i, z, lam, rho):
-        z = self.sync_duals(z, lam)
+        P, Q = self.unpack_duals(lam)
         if i == 0:
-            return replace(z, Y=update_Y(z, rho, self.instance))
+            return replace(z, Y=update_Y(z, P, Q, rho, self.instance))
         if i == 1:
-            return replace(z, S=update_S(z, rho, self.instance))
-        return replace(z, X=update_X(z, rho, self.instance.eps))
+            return replace(z, S=update_S(z, P, rho, self.instance))
+        return replace(z, X=update_X(z, Q, rho, self.instance.eps))
 
     # --- diagnostics ------------------------------------------------------
 
@@ -230,9 +225,9 @@ class VolMinProblem(BlockProblem):
         return lambda v: numerics.project_simplex_columns(v.reshape(K, L)).ravel()
 
     def al_block_gradient(self, i, z, lam, rho):
-        z = self.sync_duals(z, lam)
-        M1 = z.P + (self.instance.A - z.Y @ z.S) / rho
-        M2 = z.Q + (z.X - z.Y) / rho
+        P, Q = self.unpack_duals(lam)
+        M1 = P + (self.instance.A - z.Y @ z.S) / rho
+        M2 = Q + (z.X - z.Y) / rho
         if i == 0:
             return (-M1 @ z.S.T - M2).ravel()
         if i == 1:
@@ -268,10 +263,7 @@ def initial_iterate(instance, rng):
     X0 = A[:, cols] + 1e-6 * rng.standard_normal((instance.n_rows, K))
     S0, *_ = np.linalg.lstsq(X0, A, rcond=None)
     S0 = numerics.project_simplex_columns(S0)
-    return VolMinIterate(
-        X=X0, S=S0, Y=X0.copy(),
-        P=np.zeros_like(A), Q=np.zeros((instance.n_rows, K)),
-    )
+    return VolMinIterate(X=X0, S=S0, Y=X0.copy())
 
 
 def solve(instance, config=None):

@@ -241,3 +241,90 @@ class TestInvalidInputExitCode:
                        "--out", tmp_path / "run")
         assert code == 2
         assert "need at least K data columns" in capsys.readouterr().err
+
+
+class TestBadInputExitCode:
+    def _solve_relay(self, tmp_path, *extra):
+        return run_cli("solve", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,
+                       "--out", tmp_path / "run", *extra)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        assert self._solve_relay(tmp_path, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read JSON config file {cfg}" in err
+        assert "No such file or directory" in err
+
+    def test_config_file_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("max_outer = 3\n")
+        assert self._solve_relay(tmp_path, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read JSON config file {cfg}: Expecting value" in err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho_0": 1}))
+        assert self._solve_relay(tmp_path, "--config", cfg) == 2
+        assert "unknown PddConfig field(s) rho_0" in capsys.readouterr().err
+
+    def test_seed_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4}))
+        assert self._solve_relay(tmp_path, "--config", cfg) == 2
+        assert "sets 'seed'; use --seed instead" in capsys.readouterr().err
+
+    def test_malformed_seed_range(self, tmp_path, capsys):
+        code = run_cli("bench", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,
+                       "--seeds", "a..b", "--out", tmp_path / "bench")
+        assert code == 2
+        assert "malformed --seeds value 'a..b'" in capsys.readouterr().err
+
+
+def _trace_rows_without_time(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "time_ms"
+    return [row[:-1] for row in rows]
+
+
+def _expected_rows(trace):
+    header = list(trace.CSV_COLUMNS[:-1])
+    return [header] + [[str(v) for v in trace.csv_row(rec)[:-1]] for rec in trace.records]
+
+
+class TestCliMatchesLibrary:
+    """``pddopt solve --instance f --seed s`` writes what the library returns."""
+
+    def test_multicast(self, tmp_path):
+        from pddopt import multicast as mc
+
+        path, outdir, seed = tmp_path / "mc.json", tmp_path / "run", 3
+        run_cli("gen", "--app", "multicast", "--nt", 4, "--groups", 2,
+                "--users-per-group", 1, "--seed", seed, "--out", path)
+        run_cli("solve", "--app", "multicast", "--instance", path, "--seed", seed,
+                "--out", outdir)
+        inst = mc.instance_from_dict(json.loads(path.read_text()))
+        w, _, trace = mc.solve(inst, mc.default_config(inst, seed=seed))
+        results = json.loads((outdir / "results.json").read_text())
+        np.testing.assert_array_equal(ioformats.pairs_to_complex(results["w"]), w)
+        assert results["min_rate_bits"] == mc.min_rate(w, inst)
+        assert results["iterations"] == len(trace.records)
+        assert _trace_rows_without_time(outdir / "trace.csv") == _expected_rows(trace)
+
+    def test_relay(self, tmp_path):
+        from pddopt import relay as rl
+
+        path, outdir, seed = tmp_path / "rel.json", tmp_path / "run", 1
+        run_cli("gen", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2,
+                "--snr-db", 10, "--seed", seed, "--out", path)
+        run_cli("solve", "--app", "relay", "--instance", path, "--seed", seed,
+                "--out", outdir)
+        inst = rl.instance_from_dict(json.loads(path.read_text()))
+        res = rl.solve_detailed(inst, rl.default_config(inst, seed=seed))
+        results = json.loads((outdir / "results.json").read_text())
+        np.testing.assert_array_equal(ioformats.pairs_to_complex(results["V"]), res["V"])
+        np.testing.assert_array_equal(ioformats.pairs_to_complex(results["F"]), res["F"])
+        assert results["sum_rate_nats"] == res["sum_rate_nats"]
+        assert results["iterations"] == len(res["trace"].records)
+        assert _trace_rows_without_time(outdir / "trace.csv") == _expected_rows(res["trace"])

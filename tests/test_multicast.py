@@ -231,7 +231,8 @@ class TestInnerStep:
             lam = rng.standard_normal(K)
             rho = float(rng.uniform(0.1, 2.0))
             before = prob.al_value(z, lam, rho)
-            z = mc.bsum_inner_step(z, lam, rho, inst422)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, rho)
             after = prob.al_value(z, lam, rho)
             assert after <= before + 1e-9 * (1 + abs(before))
 
@@ -243,17 +244,22 @@ class TestInnerStep:
         lam = np.zeros(inst422.n_users)
         rho = 0.5
         for _ in range(300):
-            z = mc.bsum_inner_step(z, lam, rho, inst422)
-        z2 = mc.bsum_inner_step(z, lam, rho, inst422)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, rho)
+        z2 = z
+        for i in range(prob.n_blocks):
+            z2 = prob.step(i, z2, lam, rho)
         assert min(np.linalg.norm(z2.w - z.w), np.linalg.norm(z2.w + z.w)) < 1e-6
         np.testing.assert_allclose(z2.t, z.t, atol=1e-6)
 
     def test_unit_norm_maintained(self, inst422):
         rng = np.random.default_rng(14)
+        prob = mc.MulticastProblem(inst422)
         z = mc.initial_iterate(inst422, rng)
         lam = rng.standard_normal(inst422.n_users)
         for _ in range(5):
-            z = mc.bsum_inner_step(z, lam, 0.7, inst422)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, 0.7)
             assert abs(np.linalg.norm(z.w) - 1.0) < 1e-10
 
 

@@ -12,17 +12,18 @@ def inst222():
 
 
 def rand_iterate(inst, rng, scale=1.0):
+    """Random iterate and dual matrices ``(Z, Zf, Zx, Zv)``, drawn in that order."""
     def cm(shape):
         return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     z = rl.RelayIterate(
         V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
         X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
         Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
-        Z=cm((inst.n_r, inst.n_users)), Zf=cm((inst.n_r, inst.n_r)),
-        Zx=cm((inst.n_r, inst.n_users)), Zv=cm((inst.n_s, inst.n_users)),
         u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
     )
-    return rl.refresh_weights(z, inst)
+    duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
+             cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
+    return rl.refresh_weights(z, inst), duals
 
 
 class TestInstance:
@@ -54,7 +55,6 @@ class TestConstraint:
         one = np.ones((1, 1), dtype=complex)
         zero = np.zeros((1, 1), dtype=complex)
         z = rl.RelayIterate(V=zero, F=zero, X=one, Vb=zero, Fb=zero, Xb=one,
-                            Z=zero, Zf=zero, Zx=zero, Zv=zero,
                             u=np.zeros(1, dtype=complex), w=np.ones(1))
         h = rl.constraint_h(z, inst)
         # only X - FHV = 1 is nonzero
@@ -96,56 +96,56 @@ class TestWeights:
 class TestBlockUpdates:
     def test_update_f_decoupled_when_v_zero(self, inst222):
         rng = np.random.default_rng(4)
-        z = rand_iterate(inst222, rng)
+        z, duals = rand_iterate(inst222, rng)
         z = rl.replace(z, V=np.zeros_like(z.V))
         rho = 0.8
-        F = rl.update_F(z, rho, inst222)
+        F = rl.update_F(z, duals, rho, inst222)
         G_w, _ = rl.mse_matrices(z.u, z.w, inst222)
         expect = np.linalg.solve(
             2.0 * rho * G_w + np.eye(2),
-            z.Fb - rho * z.Zf / inst222.sigma_r)
+            z.Fb - rho * duals[1] / inst222.sigma_r)
         np.testing.assert_allclose(F, expect, atol=1e-10)
 
     def test_update_x_specialization(self, inst222):
         rng = np.random.default_rng(5)
-        z = rand_iterate(inst222, rng)
+        z, duals = rand_iterate(inst222, rng)
+        Z, _, Zx, _ = duals
         z = rl.replace(z, u=np.zeros(2, dtype=complex), w=np.ones(2))  # G_w = D_w = 0
         rho = 1.3
-        X = rl.update_X(z, rho, inst222)
-        expect = 0.5 * ((z.F @ inst222.H @ z.V - rho * z.Z) + (z.Xb - rho * z.Zx))
+        X = rl.update_X(z, duals, rho, inst222)
+        expect = 0.5 * ((z.F @ inst222.H @ z.V - rho * Z) + (z.Xb - rho * Zx))
         np.testing.assert_allclose(X, expect, atol=1e-12)
 
     def test_update_v_specialization(self, inst222):
         rng = np.random.default_rng(6)
-        z = rand_iterate(inst222, rng)
+        z, duals = rand_iterate(inst222, rng)
         z = rl.replace(z, F=np.zeros_like(z.F))
-        V = rl.update_V(z, 0.9, inst222)
-        np.testing.assert_allclose(V, z.Vb - 0.9 * z.Zv, atol=1e-12)
+        V = rl.update_V(z, duals, 0.9, inst222)
+        np.testing.assert_allclose(V, z.Vb - 0.9 * duals[3], atol=1e-12)
 
     def test_update_bars_interior_identity(self, inst222):
         rng = np.random.default_rng(7)
-        z = rand_iterate(inst222, rng, scale=1e-3)
-        z = rl.replace(z, Zv=np.zeros_like(z.Zv), Zx=np.zeros_like(z.Zx),
-                       Zf=np.zeros_like(z.Zf))
-        Vb, Xb, Fb = rl.update_bars(z, 1.0, inst222)
+        z, (Z, Zf, Zx, Zv) = rand_iterate(inst222, rng, scale=1e-3)
+        duals = (Z, np.zeros_like(Zf), np.zeros_like(Zx), np.zeros_like(Zv))
+        Vb, Xb, Fb = rl.update_bars(z, duals, 1.0, inst222)
         np.testing.assert_allclose(Vb, z.V, atol=1e-12)
         np.testing.assert_allclose(Xb, z.X, atol=1e-12)
         np.testing.assert_allclose(Fb, z.F, atol=1e-12)
 
     def test_update_bars_radial_scaling(self, inst222):
         rng = np.random.default_rng(8)
-        z = rand_iterate(inst222, rng)
-        V_pre = z.V + 1.0 * z.Zv
+        z, (Z, Zf, Zx, Zv) = rand_iterate(inst222, rng)
+        V_pre = z.V + 1.0 * Zv
         V_pre *= 2.0 * np.sqrt(inst222.p_s) / np.linalg.norm(V_pre)
-        z = rl.replace(z, V=V_pre, Zv=np.zeros_like(z.Zv))
-        Vb, _, _ = rl.update_bars(z, 1.0, inst222)
+        z = rl.replace(z, V=V_pre)
+        Vb, _, _ = rl.update_bars(z, (Z, Zf, Zx, np.zeros_like(Zv)), 1.0, inst222)
         np.testing.assert_allclose(Vb, V_pre / 2.0, atol=1e-10)
 
     def test_bars_feasible_after_update(self, inst222):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            z = rand_iterate(inst222, rng, scale=3.0)
-            Vb, Xb, Fb = rl.update_bars(z, float(rng.uniform(0.1, 2.0)), inst222)
+            z, duals = rand_iterate(inst222, rng, scale=3.0)
+            Vb, Xb, Fb = rl.update_bars(z, duals, float(rng.uniform(0.1, 2.0)), inst222)
             assert np.linalg.norm(Vb) ** 2 <= inst222.p_s + 1e-8
             assert (np.linalg.norm(Xb) ** 2
                     + inst222.sigma_r2 * np.linalg.norm(Fb) ** 2) <= inst222.p_r + 1e-8
@@ -165,17 +165,18 @@ class TestInnerSweep:
         rng = np.random.default_rng(11)
         prob = rl.RelayProblem(inst222)
         for _ in range(50):
-            z = rand_iterate(inst222, rng)
-            lam = prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv)
+            z, duals = rand_iterate(inst222, rng)
+            lam = prob.pack_duals(*duals)
             rho = float(rng.uniform(0.2, 2.0))
             before = prob.al_value(z, lam, rho)
-            z = rl.bsum_inner_step(z, rho, inst222)
+            for i in range(prob.n_blocks):
+                z = prob.step(i, z, lam, rho)
             after = prob.al_value(z, lam, rho)
             assert after <= before + 1e-9 * (1 + abs(before))
 
     def test_surrogate_identity_after_refresh(self, inst222):
         rng = np.random.default_rng(12)
-        z = rand_iterate(inst222, rng)
+        z, _ = rand_iterate(inst222, rng)
         u, w = rl.wmmse_weights(z.X, z.F, inst222)
         total, _, interf = rl._received_powers(z.X, z.F, inst222)
         rates = np.log(total / interf)
@@ -191,8 +192,8 @@ class TestGradients:
         rng = np.random.default_rng(13)
         prob = rl.RelayProblem(inst222)
         for _ in range(3):
-            z = rand_iterate(inst222, rng)
-            lam = 0.3 * prob.pack_duals(z.Z, z.Zf, z.Zx, z.Zv)
+            z, duals = rand_iterate(inst222, rng)
+            lam = 0.3 * prob.pack_duals(*duals)
             for i in range(4):
                 g = prob.al_block_gradient(i, z, lam, 0.9)
                 fd = fd_block_gradient(prob, i, z, lam, 0.9)
@@ -202,7 +203,7 @@ class TestGradients:
         # lam = 0, rho = 1, and zero duals: penalty part is 0.5 ||h||^2
         rng = np.random.default_rng(14)
         prob = rl.RelayProblem(inst222)
-        z = rand_iterate(inst222, rng)
+        z, _ = rand_iterate(inst222, rng)
         lam = np.zeros(rl.constraint_h(z, inst222).size)
         g = prob.al_block_gradient(3, z, lam, 1.0)  # V block: no rate term
         fd = fd_block_gradient(prob, 3, z, lam, 1.0)

@@ -16,14 +16,16 @@ def small():
 
 
 def rand_iterate(inst, rng, scale=1.0):
+    """Random iterate and dual matrices ``(P, Q)``, drawn in that order."""
     N, K, L = inst.n_rows, inst.rank, inst.n_cols
-    return vm.VolMinIterate(
+    z = vm.VolMinIterate(
         X=scale * rng.standard_normal((N, K)),
         S=numerics.project_simplex_columns(rng.standard_normal((K, L))),
         Y=scale * rng.standard_normal((N, K)),
-        P=0.3 * rng.standard_normal((N, L)),
-        Q=0.3 * rng.standard_normal((N, K)),
     )
+    P = 0.3 * rng.standard_normal((N, L))
+    Q = 0.3 * rng.standard_normal((N, K))
+    return z, P, Q
 
 
 class TestSmoothing:
@@ -60,24 +62,24 @@ class TestUpdateY:
     def test_s_zero_specialization(self, small):
         inst, _ = small
         rng = np.random.default_rng(2)
-        z = rand_iterate(inst, rng)
+        z, P, Q = rand_iterate(inst, rng)
         z = vm.replace(z, S=np.zeros_like(z.S))
-        Y = vm.update_Y(z, 0.7, inst)
-        np.testing.assert_allclose(Y, z.X + 0.7 * z.Q, atol=1e-12)
+        Y = vm.update_Y(z, P, Q, 0.7, inst)
+        np.testing.assert_allclose(Y, z.X + 0.7 * Q, atol=1e-12)
 
     def test_zero_gradient_and_lstsq_oracle(self, small):
         inst, _ = small
         rng = np.random.default_rng(3)
         prob = vm.VolMinProblem(inst)
         for _ in range(10):
-            z = rand_iterate(inst, rng)
+            z, P, Q = rand_iterate(inst, rng)
             rho = float(rng.uniform(0.1, 2.0))
-            Y = vm.update_Y(z, rho, inst)
+            Y = vm.update_Y(z, P, Q, rho, inst)
             zy = vm.replace(z, Y=Y)
-            lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+            lam = np.concatenate([P.ravel(), Q.ravel()])
             assert np.abs(prob.al_block_gradient(0, zy, lam, rho)).max() <= 1e-9
             W = np.concatenate([z.S, np.eye(inst.rank)], axis=1)
-            B = np.concatenate([inst.A + rho * z.P, z.X + rho * z.Q], axis=1)
+            B = np.concatenate([inst.A + rho * P, z.X + rho * Q], axis=1)
             Y_orc = np.linalg.lstsq(W.T, B.T, rcond=None)[0].T
             np.testing.assert_allclose(Y, Y_orc, atol=1e-10)
 
@@ -86,16 +88,16 @@ class TestUpdateS:
     def test_y_zero_fixed_point(self, small):
         inst, _ = small
         rng = np.random.default_rng(4)
-        z = rand_iterate(inst, rng)
+        z, P, _ = rand_iterate(inst, rng)
         z = vm.replace(z, Y=np.zeros_like(z.Y))
-        S = vm.update_S(z, 0.5, inst)
+        S = vm.update_S(z, P, 0.5, inst)
         np.testing.assert_allclose(S, z.S, atol=1e-9)
 
     def test_columns_on_simplex(self, small):
         inst, _ = small
         rng = np.random.default_rng(5)
-        z = rand_iterate(inst, rng)
-        S = vm.update_S(z, 0.5, inst)
+        z, P, _ = rand_iterate(inst, rng)
+        S = vm.update_S(z, P, 0.5, inst)
         np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
         assert S.min() >= 0.0
 
@@ -103,11 +105,11 @@ class TestUpdateS:
         inst, _ = small
         rng = np.random.default_rng(6)
         for _ in range(100):
-            z = rand_iterate(inst, rng)
+            z, P, _ = rand_iterate(inst, rng)
             rho = float(rng.uniform(0.1, 2.0))
-            target = inst.A + rho * z.P
+            target = inst.A + rho * P
             before = np.linalg.norm(z.Y @ z.S - target) ** 2
-            S = vm.update_S(z, rho, inst)
+            S = vm.update_S(z, P, rho, inst)
             after = np.linalg.norm(z.Y @ S - target) ** 2
             assert after <= before + 1e-9 * (1 + before)
 
@@ -117,10 +119,10 @@ class TestUpdateS:
         inst = vm.build_instance(rng.standard_normal((4, 1)), 2)
         z = vm.VolMinIterate(
             X=rng.standard_normal((4, 2)), S=np.array([[0.5], [0.5]]),
-            Y=rng.standard_normal((4, 2)), P=np.zeros((4, 1)), Q=np.zeros((4, 2)),
+            Y=rng.standard_normal((4, 2)),
         )
         for _ in range(500):
-            z = vm.replace(z, S=vm.update_S(z, 1.0, inst))
+            z = vm.replace(z, S=vm.update_S(z, np.zeros((4, 1)), 1.0, inst))
         grid = np.linspace(0.0, 1.0, 2001)
         cand = np.vstack([grid, 1.0 - grid])
         vals = np.linalg.norm(z.Y @ cand - inst.A, axis=0) ** 2
@@ -165,23 +167,23 @@ class TestUpdateX:
         inst, _ = small
         rng = np.random.default_rng(9)
         for _ in range(100):
-            z = rand_iterate(inst, rng)
+            z, _, Q = rand_iterate(inst, rng)
             rho = float(rng.uniform(0.05, 2.0))
-            X_bar = z.Y - rho * z.Q
+            X_bar = z.Y - rho * Q
 
             def obj(X):
                 return vm.f_eps(X, inst.eps) + np.linalg.norm(X - X_bar) ** 2 / (2 * rho)
 
-            X_new = vm.update_X(z, rho, inst.eps)
+            X_new = vm.update_X(z, Q, rho, inst.eps)
             assert obj(X_new) <= obj(z.X) + 1e-9 * (1 + abs(obj(z.X)))
 
     def test_singular_vector_alignment(self, small):
         inst, _ = small
         rng = np.random.default_rng(10)
-        z = rand_iterate(inst, rng)
+        z, _, Q = rand_iterate(inst, rng)
         rho = 0.5
-        X_new = vm.update_X(z, rho, inst.eps)
-        U, _, V = numerics.thin_svd(z.Y - rho * z.Q)
+        X_new = vm.update_X(z, Q, rho, inst.eps)
+        U, _, V = numerics.thin_svd(z.Y - rho * Q)
         sig = np.diag(U.T @ X_new @ V)
         assert np.linalg.norm(U @ np.diag(sig) @ V.T - X_new) <= 1e-10
 
@@ -192,8 +194,8 @@ class TestProblemGradients:
         rng = np.random.default_rng(11)
         prob = vm.VolMinProblem(inst)
         for _ in range(3):
-            z = rand_iterate(inst, rng)
-            lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+            z, P, Q = rand_iterate(inst, rng)
+            lam = np.concatenate([P.ravel(), Q.ravel()])
             for i in range(3):
                 g = prob.al_block_gradient(i, z, lam, 0.8)
                 fd = fd_block_gradient(prob, i, z, lam, 0.8)
@@ -204,8 +206,8 @@ class TestProblemGradients:
         rng = np.random.default_rng(12)
         prob = vm.VolMinProblem(inst)
         for _ in range(20):
-            z = rand_iterate(inst, rng)
-            lam = np.concatenate([z.P.ravel(), z.Q.ravel()])
+            z, P, Q = rand_iterate(inst, rng)
+            lam = np.concatenate([P.ravel(), Q.ravel()])
             rho = float(rng.uniform(0.1, 2.0))
             before = prob.al_value(z, lam, rho)
             for i in range(3):
