@@ -148,13 +148,7 @@ def _config_overrides(args):
 
 def _read_config_file(path):
     """PddConfig overrides from a JSON object; the seed comes only from --seed."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
-        raise InvalidInputError(f"cannot read JSON config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"config file {path} must hold a JSON object")
+    data = _read_json(path, "config")
     if "seed" in data:
         raise InvalidInputError(f"config file {path} sets 'seed'; use --seed instead")
     unknown = sorted(set(data) - {f.name for f in fields(PddConfig)})
@@ -162,6 +156,27 @@ def _read_config_file(path):
         raise InvalidInputError(
             f"config file {path}: unknown PddConfig field(s) {', '.join(unknown)}")
     return data
+
+
+def _read_json(path, what):
+    """The JSON object in the ``what`` file at ``path``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise InvalidInputError(f"cannot read JSON {what} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
+def _from_json_file(path, what, from_dict):
+    """``from_dict`` applied to the JSON object in the ``what`` file at ``path``."""
+    data = _read_json(path, what)
+    try:
+        return from_dict(data)
+    except KeyError as exc:
+        raise InvalidInputError(f"{what} file {path} has no key {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -205,26 +220,28 @@ def cmd_gen(args):
 
 
 def _load_instance(args, seed):
-    if getattr(args, "instance", None):
-        path = args.instance
-        if args.app == "multicast":
-            with open(path) as fh:
-                return mc.instance_from_dict(json.load(fh)), None
-        if args.app == "relay":
-            with open(path) as fh:
-                return rl.instance_from_dict(json.load(fh)), None
+    path = getattr(args, "instance", None)
+    if not path:
+        return _generate_instance(args, seed)
+    if args.app == "multicast":
+        return _from_json_file(path, "instance", mc.instance_from_dict), None
+    if args.app == "relay":
+        return _from_json_file(path, "instance", rl.instance_from_dict), None
+    try:
         A = ioformats.read_dense_matrix(path)
-        truth = None
-        if getattr(args, "truth", None):
-            with open(args.truth) as fh:
-                data = json.load(fh)
-            truth = vm.GroundTruth(
-                X=np.asarray(data["X"]), S=np.asarray(data["S"]),
-                gamma=data["gamma"],
-                snr_db=np.inf if data["snr_db"] is None else data["snr_db"],
-            )
-        return vm.build_instance(A, args.k, args.eps_smooth), truth
-    return _generate_instance(args, seed)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read data matrix file {path}: {exc}") from exc
+    truth = None
+    if getattr(args, "truth", None):
+        truth = _from_json_file(args.truth, "truth", _truth_from_dict)
+    return vm.build_instance(A, args.k, args.eps_smooth), truth
+
+
+def _truth_from_dict(data):
+    return vm.GroundTruth(
+        X=np.asarray(data["X"]), S=np.asarray(data["S"]), gamma=data["gamma"],
+        snr_db=np.inf if data["snr_db"] is None else data["snr_db"],
+    )
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class NumericsConfig:
     """Default tolerances for the kernels in this module."""
 
     hermitian_tol: float = 1e-12      # relative asymmetry allowed before rejecting input
-    eig_residual_rel: float = 1e-9    # ||Cv - lam*v|| <= rel * ||C||_2
+    eig_residual_rel: float = 1e-9    # ||Cv - lam*v|| <= rel * (lower bound of ||C||_2)
     svd_residual_rel: float = 1e-9    # reconstruction and orthonormality residuals
     sylvester_rel: float = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
     sylvester_abs: float = 1e-12
@@ -93,26 +93,34 @@ def real_embed_hermitian(M, cfg=DEFAULT_NUMERICS):
 def min_eigvec_sym(C, cfg=DEFAULT_NUMERICS):
     """Smallest eigenpair of a real symmetric matrix.
 
+    C must be symmetric: only its lower triangle is read. Only the smallest
+    eigenpair is computed (LAPACK ``syevr`` with an index range of one),
+    not the full spectrum.
+
     Returns (v, lam) with ``v`` unit norm, sign-normalized so its first
     non-negligible component is positive.
 
     Raises
     ------
     NumericalFailureError
-        If the eigensolver does not converge or the residual
-        ``||Cv - lam*v||`` exceeds ``cfg.eig_residual_rel * ||C||_2``.
+        If C has a non-finite entry, the eigensolver does not converge, or
+        the residual ``||Cv - lam*v||`` exceeds ``cfg.eig_residual_rel``
+        times ``max(|lam|, largest column norm of C)``, a lower bound of
+        ``||C||_2``.
     """
     C = np.asarray(C, dtype=float)
-    C = 0.5 * (C + C.T)
+    if not np.isfinite(C).all():
+        raise NumericalFailureError("eigensolver input has a non-finite entry")
     try:
-        vals, vecs = np.linalg.eigh(C)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver failed to converge: {exc}") from exc
+        vals, vecs = scipy.linalg.eigh(C, subset_by_index=[0, 0], driver="evr",
+                                       check_finite=False)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
     lam = vals[0]
     v = vecs[:, 0]
-    norm_c = max(np.abs(vals[0]), np.abs(vals[-1]))
+    norm_c = max(np.abs(lam), np.linalg.norm(C, axis=0).max())
     resid = np.linalg.norm(C @ v - lam * v)
-    if resid > cfg.eig_residual_rel * max(norm_c, 1e-300):
+    if not resid <= cfg.eig_residual_rel * max(norm_c, 1e-300):
         raise NumericalFailureError(
             f"eigenpair residual {resid:.3e} exceeds {cfg.eig_residual_rel:.1e} * ||C||",
             residual=resid,

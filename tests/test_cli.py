@@ -281,6 +281,53 @@ class TestBadInputExitCode:
         assert "malformed --seeds value 'a..b'" in capsys.readouterr().err
 
 
+class TestBadInstanceFile:
+    """A missing or malformed ``--instance``/``--truth`` file exits 2 and names the file."""
+
+    def _solve(self, tmp_path, app, *extra):
+        return run_cli("solve", "--app", app, "--out", tmp_path / "run", *extra)
+
+    def test_missing_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "nothere.json"
+        assert self._solve(tmp_path, "relay", "--instance", path) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read JSON instance file {path}" in err
+        assert "No such file or directory" in err
+
+    def test_instance_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        path.write_text("channels = []\n")
+        assert self._solve(tmp_path, "multicast", "--instance", path) == 2
+        assert f"cannot read JSON instance file {path}: Expecting value" in capsys.readouterr().err
+
+    def test_relay_instance_without_channels(self, tmp_path, capsys):
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps({"N_s": 1}))
+        assert self._solve(tmp_path, "relay", "--instance", path) == 2
+        assert f"instance file {path} has no key 'H'" in capsys.readouterr().err
+
+    def test_multicast_instance_without_channels(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"groups": [[0]]}))
+        assert self._solve(tmp_path, "multicast", "--instance", path) == 2
+        assert f"instance file {path} has no key 'channels'" in capsys.readouterr().err
+
+    def test_missing_volmin_matrix_file(self, tmp_path, capsys):
+        path = tmp_path / "nothere.vmin"
+        assert self._solve(tmp_path, "volmin", "--instance", path) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read data matrix file {path}" in err
+        assert "No such file or directory" in err
+
+    def test_missing_truth_file(self, tmp_path, capsys):
+        data, truth = tmp_path / "a.vmin", tmp_path / "nothere.json"
+        run_cli("gen", "--app", "volmin", "--n", 4, "--k", 2, "--l", 20,
+                "--seed", 0, "--out", data)
+        assert self._solve(tmp_path, "volmin", "--instance", data, "--k", 2,
+                           "--truth", truth) == 2
+        assert f"cannot read JSON truth file {truth}" in capsys.readouterr().err
+
+
 def _trace_rows_without_time(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))

@@ -200,6 +200,20 @@ class TestSurrogate:
                 gap = we @ C @ we + const - mc.theta_value(w, t, lam, rho, inst422)
                 assert gap >= -1e-8
 
+    def test_exactly_symmetric(self, inst422):
+        # min_eigvec_sym reads one triangle of C and does not symmetrize it
+        rng = np.random.default_rng(12)
+        points = [(inst422, unit_vec(rng, inst422.dim)) for _ in range(10)]
+        w = unit_vec(rng, inst422.dim)
+        w[:inst422.n_t] = 0.0  # users 0 and 1 get jittered expansion points
+        points.append((inst422, w / np.linalg.norm(w)))
+        points.append(TestStructuredMatchesDense._guard_point())
+        for inst, w in points:
+            K = inst.n_users
+            C, _ = mc.build_surrogate_C(w, rng.uniform(0.0, 3.0, K), rng.standard_normal(K),
+                                        float(rng.uniform(0.05, 2.0)), inst)
+            assert np.array_equal(C, C.T)
+
     def test_degenerate_gain_guard(self, inst422):
         # expansion point orthogonal to user 0's channel within its group block
         inst = mc.gen_instance(2, 1, 2, 10.0, seed=10)

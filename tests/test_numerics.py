@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pddopt import multicast as mc
 from pddopt import numerics
-from pddopt.errors import InvalidInputError
+from pddopt.errors import InvalidInputError, NumericalFailureError
 
 
 class TestRealEmbedding:
@@ -72,6 +74,67 @@ class TestMinEigvec:
         C = np.diag([2.0, -1.0])
         v, _ = numerics.min_eigvec_sym(C)
         assert v[1] > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        C = np.eye(4)
+        C[1, 2] = C[2, 1] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            numerics.min_eigvec_sym(C)
+
+    @staticmethod
+    def _assert_matches_full_eigh(C):
+        """Smallest eigenpair against the full spectrum of ``np.linalg.eigh``."""
+        vals, vecs = np.linalg.eigh(C)
+        norm_c = max(abs(vals[0]), abs(vals[-1]))
+        v, lam = numerics.min_eigvec_sym(C)
+        assert abs(lam - vals[0]) <= 1e-12 * norm_c
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        if vals[1] - vals[0] > 1e-6 * norm_c:
+            ref, _ = numerics.fix_sign(vecs[:, 0])
+            assert np.linalg.norm(v - ref) <= 1e-9
+
+    def test_matches_full_eigh_random(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5, 8, 16, 33, 64, 100, 128):
+            for _ in range(5):
+                C = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+                self._assert_matches_full_eigh(C + C.T)
+
+    @pytest.mark.parametrize("n_t", [8, 16])
+    def test_matches_full_eigh_on_multicast_surrogates(self, n_t, monkeypatch):
+        # the surrogates of the first outer iteration of a multicast solve
+        seen = []
+        kernel = numerics.min_eigvec_sym
+
+        def record(C, *args, **kwargs):
+            seen.append(C)
+            return kernel(C, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "min_eigvec_sym", record)
+        inst = mc.gen_instance(n_t, 4, 2, 10.0, seed=1)
+        mc.solve(inst, mc.default_config(inst, seed=1, max_outer=1))
+        monkeypatch.undo()
+        assert len(seen) >= 20
+        for C in seen[::5]:
+            self._assert_matches_full_eigh(C)
+
+    def test_residual_check_rejects_perturbed_eigenvector(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        C = rng.standard_normal((16, 16))
+        C = C + C.T
+        eigh = scipy.linalg.eigh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            vecs = vecs + 1e-6 * rng.standard_normal(vecs.shape)
+            return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+        numerics.min_eigvec_sym(C)
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalFailureError, match="residual") as info:
+            numerics.min_eigvec_sym(C)
+        assert info.value.residual > 1e-9 * np.abs(np.linalg.eigvalsh(C)).max()
 
 
 class TestThinSvd:
