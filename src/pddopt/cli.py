@@ -31,7 +31,7 @@ from . import relay as rl
 from . import volmin as vm
 from .core import PddConfig, PddTrace
 from .errors import InvalidInputError, PddOptError
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 log = logging.getLogger("pddopt")
 
@@ -86,8 +86,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run property-verification suites")
     p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=["numerics", "pdd-core", "multicast", "relay",
-                                   "volmin", "all"])
+                          choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
@@ -177,6 +176,8 @@ def _from_json_file(path, what, from_dict):
         return from_dict(data)
     except KeyError as exc:
         raise InvalidInputError(f"{what} file {path} has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or shape
+        raise InvalidInputError(f"{what} file {path} holds a malformed value: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

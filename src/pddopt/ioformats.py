@@ -30,7 +30,10 @@ def read_vmin(path):
         magic = fh.read(4)
         if magic != VMIN_MAGIC:
             raise InvalidInputError(f"{path}: bad magic {magic!r}, expected {VMIN_MAGIC!r}")
-        n, l = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise InvalidInputError(f"{path}: truncated header ({4 + len(header)} of 12 bytes)")
+        n, l = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(8 * n * l), dtype="<f8")
         if data.size != n * l:
             raise InvalidInputError(f"{path}: truncated payload ({data.size} of {n * l} values)")
@@ -42,7 +45,10 @@ def write_matrix_csv(path, A):
 
 
 def read_matrix_csv(path):
-    A = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        A = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise InvalidInputError(f"{path}: not a numeric CSV matrix: {exc}") from exc
     return np.asarray(A, dtype=float)
 
 

@@ -1,10 +1,16 @@
-"""Property-verification suites behind the ``verify`` CLI subcommand.
+"""The property catalogue behind the ``verify`` CLI subcommand.
 
-Each suite runs a battery of seeded randomized checks of the library's
-documented invariants (surrogate bounds, projection optimality, residual
-contracts, schedule identities, monotone descent) and returns one record
-per property. The pytest suite asserts on the same records, so a plain
+Each catalogue entry checks one documented invariant of the library
+(surrogate bounds, projection optimality, residual contracts, schedule
+identities, monotone descent) with seeded random draws, and returns one
+record per property name. An entry draws from its own generator, derived
+from ``(seed, "suite/name")``, so its draws do not depend on which entries
+ran before it. ``pddopt verify`` prints the records; the pytest suite runs
+the catalogue once per session and asserts on the same records, so a plain
 ``pddopt verify all`` reproduces what CI enforces.
+
+The toy problems and random-iterate helpers here are shared with the
+hand-written tests.
 """
 
 from dataclasses import dataclass
@@ -26,9 +32,37 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results, suite, name, passed, detail=""):
-    results.append(CheckResult(suite, name, bool(passed), detail))
+@dataclass(frozen=True)
+class Property:
+    """A catalogue entry: ``check(rng)`` returns a ``(passed, detail)`` pair,
+    or one pair per name when the entry has several names."""
 
+    suite: str
+    names: tuple
+    check: object
+
+    def run(self, seed=0):
+        rng = np.random.default_rng([seed, *f"{self.suite}/{self.names[0]}".encode()])
+        outcomes = self.check(rng)
+        if len(self.names) == 1:
+            outcomes = [outcomes]
+        return [CheckResult(self.suite, name, bool(passed), detail)
+                for name, (passed, detail) in zip(self.names, outcomes, strict=True)]
+
+
+CATALOGUE = []
+
+
+def _property(suite, *names):
+    def register(check):
+        CATALOGUE.append(Property(suite, names, check))
+        return check
+    return register
+
+
+# --------------------------------------------------------------------------
+# shared helpers
+# --------------------------------------------------------------------------
 
 def fd_block_gradient(problem, i, z, lam, rho, step=1e-5):
     """Central finite differences of the AL through a block's flat coordinates."""
@@ -50,137 +84,55 @@ def _rel_err(approx, exact):
     return float(np.linalg.norm(approx - exact) / max(1.0, np.linalg.norm(exact)))
 
 
-# --------------------------------------------------------------------------
-# numerics
-# --------------------------------------------------------------------------
-
-def suite_numerics(seed=0):
-    rng = np.random.default_rng(seed)
-    res = []
-
-    # embedding isometry on random Hermitian quadratic forms
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = 0.5 * (G + G.conj().T)
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w /= np.linalg.norm(w)
-        we = numerics.real_embed_vec(w)
-        Me = numerics.real_embed_hermitian(M)
-        worst = max(worst, abs(np.real(np.vdot(w, M @ w)) - we @ Me @ we))
-        worst = max(worst, abs(np.linalg.norm(we) - np.linalg.norm(w)))
-    _check(res, "numerics", "embedding-isometry", worst < 1e-10, f"worst dev {worst:.2e}")
-
-    # eigen residual bound and Rayleigh-quotient lower-bound oracle
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 10))
-        C = rng.standard_normal((n, n))
-        C = 0.5 * (C + C.T)
-        v, lam = numerics.min_eigvec_sym(C)
-        nc = max(np.abs(np.linalg.eigvalsh(C)))
-        worst = max(worst, np.linalg.norm(C @ v - lam * v) / max(nc, 1e-300))
-    _check(res, "numerics", "eig-residual-bound", worst <= 1e-9, f"worst {worst:.2e}")
-
-    ok = True
-    for _ in range(25):
-        n = int(rng.integers(2, 8))
-        C = rng.standard_normal((n, n))
-        C = 0.5 * (C + C.T)
-        v, _ = numerics.min_eigvec_sym(C)
-        samples = rng.standard_normal((1000, n))
-        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        ok &= v @ C @ v <= np.einsum("ij,jk,ik->i", samples, C, samples).min() + 1e-12
-    _check(res, "numerics", "eig-rayleigh-oracle", ok)
-
-    # SVD residuals over random shapes
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 10))
-        k = int(rng.integers(1, n + 1))
-        M = rng.standard_normal((n, k))
-        U, s, V = numerics.thin_svd(M)
-        scale = max(s[0], 1e-300)
-        worst = max(worst, np.linalg.norm(U @ np.diag(s) @ V.T - M) / scale)
-        worst = max(worst, np.linalg.norm(U.T @ U - np.eye(k)))
-        worst = max(worst, np.linalg.norm(V.T @ V - np.eye(k)))
-    _check(res, "numerics", "svd-residual-bound", worst <= 1e-9, f"worst {worst:.2e}")
-
-    # Sylvester residual bound and Kronecker-vectorization oracle
-    worst_res, worst_orc = 0.0, 0.0
-    for trial in range(1000):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        cplx = trial % 2 == 1
-        def mat(a, b):
-            M = rng.standard_normal((a, b))
-            return M + 1j * rng.standard_normal((a, b)) if cplx else M
-        Ga = mat(n, n)
-        A = Ga @ Ga.conj().T + np.eye(n)          # PD
-        Gb = mat(m, m)
-        B = Gb @ Gb.conj().T                       # PSD
-        C = mat(n, m)
-        F = numerics.solve_sylvester(A, B, C)
-        r = np.linalg.norm(A @ F + F @ B - C)
-        bound = 1e-8 * (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(F) + 1e-12
-        worst_res = max(worst_res, r / bound)
-        if trial % 50 == 0:
-            K = np.kron(np.eye(m), A) + np.kron(B.T, np.eye(n))
-            F_orc = np.linalg.solve(K, C.ravel(order="F")).reshape((n, m), order="F")
-            worst_orc = max(worst_orc, np.linalg.norm(F - F_orc) / max(1.0, np.linalg.norm(F_orc)))
-    _check(res, "numerics", "sylvester-residual-bound", worst_res <= 1.0,
-           f"worst residual/bound {worst_res:.2e}")
-    _check(res, "numerics", "sylvester-kronecker-oracle", worst_orc <= 1e-8,
-           f"worst mismatch {worst_orc:.2e}")
-
-    # projection idempotence and simplex KKT certificate
-    worst_idem, worst_kkt, worst_sum = 0.0, 0.0, 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 12))
-        x = 3.0 * rng.standard_normal(n)
-        r = float(rng.uniform(0.1, 2.0))
-        p1 = numerics.project_ball(x, r)
-        worst_idem = max(worst_idem, np.abs(numerics.project_ball(p1, r) - p1).max())
-        s = numerics.project_simplex(x)
-        worst_idem = max(worst_idem, np.abs(numerics.project_simplex(s) - s).max())
-        worst_sum = max(worst_sum, abs(s.sum() - 1.0))
-        active = s > 0
-        if active.any():
-            theta = x[active] - s[active]
-            worst_kkt = max(worst_kkt, theta.max() - theta.min())
-            if (~active).any():
-                worst_kkt = max(worst_kkt, max(0.0, (x[~active] - theta.mean()).max()))
-    _check(res, "numerics", "projection-idempotence", worst_idem <= 1e-12,
-           f"worst {worst_idem:.2e}")
-    _check(res, "numerics", "simplex-kkt-certificate",
-           worst_kkt <= 1e-9 and worst_sum <= 1e-12,
-           f"theta spread {worst_kkt:.2e}, sum dev {worst_sum:.2e}")
-
-    # monotone cubic vs bisection oracle
-    worst = 0.0
-    for _ in range(500):
-        a = float(rng.uniform(0.01, 100.0))
-        b = float(rng.uniform(0.01, 100.0))
-        d = float(rng.uniform(0.0, 100.0))
-        s = numerics.solve_monotone_cubic(a, b, d)
-        lo, hi = 0.0, d / b
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if a * mid**3 + b * mid - d > 0:
-                hi = mid
-            else:
-                lo = mid
-        worst = max(worst, abs(s - 0.5 * (lo + hi)))
-    _check(res, "numerics", "cubic-bisection-oracle", worst <= 1e-12, f"worst {worst:.2e}")
-    return res
+def _al_sweeps(prob, z, lam, rho, sweeps=3):
+    """Run full sweeps; return whether the AL never rose and the iterates."""
+    ok, iterates = True, []
+    L_prev = prob.al_value(z, lam, rho)
+    for _ in range(sweeps):
+        for i in range(prob.n_blocks):
+            z = prob.step(i, z, lam, rho)
+        L = prob.al_value(z, lam, rho)
+        ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
+        L_prev = L
+        iterates.append(z)
+    return ok, iterates
 
 
-# --------------------------------------------------------------------------
-# pdd-core
-# --------------------------------------------------------------------------
+def rand_unit_vec(rng, n):
+    """A random complex unit vector of length ``n``."""
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return w / np.linalg.norm(w)
 
-class _ToyEquality(BlockProblem):
+
+def rand_relay_iterate(inst, rng, scale=1.0):
+    """Random relay iterate and dual matrices ``(Z, Zf, Zx, Zv)``, drawn in that order."""
+    def cm(shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = rl.RelayIterate(
+        V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
+        X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
+        Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
+        u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
+    )
+    duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
+             cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
+    return rl.refresh_weights(z, inst), duals
+
+
+def rand_volmin_iterate(inst, rng, scale=1.0):
+    """Random volmin iterate and dual matrices ``(P, Q)``, drawn in that order."""
+    N, K, L = inst.n_rows, inst.rank, inst.n_cols
+    z = vm.VolMinIterate(
+        X=scale * rng.standard_normal((N, K)),
+        S=numerics.project_simplex_columns(rng.standard_normal((K, L))),
+        Y=scale * rng.standard_normal((N, K)),
+    )
+    P = 0.3 * rng.standard_normal((N, L))
+    Q = 0.3 * rng.standard_normal((N, K))
+    return z, P, Q
+
+
+class ToyEquality(BlockProblem):
     """min ||z||^2 s.t. z1 - 1 = 0; one block with exact AL minimization."""
 
     n_blocks = 1
@@ -207,19 +159,23 @@ class _ToyEquality(BlockProblem):
         return np.asarray(v, dtype=float).copy()
 
     def al_block_gradient(self, i, z, lam, rho):
-        g = 2.0 * z
-        g = g.copy()
+        g = 2.0 * z.copy()
         g[0] += lam[0] + (z[0] - 1.0) / rho
         return g
 
 
-class _Quad3(BlockProblem):
+class Quad3(BlockProblem):
     """Unconstrained convex quadratic with three coordinate blocks."""
 
     n_blocks = 3
 
     def __init__(self, Q, b):
         self.Q, self.b = Q, b
+
+    @classmethod
+    def random(cls, rng):
+        M = rng.standard_normal((3, 3))
+        return cls(M @ M.T + 3.0 * np.eye(3), rng.standard_normal(3))
 
     def constraint(self, z):
         return np.zeros(0)
@@ -229,8 +185,7 @@ class _Quad3(BlockProblem):
 
     def step(self, i, z, lam, rho):
         z = z.copy()
-        r = self.b[i] - self.Q[i] @ z + self.Q[i, i] * z[i]
-        z[i] = r / self.Q[i, i]
+        z[i] = (self.b[i] - self.Q[i] @ z + self.Q[i, i] * z[i]) / self.Q[i, i]
         return z
 
     def block_value(self, i, z):
@@ -245,18 +200,158 @@ class _Quad3(BlockProblem):
         return np.array([(self.Q @ z - self.b)[i]])
 
 
-def suite_core(seed=0):
-    rng = np.random.default_rng(seed)
-    res = []
+# --------------------------------------------------------------------------
+# numerics
+# --------------------------------------------------------------------------
 
-    # PDD branch identities replayed from a trace
-    toy = _ToyEquality()
+@_property("numerics", "embedding-isometry")
+def _embedding_isometry(rng):
+    worst_form, worst_norm = 0.0, 0.0
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = 0.5 * (G + G.conj().T)
+        w = rand_unit_vec(rng, n)
+        we = numerics.real_embed_vec(w)
+        Me = numerics.real_embed_hermitian(M)
+        worst_form = max(worst_form, abs(np.real(np.vdot(w, M @ w)) - we @ Me @ we))
+        worst_norm = max(worst_norm, abs(np.linalg.norm(we) - np.linalg.norm(w)))
+    return (worst_form < 1e-10 and worst_norm < 1e-12,
+            f"worst form dev {worst_form:.2e}, norm dev {worst_norm:.2e}")
+
+
+@_property("numerics", "eig-residual-bound")
+def _eig_residual_bound(rng):
+    worst = 0.0
+    for _ in range(1000):
+        n = int(rng.integers(2, 10))
+        C = rng.standard_normal((n, n))
+        C = 0.5 * (C + C.T)
+        v, lam = numerics.min_eigvec_sym(C)
+        nc = max(np.abs(np.linalg.eigvalsh(C)))
+        worst = max(worst, np.linalg.norm(C @ v - lam * v) / max(nc, 1e-300))
+    return worst <= 1e-9, f"worst {worst:.2e}"
+
+
+@_property("numerics", "eig-rayleigh-oracle")
+def _eig_rayleigh_oracle(rng):
+    ok = True
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        C = rng.standard_normal((n, n))
+        C = 0.5 * (C + C.T)
+        v, _ = numerics.min_eigvec_sym(C)
+        samples = rng.standard_normal((1000, n))
+        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+        ok &= v @ C @ v <= np.einsum("ij,jk,ik->i", samples, C, samples).min() + 1e-12
+    return ok, ""
+
+
+@_property("numerics", "svd-residual-bound")
+def _svd_residual_bound(rng):
+    worst, sorted_ok = 0.0, True
+    for _ in range(1000):
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(1, n + 1))
+        M = rng.standard_normal((n, k))
+        U, s, V = numerics.thin_svd(M)
+        sorted_ok &= bool(np.all(np.diff(s) <= 1e-12))
+        scale = max(s[0], 1e-300)
+        worst = max(worst, np.linalg.norm(U @ np.diag(s) @ V.T - M) / scale)
+        worst = max(worst, np.linalg.norm(U.T @ U - np.eye(k)))
+        worst = max(worst, np.linalg.norm(V.T @ V - np.eye(k)))
+    return worst <= 1e-9 and sorted_ok, f"worst {worst:.2e}, sorted {sorted_ok}"
+
+
+@_property("numerics", "sylvester-residual-bound", "sylvester-kronecker-oracle")
+def _sylvester(rng):
+    worst_res, worst_orc = 0.0, 0.0
+    for trial in range(1000):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        cplx = trial % 2 == 1
+        def mat(a, b):
+            M = rng.standard_normal((a, b))
+            return M + 1j * rng.standard_normal((a, b)) if cplx else M
+        Ga = mat(n, n)
+        A = Ga @ Ga.conj().T + np.eye(n)          # PD
+        Gb = mat(m, m)
+        B = Gb @ Gb.conj().T                       # PSD
+        C = mat(n, m)
+        F = numerics.solve_sylvester(A, B, C)
+        r = np.linalg.norm(A @ F + F @ B - C)
+        bound = 1e-8 * (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(F) + 1e-12
+        worst_res = max(worst_res, r / bound)
+        if trial % 50 < 2:  # 20 real and 20 complex oracle solves
+            K = np.kron(np.eye(m), A) + np.kron(B.T, np.eye(n))
+            F_orc = np.linalg.solve(K, C.ravel(order="F")).reshape((n, m), order="F")
+            # relative Frobenius error and entrywise |F - F_orc| - 1e-8 |F_orc|, both <= 1e-8
+            worst_orc = max(worst_orc, _rel_err(F, F_orc),
+                            (np.abs(F - F_orc) - 1e-8 * np.abs(F_orc)).max())
+    return ((worst_res <= 1.0, f"worst residual/bound {worst_res:.2e}"),
+            (worst_orc <= 1e-8, f"worst mismatch {worst_orc:.2e}"))
+
+
+@_property("numerics", "projection-idempotence", "simplex-kkt-certificate")
+def _projections(rng):
+    worst_idem, worst_kkt, worst_sum, nonneg = 0.0, 0.0, 0.0, True
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        x = 3.0 * rng.standard_normal(n)
+        r = float(rng.uniform(0.1, 2.0))
+        p1 = numerics.project_ball(x, r)
+        worst_idem = max(worst_idem, np.abs(numerics.project_ball(p1, r) - p1).max())
+        s = numerics.project_simplex(x)
+        worst_idem = max(worst_idem, np.abs(numerics.project_simplex(s) - s).max())
+        worst_sum = max(worst_sum, abs(s.sum() - 1.0))
+        nonneg &= bool(s.min() >= 0.0)
+        active = s > 0
+        if active.any():
+            theta = x[active] - s[active]
+            worst_kkt = max(worst_kkt, theta.max() - theta.min())
+            if (~active).any():
+                worst_kkt = max(worst_kkt, max(0.0, (x[~active] - theta.mean()).max()))
+    return ((worst_idem <= 1e-12, f"worst {worst_idem:.2e}"),
+            (worst_kkt <= 1e-9 and worst_sum <= 1e-12 and nonneg,
+             f"theta spread {worst_kkt:.2e}, sum dev {worst_sum:.2e}, nonnegative {nonneg}"))
+
+
+@_property("numerics", "cubic-bisection-oracle")
+def _cubic_bisection_oracle(rng):
+    worst, worst_res = 0.0, 0.0
+    for _ in range(500):
+        a = float(rng.uniform(0.01, 100.0))
+        b = float(rng.uniform(0.01, 100.0))
+        d = float(rng.uniform(0.0, 100.0))
+        s = numerics.solve_monotone_cubic(a, b, d)
+        lo, hi = 0.0, d / b
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if a * mid**3 + b * mid - d > 0:
+                hi = mid
+            else:
+                lo = mid
+        worst = max(worst, abs(s - 0.5 * (lo + hi)))
+        worst_res = max(worst_res, abs(a * s**3 + b * s - d) / max(1.0, abs(d)))
+    return (worst <= 1e-12 and worst_res <= 1e-12,
+            f"worst {worst:.2e}, worst relative residual {worst_res:.2e}")
+
+
+# --------------------------------------------------------------------------
+# pdd-core
+# --------------------------------------------------------------------------
+
+@_property("pdd-core", "dual-update-identity", "penalty-branch-condition",
+           "rho-monotone-nonincreasing", "eta-shrink-factor")
+def _pdd_branch_identities(rng):
+    # the PDD branch identities, replayed from a trace
+    toy = ToyEquality()
     cfg = PddConfig(mode="pdd", rho0=1.0, c=0.7, tau=0.9, eps0=1e-2,
                     max_outer=25, inner_stop="iteration-cap", max_inner=1,
                     eps_outer=1e-12)
     z0 = np.array([4.0, 1.0])
-    z, lam_final, trace = pdd_run(toy, z0, np.zeros(1), cfg)
-    ok_dual, ok_pen, ok_rho_mono, ok_eta = True, True, True, True
+    _, lam_final, trace = pdd_run(toy, z0, np.zeros(1), cfg)
+    ok_pen, ok_eta = True, True
     lam = np.zeros(1)
     z_sim = z0
     eta_prev = None
@@ -270,45 +365,52 @@ def suite_core(seed=0):
         if eta_prev is not None:
             ok_eta &= rec.eta <= 0.9 * eta_prev + 1e-15
         eta_prev = rec.eta
-    ok_dual &= np.allclose(lam, lam_final)
     rhos = trace.column("rho")
     ok_rho_mono = all(r2 <= r1 + 1e-15 for r1, r2 in zip(rhos, rhos[1:]))
-    _check(res, "pdd-core", "dual-update-identity", ok_dual)
-    _check(res, "pdd-core", "penalty-branch-condition", ok_pen)
-    _check(res, "pdd-core", "rho-monotone-nonincreasing", ok_rho_mono)
-    _check(res, "pdd-core", "eta-shrink-factor", ok_eta)
+    return ((np.allclose(lam, lam_final), ""), (ok_pen, ""), (ok_rho_mono, ""),
+            (ok_eta, ""))
 
-    # IPDD virtual-multiplier identity and toy KKT convergence
+
+@_property("pdd-core", "ipdd-virtual-multiplier-identity", "ipdd-toy-kkt-convergence")
+def _ipdd_toy(rng):
+    toy = ToyEquality()
     cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=50,
                     inner_stop="iteration-cap", max_inner=1, eps_outer=1e-7)
-    z, lam_final, trace = pdd_run(toy, np.array([5.0, 3.0]), np.zeros(1), cfg)
+    z0 = np.array([5.0, 3.0, -2.0])
+    z, lam_final, trace = pdd_run(toy, z0, np.zeros(1), cfg)
     lam = np.zeros(1)
-    z_sim = np.array([5.0, 3.0])
-    ok = True
+    z_sim = z0
     for rec in trace.records:
         z_sim = toy.step(0, z_sim, lam, rec.rho)
         lam = lam + toy.constraint(z_sim) / rec.rho
-    ok &= np.allclose(lam, lam_final)
-    _check(res, "pdd-core", "ipdd-virtual-multiplier-identity", ok)
-    _check(res, "pdd-core", "ipdd-toy-kkt-convergence",
-           abs(z[0] - 1.0) < 1e-6 and abs(lam_final[0] + 2.0) < 1e-5
-           and trace.records[-1].h_inf < 1e-6,
-           f"z1={z[0]:.8f} lam={lam_final[0]:.6f}")
+    converged = (abs(z[0] - 1.0) < 1e-6 and np.abs(z[1:]).max() <= 1e-12
+                 and abs(lam_final[0] + 2.0) < 1e-5 and trace.records[-1].h_inf < 1e-6)
+    return ((np.allclose(lam, lam_final), ""),
+            (converged, f"z1={z[0]:.8f} lam={lam_final[0]:.6f}"))
 
-    # rBSUM: convergence to the global quadratic minimizer, monotone descent,
-    # and bit-reproducibility of seeded runs
-    M = rng.standard_normal((3, 3))
-    quad = _Quad3(M @ M.T + 3.0 * np.eye(3), rng.standard_normal(3))
-    z, _, _ = rbsum_run(quad, np.zeros(3), np.zeros(0), 1.0,
-                        eps_inner=1e-14, max_inner=500)
-    z_star = np.linalg.solve(quad.Q, quad.b)
-    _check(res, "pdd-core", "rbsum-quadratic-oracle",
-           np.abs(z - z_star).max() < 1e-6, f"err {np.abs(z - z_star).max():.2e}")
+
+@_property("pdd-core", "rbsum-quadratic-oracle")
+def _rbsum_quadratic_oracle(rng):
+    quad = Quad3.random(rng)
+    z, _, converged = rbsum_run(quad, np.zeros(3), np.zeros(0), 1.0,
+                                eps_inner=1e-14, max_inner=500)
+    err = np.abs(z - np.linalg.solve(quad.Q, quad.b)).max()
+    return converged and err < 1e-6, f"err {err:.2e}, converged {converged}"
+
+
+@_property("pdd-core", "rbsum-seeded-reproducibility")
+def _rbsum_seeded_reproducibility(rng):
+    quad = Quad3.random(rng)
     za, _, _ = rbsum_run(quad, np.ones(3), np.zeros(0), 1.0, seed=42,
                          eps_inner=1e-10, max_inner=9)
     zb, _, _ = rbsum_run(quad, np.ones(3), np.zeros(0), 1.0, seed=42,
                          eps_inner=1e-10, max_inner=9)
-    _check(res, "pdd-core", "rbsum-seeded-reproducibility", np.array_equal(za, zb))
+    return np.array_equal(za, zb), ""
+
+
+@_property("pdd-core", "rbsum-monotone-descent")
+def _rbsum_monotone_descent(rng):
+    quad = Quad3.random(rng)
     ok = True
     z = 5.0 * rng.standard_normal(3)
     L_prev = quad.al_value(z, np.zeros(0), 1.0)
@@ -318,156 +420,181 @@ def suite_core(seed=0):
         L = quad.al_value(z, np.zeros(0), 1.0)
         ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
         L_prev = L
-    _check(res, "pdd-core", "rbsum-monotone-descent", ok)
+    return ok, ""
 
-    # stationarity residuals: zero at an exact minimizer, FD-consistent gradient
+
+@_property("pdd-core", "residual-zero-at-minimizer")
+def _residual_zero_at_minimizer(rng):
+    quad = Quad3.random(rng)
+    z_star = np.linalg.solve(quad.Q, quad.b)
     e, delta = stationarity_residuals(quad, z_star, np.zeros(0), 1.0)
-    _check(res, "pdd-core", "residual-zero-at-minimizer",
-           max(np.abs(e).max(), np.abs(delta).max()) < 1e-8)
+    return max(np.abs(e).max(), np.abs(delta).max()) < 1e-8, ""
+
+
+@_property("pdd-core", "fd-gradient-consistency")
+def _fd_gradient_consistency(rng):
+    quad = Quad3.random(rng)
     worst = 0.0
     for _ in range(5):
         zr = rng.standard_normal(3)
         for i in range(3):
             fd = fd_block_gradient(quad, i, zr, np.zeros(0), 1.0)
             worst = max(worst, _rel_err(fd, quad.al_block_gradient(i, zr, np.zeros(0), 1.0)))
+    toy = ToyEquality()
     zr = rng.standard_normal(2) + 2.0
     fd = fd_block_gradient(toy, 0, zr, np.array([0.3]), 0.7)
     worst = max(worst, _rel_err(fd, toy.al_block_gradient(0, zr, np.array([0.3]), 0.7)))
-    _check(res, "pdd-core", "fd-gradient-consistency", worst <= 1e-4, f"worst rel {worst:.2e}")
-    return res
+    return worst <= 1e-4, f"worst rel {worst:.2e}"
 
 
 # --------------------------------------------------------------------------
 # multicast
 # --------------------------------------------------------------------------
 
-def suite_multicast(seed=0):
-    rng = np.random.default_rng(seed)
-    res = []
-    inst = mc.gen_instance(4, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
-    prob = mc.MulticastProblem(inst)
-    K, dim = inst.n_users, inst.dim
+def _mc_instance(rng):
+    return mc.gen_instance(4, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
 
-    def rand_unit():
-        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return w / np.linalg.norm(w)
 
+@_property("multicast", "sinr-quadratic-form-identity")
+def _sinr_quadratic_form_identity(rng):
     # SINR identity of the assembled quadratic forms against the channel model
+    inst = _mc_instance(rng)
     worst = 0.0
     for _ in range(20):
-        w = rand_unit()
+        w = rand_unit_vec(rng, inst.dim)
         sinr_direct = mc.sinr_values(np.sqrt(inst.p_bs) * w, inst)
-        for k in range(K):
+        for k in range(inst.n_users):
             qa = np.real(np.vdot(w, inst.A[k] @ w))
             qb = np.real(np.vdot(w, inst.B[k] @ w))
-            worst = max(worst, abs(qa / qb - sinr_direct[k]) / max(1.0, sinr_direct[k]))
-    _check(res, "multicast", "sinr-quadratic-form-identity", worst < 1e-10,
-           f"worst rel dev {worst:.2e}")
+            worst = max(worst, abs(qa / qb - sinr_direct[k]) / sinr_direct[k])
+    return worst < 1e-10, f"worst rel dev {worst:.2e}"
 
+
+@_property("multicast", "surrogate-dominance", "surrogate-tightness")
+def _surrogate_bounds(rng):
     # quadratic surrogate: global dominance on the sphere + tightness
+    inst = _mc_instance(rng)
+    K = inst.n_users
     worst_gap, worst_tight = 0.0, 0.0
-    for _ in range(10):
-        wt = rand_unit()
+    for _ in range(20):
+        wt = rand_unit_vec(rng, inst.dim)
         t = np.abs(rng.standard_normal(K)) * 2.0
         lam = rng.standard_normal(K)
         rho = float(rng.uniform(0.05, 2.0))
         C, const = mc.build_surrogate_C(wt, t, lam, rho, inst)
-        theta_t = mc.theta_value(wt, t, lam, rho, inst)
         we = numerics.real_embed_vec(wt)
-        worst_tight = max(worst_tight, abs(we @ C @ we + const - theta_t))
-        for _ in range(200):
-            w = rand_unit()
+        worst_tight = max(worst_tight,
+                          abs(we @ C @ we + const - mc.theta_value(wt, t, lam, rho, inst)))
+        for _ in range(100):
+            w = rand_unit_vec(rng, inst.dim)
             we = numerics.real_embed_vec(w)
             gap = we @ C @ we + const - mc.theta_value(w, t, lam, rho, inst)
             worst_gap = max(worst_gap, -gap)
-    _check(res, "multicast", "surrogate-dominance", worst_gap <= 1e-8,
-           f"worst violation {worst_gap:.2e}")
-    _check(res, "multicast", "surrogate-tightness", worst_tight <= 1e-8,
-           f"worst dev {worst_tight:.2e}")
+    return ((worst_gap <= 1e-8, f"worst violation {worst_gap:.2e}"),
+            (worst_tight <= 1e-8, f"worst dev {worst_tight:.2e}"))
 
+
+@_property("multicast", "t-subproblem-grid-oracle")
+def _t_subproblem_grid_oracle(rng):
     # t-subproblem against a dense 1-D grid over the common floor
-    worst = 0.0
+    worst, floor_ok = 0.0, True
     for _ in range(200):
         kk = int(rng.integers(1, 6))
         a = rng.uniform(0.05, 3.0, kk)
         b = rng.uniform(-3.0, 5.0, kk)
         t, s = mc.solve_t_subproblem(a, b)
+        floor_ok &= np.array_equal(t, np.maximum(b, s)) and s >= 0.0
         obj = t.min() - a @ (t - b) ** 2
         grid = np.linspace(0.0, max(b.max(), 0.0) + 1.0 / (2.0 * a.min()) + 1.0, 4001)
         tg = np.maximum(b[None, :], grid[:, None])
         objs = tg.min(axis=1) - (a[None, :] * (tg - b[None, :]) ** 2).sum(axis=1)
         worst = max(worst, objs.max() - obj)
-        worst = max(worst, np.abs(t - np.maximum(b, s)).max())
-    _check(res, "multicast", "t-subproblem-grid-oracle", worst <= 1e-5,
-           f"worst suboptimality {worst:.2e}")
+    return (worst <= 1e-5 and floor_ok,
+            f"worst suboptimality {worst:.2e}, t == max(b, s) >= 0: {floor_ok}")
 
+
+@_property("multicast", "inner-al-monotone")
+def _mc_inner_al_monotone(rng):
     # inner AL monotonicity across full sweeps from random starts
+    inst = _mc_instance(rng)
+    prob = mc.MulticastProblem(inst)
     ok = True
     for _ in range(100):
-        z = mc.MulticastIterate(w=rand_unit(), t=np.abs(rng.standard_normal(K)) * 3.0)
-        lam = rng.standard_normal(K)
-        rho = float(rng.uniform(0.1, 2.0))
-        L_prev = prob.al_value(z, lam, rho)
-        for _ in range(3):
-            for i in range(prob.n_blocks):
-                z = prob.step(i, z, lam, rho)
-            L = prob.al_value(z, lam, rho)
-            ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
-            L_prev = L
-    _check(res, "multicast", "inner-al-monotone", ok)
+        z = mc.MulticastIterate(w=rand_unit_vec(rng, inst.dim),
+                                t=np.abs(rng.standard_normal(inst.n_users)) * 3.0)
+        lam = rng.standard_normal(inst.n_users)
+        ok &= _al_sweeps(prob, z, lam, float(rng.uniform(0.1, 2.0)))[0]
+    return ok, ""
 
+
+@_property("multicast", "fd-al-gradient")
+def _mc_fd_al_gradient(rng):
     # finite-difference check of the AL gradients (w full; t smooth + argmin part)
+    inst = _mc_instance(rng)
+    prob = mc.MulticastProblem(inst)
     worst = 0.0
     for _ in range(5):
-        z = mc.MulticastIterate(w=rand_unit(), t=rng.uniform(0.5, 3.0, K))
-        lam = rng.standard_normal(K)
+        z = mc.MulticastIterate(w=rand_unit_vec(rng, inst.dim),
+                                t=rng.uniform(0.5, 3.0, inst.n_users))
+        lam = rng.standard_normal(inst.n_users)
         rho = 0.7
         g_w = prob.al_block_gradient(1, z, lam, rho)
         worst = max(worst, _rel_err(fd_block_gradient(prob, 1, z, lam, rho), g_w))
         g_t = prob.al_block_gradient(0, z, lam, rho).copy()
         g_t[int(np.argmin(z.t))] -= 1.0   # -min(t) subgradient at a unique argmin
         worst = max(worst, _rel_err(fd_block_gradient(prob, 0, z, lam, rho), g_t))
-    _check(res, "multicast", "fd-al-gradient", worst <= 1e-4, f"worst rel {worst:.2e}")
+    return worst <= 1e-4, f"worst rel {worst:.2e}"
 
+
+@_property("multicast", "kkt-grid-oracle")
+def _kkt_grid_oracle(rng):
     # KKT residual: simplex grid oracle at K = 2
-    inst2 = mc.gen_instance(3, 2, 1, 10.0, seed=int(rng.integers(1 << 16)))
-    worst = 0.0
+    inst = mc.gen_instance(3, 2, 1, 10.0, seed=int(rng.integers(1 << 16)))
+    worst_below, worst_above, nonneg = 0.0, 0.0, True
     for _ in range(5):
-        w = rng.standard_normal(inst2.dim) + 1j * rng.standard_normal(inst2.dim)
-        w /= np.linalg.norm(w)
-        r = mc.kkt_residual(w, inst2)
+        w = rand_unit_vec(rng, inst.dim)
+        r = mc.kkt_residual(w, inst)
         we = numerics.real_embed_vec(w)
-        G = mc.rayleigh_gradients(w, inst2)
+        G = mc.rayleigh_gradients(w, inst)
         Mproj = G - np.outer(we, we @ G)
         grid = np.linspace(0.0, 1.0, 1001)
         vals = np.linalg.norm(Mproj @ np.vstack([grid, 1.0 - grid]), axis=0)
-        worst = max(worst, r - vals.min())
-        worst = max(worst, -r)
-    _check(res, "multicast", "kkt-grid-oracle", worst <= 1e-3,
-           f"worst gap {worst:.2e}")
+        nonneg &= r >= 0.0
+        worst_below = max(worst_below, r - vals.min())
+        # PG may only beat the grid by its resolution times the local slope
+        worst_above = max(worst_above,
+                          (vals.min() - r) / (1.0 + np.linalg.norm(Mproj, 2)))
+    return (worst_below <= 1e-6 and worst_above <= 1e-3 and nonneg,
+            f"above grid {worst_below:.2e}, below grid {worst_above:.2e} (relative)")
 
-    # soft report: h non-increase frequency on dual-branch iterations
-    inst8 = mc.gen_instance(8, 4, 2, 10.0, seed=7)
-    _, _, trace = mc.solve(inst8, mc.default_config(inst8, seed=7))
+
+@_property("multicast", "h-nonincrease-on-dual-branch")
+def _h_nonincrease_on_dual_branch(rng):
+    # ||h|| does not rise on at least 95% of the dual-branch iterations
+    inst = mc.gen_instance(8, 4, 2, 10.0, seed=7)
+    _, _, trace = mc.solve(inst, mc.default_config(inst, seed=7))
     hs = trace.column("h_inf")
     branches = trace.column("branch")
     pairs = [(h1, h2) for (h1, h2, b) in zip(hs, hs[1:], branches[1:])
              if b == "dual-update"]
     frac = (sum(1 for h1, h2 in pairs if h2 <= h1 + 1e-12) / len(pairs)) if pairs else 1.0
-    _check(res, "multicast", "h-nonincrease-on-dual-branch(report)", True,
-           f"non-increasing on {100 * frac:.0f}% of dual steps (soft target 95%)")
+    return frac >= 0.95, f"non-increasing on {100 * frac:.0f}% of dual steps (target 95%)"
 
-    # power scaling identity after solve
-    inst_s = mc.gen_instance(4, 2, 1, 10.0, seed=11)
-    w_scaled, _, _ = mc.solve(inst_s, mc.default_config(inst_s, seed=11, max_outer=8))
-    _check(res, "multicast", "power-scaling-identity",
-           abs(np.linalg.norm(w_scaled) ** 2 - inst_s.p_bs) <= 1e-8)
-    return res
+
+@_property("multicast", "power-scaling-identity")
+def _power_scaling_identity(rng):
+    inst = mc.gen_instance(4, 2, 1, 10.0, seed=11)
+    w_scaled, _, _ = mc.solve(inst, mc.default_config(inst, seed=11, max_outer=8))
+    return abs(np.linalg.norm(w_scaled) ** 2 - inst.p_bs) <= 1e-8, ""
 
 
 # --------------------------------------------------------------------------
 # relay
 # --------------------------------------------------------------------------
+
+def _relay_instance(rng):
+    return rl.gen_instance(2, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
+
 
 def _surrogate_block_gradients(z, duals, rho, inst):
     """Independent gradients of the quadratic MSE surrogate for F, X, V.
@@ -492,38 +619,26 @@ def _surrogate_block_gradients(z, duals, rho, inst):
     return g_F, g_X, g_V
 
 
-def suite_relay(seed=0):
-    rng = np.random.default_rng(seed)
-    res = []
-    inst = rl.gen_instance(2, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
-    prob = rl.RelayProblem(inst)
-
-    def rand_iterate(scale=1.0):
-        def cm(shape):
-            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        z = rl.RelayIterate(
-            V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
-            X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
-            Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
-            u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
-        )
-        duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
-                 cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
-        return rl.refresh_weights(z, inst), duals
-
+@_property("relay", "weights-rate-identity")
+def _weights_rate_identity(rng):
     # weights: w = 1 + SINR identity and w >= 1
+    inst = _relay_instance(rng)
     worst = 0.0
     ok_w = True
     for _ in range(50):
-        z, _ = rand_iterate()
-        u, w = rl.wmmse_weights(z.X, z.F, inst)
-        ok_w &= bool(np.all(w >= 1.0 - 1e-12))
+        z, _ = rand_relay_iterate(inst, rng)
+        _, w = rl.wmmse_weights(z.X, z.F, inst)
+        ok_w &= bool(np.all(w >= 1.0))
         total, _, interf = rl._received_powers(z.X, z.F, inst)
         worst = max(worst, np.abs(np.log(w) - np.log(total / interf)).max())
-    _check(res, "relay", "weights-rate-identity", worst < 1e-10 and ok_w,
-           f"worst dev {worst:.2e}")
+    return worst < 1e-10 and ok_w, f"worst dev {worst:.2e}"
 
+
+@_property("relay", "rate-lower-bound", "rate-lower-bound-tightness")
+def _rate_lower_bound(rng):
     # MMSE-reformulation lower bound of the rate, tight at the expansion point
+    inst = _relay_instance(rng)
+
     def rate_k(X, F):
         total, _, interf = rl._received_powers(X, F, inst)
         return np.log(total / interf)
@@ -541,23 +656,25 @@ def suite_relay(seed=0):
 
     worst_viol, worst_eq = 0.0, 0.0
     for _ in range(10):
-        zt, _ = rand_iterate()
+        zt, _ = rand_relay_iterate(inst, rng)
         ut, wt = rl.wmmse_weights(zt.X, zt.F, inst)
         eq_gap = np.abs(rate_k(zt.X, zt.F) - (np.log(wt) - wt * mse_k(ut, zt.X, zt.F) + 1.0))
         worst_eq = max(worst_eq, eq_gap.max())
         for _ in range(100):
-            z, _ = rand_iterate()
+            z, _ = rand_relay_iterate(inst, rng)
             bound = np.log(wt) - wt * mse_k(ut, z.X, z.F) + 1.0
             worst_viol = max(worst_viol, (bound - rate_k(z.X, z.F)).max())
-    _check(res, "relay", "rate-lower-bound", worst_viol <= 1e-8,
-           f"worst violation {worst_viol:.2e}")
-    _check(res, "relay", "rate-lower-bound-tightness", worst_eq <= 1e-8,
-           f"worst dev {worst_eq:.2e}")
+    return ((worst_viol <= 1e-8, f"worst violation {worst_viol:.2e}"),
+            (worst_eq <= 1e-8, f"worst dev {worst_eq:.2e}"))
 
+
+@_property("relay", "block-updates-zero-gradient")
+def _block_updates_zero_gradient(rng):
     # closed-form block updates zero the surrogate block gradients
+    inst = _relay_instance(rng)
     worst = 0.0
     for _ in range(20):
-        z, duals = rand_iterate()
+        z, duals = rand_relay_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
         zF = rl.replace(z, F=rl.update_F(z, duals, rho, inst))
         g_F, _, _ = _surrogate_block_gradients(zF, duals, rho, inst)
@@ -568,13 +685,16 @@ def suite_relay(seed=0):
         zV = rl.replace(z, V=rl.update_V(z, duals, rho, inst))
         _, _, g_V = _surrogate_block_gradients(zV, duals, rho, inst)
         worst = max(worst, np.abs(g_V).max())
-    _check(res, "relay", "block-updates-zero-gradient", worst <= 1e-7,
-           f"worst grad entry {worst:.2e}")
+    return worst <= 1e-7, f"worst grad entry {worst:.2e}"
 
+
+@_property("relay", "bars-projection-optimality")
+def _bars_projection_optimality(rng):
     # barred block: projection beats random feasible candidates
-    worst = 0.0
+    inst = _relay_instance(rng)
+    ok = True
     for _ in range(5):
-        z, duals = rand_iterate(2.0)
+        z, duals = rand_relay_iterate(inst, rng, 2.0)
         _, Zf, Zx, Zv = duals
         rho = 0.8
         Vb, Xb, Fb = rl.update_bars(z, duals, rho, inst)
@@ -584,7 +704,6 @@ def suite_relay(seed=0):
                     + np.linalg.norm(inst.sigma_r * z.F + rho * Zf
                                      - inst.sigma_r * Fb_) ** 2)
         best = bar_obj(Vb, Xb, Fb)
-        ok = True
         for _ in range(1000):
             Vc = rng.standard_normal(Vb.shape) + 1j * rng.standard_normal(Vb.shape)
             Vc *= np.sqrt(inst.p_s) * rng.uniform() / np.linalg.norm(Vc)
@@ -593,97 +712,96 @@ def suite_relay(seed=0):
             Tc *= np.sqrt(inst.p_r) * rng.uniform() / np.linalg.norm(Tc)
             Xc, Fc = Tc[:, :inst.n_users], Tc[:, inst.n_users:] / inst.sigma_r
             ok &= best <= bar_obj(Vc, Xc, Fc) + 1e-9
-        worst = max(worst, 0.0 if ok else 1.0)
-    _check(res, "relay", "bars-projection-optimality", worst == 0.0)
+    return ok, ""
 
+
+@_property("relay", "inner-al-monotone", "bars-feasibility-invariant")
+def _relay_inner_al_monotone(rng):
     # AL monotone over sweeps from random starts; feasibility invariants
+    inst = _relay_instance(rng)
+    prob = rl.RelayProblem(inst)
     ok, ok_feas = True, True
     for _ in range(50):
-        z, duals = rand_iterate()
-        lam = prob.pack_duals(*duals)
-        rho = float(rng.uniform(0.2, 2.0))
-        L_prev = prob.al_value(z, lam, rho)
-        for _ in range(3):
-            for i in range(prob.n_blocks):
-                z = prob.step(i, z, lam, rho)
-            L = prob.al_value(z, lam, rho)
-            ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
-            L_prev = L
+        z, duals = rand_relay_iterate(inst, rng)
+        monotone, iterates = _al_sweeps(prob, z, prob.pack_duals(*duals),
+                                        float(rng.uniform(0.2, 2.0)))
+        ok &= monotone
+        for z in iterates:
             ok_feas &= np.linalg.norm(z.Vb) ** 2 <= inst.p_s + 1e-8
             ok_feas &= (np.linalg.norm(z.Xb) ** 2
                         + inst.sigma_r2 * np.linalg.norm(z.Fb) ** 2) <= inst.p_r + 1e-8
-    _check(res, "relay", "inner-al-monotone", ok)
-    _check(res, "relay", "bars-feasibility-invariant", ok_feas)
+    return (ok, ""), (ok_feas, "")
 
+
+@_property("relay", "fd-al-gradient")
+def _relay_fd_al_gradient(rng):
     # finite-difference check of the relay AL gradients, all four blocks
+    inst = _relay_instance(rng)
+    prob = rl.RelayProblem(inst)
     worst = 0.0
     for _ in range(3):
-        z, duals = rand_iterate()
+        z, duals = rand_relay_iterate(inst, rng)
         lam = 0.3 * prob.pack_duals(*duals)
         rho = 0.9
         for i in range(4):
             fd = fd_block_gradient(prob, i, z, lam, rho)
             worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, lam, rho)))
-    _check(res, "relay", "fd-al-gradient", worst <= 1e-4, f"worst rel {worst:.2e}")
-    return res
+    return worst <= 1e-4, f"worst rel {worst:.2e}"
 
 
 # --------------------------------------------------------------------------
 # volmin
 # --------------------------------------------------------------------------
 
-def suite_volmin(seed=0):
-    rng = np.random.default_rng(seed)
-    res = []
-    inst, _ = vm.gen_data(8, 3, 40, 0.8, None, seed=int(rng.integers(1 << 16)))
-    prob = vm.VolMinProblem(inst)
-    N, K, L = inst.n_rows, inst.rank, inst.n_cols
+def _volmin_instance(rng):
+    return vm.gen_data(8, 3, 40, 0.8, None, seed=int(rng.integers(1 << 16)))[0]
 
-    def rand_iterate(scale=1.0):
-        z = vm.VolMinIterate(
-            X=scale * rng.standard_normal((N, K)),
-            S=numerics.project_simplex_columns(rng.standard_normal((K, L))),
-            Y=scale * rng.standard_normal((N, K)),
-        )
-        P = 0.3 * rng.standard_normal((N, L))
-        Q = 0.3 * rng.standard_normal((N, K))
-        return z, P, Q
 
+@_property("volmin", "g-eps-c1")
+def _g_eps_c1(rng):
     # smoothed-volume C^1 property across the breakpoint
-    xs = np.concatenate([np.linspace(1e-4, 3 * inst.eps, 400),
-                         [inst.eps - 1e-9, inst.eps, inst.eps + 1e-9]])
+    eps = _volmin_instance(rng).eps
+    xs = np.concatenate([np.linspace(1e-4, 3 * eps, 400),
+                         [eps - 1e-9, eps, eps + 1e-9]])
     worst = 0.0
     step = 1e-8  # curvature jumps by 1/eps at the kink; error ~ step/(2 eps)
     for x in xs:
-        _, d = vm.g_eps(x, inst.eps)
-        vp, _ = vm.g_eps(x + step, inst.eps)
-        vmn, _ = vm.g_eps(x - step, inst.eps)
+        _, d = vm.g_eps(x, eps)
+        vp, _ = vm.g_eps(x + step, eps)
+        vmn, _ = vm.g_eps(x - step, eps)
         worst = max(worst, abs((vp - vmn) / (2 * step) - d))
-    _check(res, "volmin", "g-eps-c1", worst <= 1e-6, f"worst dev {worst:.2e}")
+    return worst <= 1e-6, f"worst dev {worst:.2e}"
 
+
+@_property("volmin", "y-update-zero-gradient", "y-update-linear-solve-oracle")
+def _y_update(rng):
     # Y update: normal-equations oracle and vanishing block gradient
+    inst = _volmin_instance(rng)
+    prob = vm.VolMinProblem(inst)
     worst_g, worst_o = 0.0, 0.0
     for _ in range(20):
-        z, P, Q = rand_iterate()
+        z, P, Q = rand_volmin_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
         Y = vm.update_Y(z, P, Q, rho, inst)
         zy = vm.replace(z, Y=Y)
         lam = np.concatenate([P.ravel(), Q.ravel()])
         worst_g = max(worst_g, np.abs(prob.al_block_gradient(0, zy, lam, rho)).max())
         # stacked least-squares oracle: Y [S I] ~ [A + rho P, X + rho Q]
-        W = np.concatenate([z.S, np.eye(K)], axis=1)
+        W = np.concatenate([z.S, np.eye(inst.rank)], axis=1)
         B = np.concatenate([inst.A + rho * P, z.X + rho * Q], axis=1)
         Y_orc = np.linalg.lstsq(W.T, B.T, rcond=None)[0].T
         worst_o = max(worst_o, np.abs(Y - Y_orc).max())
-    _check(res, "volmin", "y-update-zero-gradient", worst_g <= 1e-9,
-           f"worst {worst_g:.2e}")
-    _check(res, "volmin", "y-update-linear-solve-oracle", worst_o <= 1e-10,
-           f"worst {worst_o:.2e}")
+    return ((worst_g <= 1e-9, f"worst {worst_g:.2e}"),
+            (worst_o <= 1e-10, f"worst {worst_o:.2e}"))
 
+
+@_property("volmin", "s-update-majorization", "s-update-descent")
+def _s_update(rng):
     # S update: majorization and descent of the data-fit objective
+    inst = _volmin_instance(rng)
     ok_major, ok_desc = True, True
     for _ in range(100):
-        z, P, _ = rand_iterate()
+        z, P, _ = rand_volmin_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
         beta = vm.default_beta(z.Y)
         S_new = vm.update_S(z, P, rho, inst)
@@ -693,20 +811,23 @@ def suite_volmin(seed=0):
             return np.linalg.norm(z.Y @ S - target) ** 2
 
         def majorized(S):
-            W = beta * np.eye(K) - z.Y.T @ z.Y
+            W = beta * np.eye(inst.rank) - z.Y.T @ z.Y
             D = S - z.S
             return fit(S) + np.einsum("kl,kl->", D, W @ D)
 
         ok_major &= majorized(S_new) <= majorized(z.S) + 1e-9 * (1 + abs(majorized(z.S)))
         ok_desc &= fit(S_new) <= fit(z.S) + 1e-9 * (1 + abs(fit(z.S)))
-    _check(res, "volmin", "s-update-majorization", ok_major)
-    _check(res, "volmin", "s-update-descent", ok_desc)
+    return (ok_major, ""), (ok_desc, "")
 
+
+@_property("volmin", "x-update-sigma-grid-oracle", "x-update-descent")
+def _x_update(rng):
     # X update: per-sigma grid oracle and objective descent
+    inst = _volmin_instance(rng)
     worst = 0.0
     ok_desc = True
     for _ in range(100):
-        z, _, Q = rand_iterate()
+        z, _, Q = rand_volmin_iterate(inst, rng)
         rho = float(rng.uniform(0.05, 2.0))
         X_new = vm.update_X(z, Q, rho, inst.eps)
         X_bar = z.Y - rho * Q
@@ -719,7 +840,7 @@ def suite_volmin(seed=0):
         s_bar = np.linalg.svd(X_bar, compute_uv=False)
         s_out = np.linalg.svd(X_new, compute_uv=False)
         # linearized objective of the chosen sigmas vs a dense grid, per index
-        for i in range(K):
+        for i in range(inst.rank):
             grid = np.linspace(0.0, s_bar[i] + 3 * np.sqrt(inst.eps), 2000)
             gv, _ = vm.g_eps(grid**2, inst.eps)
             vals = gv / g_tilde[i] + (grid - s_bar[i]) ** 2 / (2 * rho)
@@ -727,76 +848,75 @@ def suite_volmin(seed=0):
             mine = sv / g_tilde[i] + (np.sort(s_out)[::-1][i] - s_bar[i]) ** 2 / (2 * rho)
             worst = max(worst, mine - vals.min())
         ok_desc &= obj38(X_new) <= obj38(z.X) + 1e-9 * (1 + abs(obj38(z.X)))
-    _check(res, "volmin", "x-update-sigma-grid-oracle", worst <= 1e-4,
-           f"worst gap {worst:.2e}")
-    _check(res, "volmin", "x-update-descent", ok_desc)
+    return (worst <= 1e-4, f"worst gap {worst:.2e}"), (ok_desc, "")
 
+
+@_property("volmin", "inner-al-monotone")
+def _volmin_inner_al_monotone(rng):
     # inner AL monotone over (Y, S, X) sweeps
+    inst = _volmin_instance(rng)
+    prob = vm.VolMinProblem(inst)
     ok = True
     for _ in range(50):
-        z, P, Q = rand_iterate()
+        z, P, Q = rand_volmin_iterate(inst, rng)
         lam = np.concatenate([P.ravel(), Q.ravel()])
-        rho = float(rng.uniform(0.1, 2.0))
-        al_prev = prob.al_value(z, lam, rho)
-        for _ in range(3):
-            for i in range(3):
-                z = prob.step(i, z, lam, rho)
-            al_now = prob.al_value(z, lam, rho)
-            ok &= al_now <= al_prev + 1e-9 * (1.0 + abs(al_prev))
-            al_prev = al_now
-    _check(res, "volmin", "inner-al-monotone", ok)
+        ok &= _al_sweeps(prob, z, lam, float(rng.uniform(0.1, 2.0)))[0]
+    return ok, ""
 
-    # FD gradients of the volmin AL
+
+@_property("volmin", "fd-al-gradient")
+def _volmin_fd_al_gradient(rng):
+    inst = _volmin_instance(rng)
+    prob = vm.VolMinProblem(inst)
     worst = 0.0
     for _ in range(3):
-        z, P, Q = rand_iterate()
+        z, P, Q = rand_volmin_iterate(inst, rng)
         lam = np.concatenate([P.ravel(), Q.ravel()])
         for i in range(3):
             fd = fd_block_gradient(prob, i, z, lam, 0.8)
             worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, lam, 0.8)))
-    _check(res, "volmin", "fd-al-gradient", worst <= 1e-4, f"worst rel {worst:.2e}")
+    return worst <= 1e-4, f"worst rel {worst:.2e}"
 
-    # singular-vector alignment: output shares the target's singular basis and
-    # the identity pairing of sigmas beats permuted pairings in the quadratic term
-    ok_align, ok_perm = True, True
+
+@_property("volmin", "x-update-singular-alignment", "x-update-vonneumann-pairing")
+def _x_update_alignment(rng):
+    # the output shares the target's singular basis, and the identity pairing
+    # of sigmas beats permuted pairings in the quadratic term
     import itertools as it
+    inst = _volmin_instance(rng)
+    ok_align, ok_perm = True, True
     for _ in range(20):
-        z, _, Q = rand_iterate()
+        z, _, Q = rand_volmin_iterate(inst, rng)
         rho = 0.5
         X_new = vm.update_X(z, Q, rho, inst.eps)
-        X_bar = z.Y - rho * Q
-        U, s_bar, V = numerics.thin_svd(X_bar)
+        U, s_bar, V = numerics.thin_svd(z.Y - rho * Q)
         sig = np.diag(U.T @ X_new @ V)
         ok_align &= np.linalg.norm(U @ np.diag(sig) @ V.T - X_new) <= 1e-10
-        for perm in it.permutations(range(K)):
+        for perm in it.permutations(range(inst.rank)):
             ok_perm &= np.sum((sig - s_bar) ** 2) <= np.sum((sig[list(perm)] - s_bar) ** 2) + 1e-9
-    _check(res, "volmin", "x-update-singular-alignment", ok_align)
-    _check(res, "volmin", "x-update-vonneumann-pairing", ok_perm)
+    return (ok_align, ""), (ok_perm, "")
 
-    # MSE metric invariances and data generator calibration
+
+@_property("volmin", "mse-permutation-scale-invariance")
+def _mse_invariance(rng):
     Xt = rng.uniform(0.1, 1.0, (10, 3))
     perm = rng.permutation(3)
-    scales = rng.uniform(0.5, 2.0, 3)
+    scales = rng.uniform(0.5, 3.0, 3)
     ok = vm.mse_metric(Xt, Xt) == vm.MSE_DB_FLOOR
     ok &= vm.mse_metric(Xt[:, perm] * scales, Xt) == vm.MSE_DB_FLOOR
-    _check(res, "volmin", "mse-permutation-scale-invariance", ok)
+    return ok, ""
 
-    inst_snr, truth = vm.gen_data(10, 3, 2000, 0.8, 30.0, seed=5)
+
+@_property("volmin", "gen-data-snr-calibration")
+def _gen_data_snr_calibration(rng):
+    inst, truth = vm.gen_data(10, 3, 2000, 0.8, 30.0, seed=5)
     clean = truth.X @ truth.S
-    noise = inst_snr.A - clean
+    noise = inst.A - clean
     snr_emp = 10 * np.log10(np.mean(np.sum(clean**2, 0)) / np.mean(np.sum(noise**2, 0)))
-    _check(res, "volmin", "gen-data-snr-calibration", abs(snr_emp - 30.0) <= 0.5,
-           f"empirical {snr_emp:.2f} dB")
-    return res
+    return abs(snr_emp - 30.0) <= 0.5, f"empirical {snr_emp:.2f} dB"
 
 
-SUITES = {
-    "numerics": suite_numerics,
-    "pdd-core": suite_core,
-    "multicast": suite_multicast,
-    "relay": suite_relay,
-    "volmin": suite_volmin,
-}
+SUITES = tuple(dict.fromkeys(prop.suite for prop in CATALOGUE))
 
 
 def run_suites(names, seed=0):
@@ -811,7 +931,5 @@ def run_suites(names, seed=0):
             expanded.append(n)
         else:
             raise KeyError(f"unknown suite {n!r}; choose from {sorted(SUITES)} or 'all'")
-    results = []
-    for n in expanded:
-        results.extend(SUITES[n](seed=seed))
-    return results
+    return [rec for suite in expanded for prop in CATALOGUE if prop.suite == suite
+            for rec in prop.run(seed)]

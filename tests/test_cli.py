@@ -200,21 +200,26 @@ class TestBench:
 
 
 class TestVerify:
-    def test_numerics_suite_exit_zero(self, capsys):
+    def test_numerics_suite_exit_zero(self, capsys, monkeypatch, property_run):
+        # cmd_verify prints the session's catalogue run, so no property runs twice
+        from pddopt import cli
+
+        records, _ = property_run
+        monkeypatch.setattr(cli, "run_suites",
+                            lambda suite, seed=0: [r for r in records if r.suite == suite])
         assert run_cli("verify", "numerics") == 0
-        out = capsys.readouterr().out
-        assert "PASS numerics/" in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + sum(r.suite == "numerics" for r in records)
+        assert all(line.startswith("PASS numerics/") for line in lines[:-1])
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} properties passed"
 
     def test_all_lists_every_suite_once(self):
-        from pddopt.verify import SUITES, run_suites
+        from itertools import groupby
 
-        results = run_suites("all")
-        seen = []
-        for r in results:
-            if r.suite not in seen:
-                seen.append(r.suite)
-        assert seen == list(SUITES)
+        from pddopt.verify import CATALOGUE, SUITES
+
+        assert SUITES == ("numerics", "pdd-core", "multicast", "relay", "volmin")
+        assert [suite for suite, _ in groupby(p.suite for p in CATALOGUE)] == list(SUITES)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
@@ -311,6 +316,26 @@ class TestBadInstanceFile:
         path.write_text(json.dumps({"groups": [[0]]}))
         assert self._solve(tmp_path, "multicast", "--instance", path) == 2
         assert f"instance file {path} has no key 'channels'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channels", ["abc", 5])
+    def test_multicast_instance_with_malformed_channels(self, tmp_path, capsys, channels):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"channels": channels, "groups": [[0]],
+                                    "sigma2": [1.0], "P_BS": 1.0}))
+        assert self._solve(tmp_path, "multicast", "--instance", path) == 2
+        assert f"instance file {path} holds a malformed value" in capsys.readouterr().err
+
+    def test_volmin_csv_with_non_numeric_cell(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\na,3\n")
+        assert self._solve(tmp_path, "volmin", "--instance", path, "--k", 1) == 2
+        assert f"{path}: not a numeric CSV matrix" in capsys.readouterr().err
+
+    def test_truncated_vmin_header(self, tmp_path, capsys):
+        path = tmp_path / "a.vmin"
+        path.write_bytes(b"VMIN")
+        assert self._solve(tmp_path, "volmin", "--instance", path, "--k", 1) == 2
+        assert f"{path}: truncated header (4 of 12 bytes)" in capsys.readouterr().err
 
     def test_missing_volmin_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "nothere.vmin"

@@ -16,69 +16,7 @@ from pddopt.errors import (
     NumericalFailureError,
     UnsupportedOperationError,
 )
-
-
-class ToyEquality(BlockProblem):
-    """min ||z||^2 s.t. z1 - 1 = 0; single block solved exactly."""
-
-    n_blocks = 1
-
-    def constraint(self, z):
-        return np.array([z[0] - 1.0])
-
-    def objective(self, z):
-        return float(z @ z)
-
-    def al_value(self, z, lam, rho):
-        h = z[0] - 1.0
-        return float(z @ z + lam[0] * h + h * h / (2.0 * rho))
-
-    def step(self, i, z, lam, rho):
-        out = np.zeros_like(z)
-        out[0] = (1.0 / rho - lam[0]) / (2.0 + 1.0 / rho)
-        return out
-
-    def block_value(self, i, z):
-        return z.copy()
-
-    def set_block_value(self, i, z, v):
-        return np.asarray(v, dtype=float).copy()
-
-    def al_block_gradient(self, i, z, lam, rho):
-        g = 2.0 * z.copy()
-        g[0] += lam[0] + (z[0] - 1.0) / rho
-        return g
-
-
-class Quad3(BlockProblem):
-    """Unconstrained convex quadratic, three coordinate blocks."""
-
-    n_blocks = 3
-
-    def __init__(self, Q, b):
-        self.Q, self.b = Q, b
-
-    def constraint(self, z):
-        return np.zeros(0)
-
-    def al_value(self, z, lam, rho):
-        return float(0.5 * z @ self.Q @ z - self.b @ z)
-
-    def step(self, i, z, lam, rho):
-        z = z.copy()
-        z[i] = (self.b[i] - self.Q[i] @ z + self.Q[i, i] * z[i]) / self.Q[i, i]
-        return z
-
-    def block_value(self, i, z):
-        return np.array([z[i]])
-
-    def set_block_value(self, i, z, v):
-        z = z.copy()
-        z[i] = v[0]
-        return z
-
-    def al_block_gradient(self, i, z, lam, rho):
-        return np.array([(self.Q @ z - self.b)[i]])
+from pddopt.verify import Quad3, ToyEquality
 
 
 class ScriptedConstraint(BlockProblem):
@@ -103,9 +41,7 @@ class ScriptedConstraint(BlockProblem):
 
 @pytest.fixture
 def quad3():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((3, 3))
-    return Quad3(M @ M.T + 3.0 * np.eye(3), rng.standard_normal(3))
+    return Quad3.random(np.random.default_rng(0))
 
 
 class TestPddConfig:
@@ -173,18 +109,6 @@ class TestBranchLogic:
         assert lam[0] == pytest.approx(1.0 / 1.0 + 1.0 / 0.5 + 1.0 / 0.25)
 
 
-class TestIpddToyOracle:
-    def test_converges_to_kkt_point(self):
-        cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=50,
-                        inner_stop="iteration-cap", max_inner=1, eps_outer=1e-7)
-        z, lam, trace = pdd_run(ToyEquality(), np.array([5.0, 3.0, -2.0]),
-                                np.zeros(1), cfg)
-        assert trace.records[-1].h_inf < 1e-6
-        assert z[0] == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(z[1:], 0.0, atol=1e-12)
-        assert lam[0] == pytest.approx(-2.0, abs=1e-5)
-
-
 class TestRbsum:
     def test_single_block_al_constant_after_first(self):
         prob = ToyEquality()
@@ -195,31 +119,6 @@ class TestRbsum:
             z, _, _ = rbsum_run(prob, z, lam, rho, stop="iteration-cap", max_inner=1)
             vals.append(prob.al_value(z, lam, rho))
         assert vals[1:] == [vals[0]] * 4
-
-    def test_seeded_bit_reproducibility(self, quad3):
-        za, _, _ = rbsum_run(quad3, np.ones(3), np.zeros(0), 1.0, seed=7,
-                             eps_inner=1e-12, max_inner=9)
-        zb, _, _ = rbsum_run(quad3, np.ones(3), np.zeros(0), 1.0, seed=7,
-                             eps_inner=1e-12, max_inner=9)
-        assert np.array_equal(za, zb)
-
-    def test_quadratic_normal_equations_oracle(self, quad3):
-        z, _, ok = rbsum_run(quad3, np.zeros(3), np.zeros(0), 1.0,
-                             eps_inner=1e-14, max_inner=500)
-        z_star = np.linalg.solve(quad3.Q, quad3.b)
-        assert ok
-        np.testing.assert_allclose(z, z_star, atol=1e-6)
-
-    def test_monotone_descent(self, quad3):
-        rng = np.random.default_rng(3)
-        z = 5.0 * rng.standard_normal(3)
-        L_prev = quad3.al_value(z, np.zeros(0), 1.0)
-        for _ in range(20):
-            z, _, _ = rbsum_run(quad3, z, np.zeros(0), 1.0, seed=rng,
-                                eps_inner=0.0, max_inner=1)
-            L = quad3.al_value(z, np.zeros(0), 1.0)
-            assert L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
-            L_prev = L
 
     def test_descent_check_flags_ascent(self):
         class Ascending(BlockProblem):
@@ -248,29 +147,12 @@ class TestRbsum:
 
 
 class TestStationarityResiduals:
-    def test_zero_at_unconstrained_minimizer(self, quad3):
-        z_star = np.linalg.solve(quad3.Q, quad3.b)
-        e, delta = stationarity_residuals(quad3, z_star, np.zeros(0), 1.0)
-        assert np.abs(e).max() < 1e-8
-        assert np.abs(delta).max() < 1e-8
-
     def test_unconstrained_equals_minus_gradient(self, quad3):
         z = np.array([1.0, -2.0, 0.5])
         e, delta = stationarity_residuals(quad3, z, np.zeros(0), 1.0)
         g = quad3.Q @ z - quad3.b
         np.testing.assert_allclose(e, -g, atol=1e-12)
         np.testing.assert_allclose(delta, -g, atol=1e-12)
-
-    def test_gradient_matches_finite_differences(self, quad3):
-        from pddopt.verify import fd_block_gradient
-
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            z = rng.standard_normal(3)
-            for i in range(3):
-                fd = fd_block_gradient(quad3, i, z, np.zeros(0), 1.0)
-                g = quad3.al_block_gradient(i, z, np.zeros(0), 1.0)
-                assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
 
     def test_projected_block_interior_zero_gradient(self):
         class BoxBlock(Quad3):
@@ -313,13 +195,23 @@ class TestPddRunSchedules:
             assert etas[k] == pytest.approx(0.9 * min(etas[k - 1], hs[k - 1]))
             assert etas[k] <= 0.9 * etas[k - 1] + 1e-15
 
-    def test_eps_floor(self):
+    def test_eps_floor(self, monkeypatch):
+        from pddopt import core
+
+        eps = []
+
+        def recording(*args, **kwargs):
+            eps.append(kwargs["eps_inner"])
+            return rbsum_run(*args, **kwargs)
+
+        monkeypatch.setattr(core, "rbsum_run", recording)
         prob = ScriptedConstraint([1.0] * 6)
         cfg = PddConfig(rho0=1.0, c=0.5, eps0=1e-2, eps_min=4e-3, max_outer=6,
                         inner_stop="iteration-cap", max_inner=1, eps_outer=0.0,
                         eta0=10.0)
-        # no assertion hooks for eps directly; just exercise the floor path
         pdd_run(prob, 0.0, np.zeros(1), cfg)
+        # eps_shrink defaults to c: 1e-2, 5e-3, then the 4e-3 floor
+        assert eps == [1e-2, 5e-3, 4e-3, 4e-3, 4e-3, 4e-3]
 
     def test_dual_shape_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -3,27 +3,12 @@ import pytest
 
 from pddopt import relay as rl
 from pddopt.errors import InvalidInputError
-from pddopt.verify import fd_block_gradient
+from pddopt.verify import fd_block_gradient, rand_relay_iterate
 
 
 @pytest.fixture(scope="module")
 def inst222():
     return rl.gen_instance(2, 2, 2, 10.0, seed=0)
-
-
-def rand_iterate(inst, rng, scale=1.0):
-    """Random iterate and dual matrices ``(Z, Zf, Zx, Zv)``, drawn in that order."""
-    def cm(shape):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    z = rl.RelayIterate(
-        V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
-        X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
-        Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
-        u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
-    )
-    duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
-             cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
-    return rl.refresh_weights(z, inst), duals
 
 
 class TestInstance:
@@ -80,23 +65,11 @@ class TestWeights:
         np.testing.assert_allclose(u, 0.0)
         np.testing.assert_allclose(w, 1.0)
 
-    def test_log_weights_equal_rates(self, inst222):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            F = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            X = F @ inst222.H @ V
-            _, w = rl.wmmse_weights(X, F, inst222)
-            total, _, interf = rl._received_powers(X, F, inst222)
-            np.testing.assert_allclose(np.log(w), np.log(total / interf),
-                                       atol=1e-10)
-            assert np.all(w >= 1.0)
-
 
 class TestBlockUpdates:
     def test_update_f_decoupled_when_v_zero(self, inst222):
         rng = np.random.default_rng(4)
-        z, duals = rand_iterate(inst222, rng)
+        z, duals = rand_relay_iterate(inst222, rng)
         z = rl.replace(z, V=np.zeros_like(z.V))
         rho = 0.8
         F = rl.update_F(z, duals, rho, inst222)
@@ -108,7 +81,7 @@ class TestBlockUpdates:
 
     def test_update_x_specialization(self, inst222):
         rng = np.random.default_rng(5)
-        z, duals = rand_iterate(inst222, rng)
+        z, duals = rand_relay_iterate(inst222, rng)
         Z, _, Zx, _ = duals
         z = rl.replace(z, u=np.zeros(2, dtype=complex), w=np.ones(2))  # G_w = D_w = 0
         rho = 1.3
@@ -118,14 +91,14 @@ class TestBlockUpdates:
 
     def test_update_v_specialization(self, inst222):
         rng = np.random.default_rng(6)
-        z, duals = rand_iterate(inst222, rng)
+        z, duals = rand_relay_iterate(inst222, rng)
         z = rl.replace(z, F=np.zeros_like(z.F))
         V = rl.update_V(z, duals, 0.9, inst222)
         np.testing.assert_allclose(V, z.Vb - 0.9 * duals[3], atol=1e-12)
 
     def test_update_bars_interior_identity(self, inst222):
         rng = np.random.default_rng(7)
-        z, (Z, Zf, Zx, Zv) = rand_iterate(inst222, rng, scale=1e-3)
+        z, (Z, Zf, Zx, Zv) = rand_relay_iterate(inst222, rng, scale=1e-3)
         duals = (Z, np.zeros_like(Zf), np.zeros_like(Zx), np.zeros_like(Zv))
         Vb, Xb, Fb = rl.update_bars(z, duals, 1.0, inst222)
         np.testing.assert_allclose(Vb, z.V, atol=1e-12)
@@ -134,7 +107,7 @@ class TestBlockUpdates:
 
     def test_update_bars_radial_scaling(self, inst222):
         rng = np.random.default_rng(8)
-        z, (Z, Zf, Zx, Zv) = rand_iterate(inst222, rng)
+        z, (Z, Zf, Zx, Zv) = rand_relay_iterate(inst222, rng)
         V_pre = z.V + 1.0 * Zv
         V_pre *= 2.0 * np.sqrt(inst222.p_s) / np.linalg.norm(V_pre)
         z = rl.replace(z, V=V_pre)
@@ -144,7 +117,7 @@ class TestBlockUpdates:
     def test_bars_feasible_after_update(self, inst222):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            z, duals = rand_iterate(inst222, rng, scale=3.0)
+            z, duals = rand_relay_iterate(inst222, rng, scale=3.0)
             Vb, Xb, Fb = rl.update_bars(z, duals, float(rng.uniform(0.1, 2.0)), inst222)
             assert np.linalg.norm(Vb) ** 2 <= inst222.p_s + 1e-8
             assert (np.linalg.norm(Xb) ** 2
@@ -161,49 +134,13 @@ class TestInnerSweep:
         assert relay_power == pytest.approx(inst222.p_r)
         assert np.abs(rl.constraint_h(z, inst222)).max() == 0.0
 
-    def test_al_non_increasing_50_starts(self, inst222):
-        rng = np.random.default_rng(11)
-        prob = rl.RelayProblem(inst222)
-        for _ in range(50):
-            z, duals = rand_iterate(inst222, rng)
-            lam = prob.pack_duals(*duals)
-            rho = float(rng.uniform(0.2, 2.0))
-            before = prob.al_value(z, lam, rho)
-            for i in range(prob.n_blocks):
-                z = prob.step(i, z, lam, rho)
-            after = prob.al_value(z, lam, rho)
-            assert after <= before + 1e-9 * (1 + abs(before))
-
-    def test_surrogate_identity_after_refresh(self, inst222):
-        rng = np.random.default_rng(12)
-        z, _ = rand_iterate(inst222, rng)
-        u, w = rl.wmmse_weights(z.X, z.F, inst222)
-        total, _, interf = rl._received_powers(z.X, z.F, inst222)
-        rates = np.log(total / interf)
-        # e_k at the optimal u equals 1/w_k, so log w - w e + 1 = log w = rate
-        e = 1.0 / w
-        np.testing.assert_allclose(
-            inst222.alpha * (np.log(w) - w * e + 1.0),
-            inst222.alpha * rates, atol=1e-10)
-
 
 class TestGradients:
-    def test_fd_all_blocks(self, inst222):
-        rng = np.random.default_rng(13)
-        prob = rl.RelayProblem(inst222)
-        for _ in range(3):
-            z, duals = rand_iterate(inst222, rng)
-            lam = 0.3 * prob.pack_duals(*duals)
-            for i in range(4):
-                g = prob.al_block_gradient(i, z, lam, 0.9)
-                fd = fd_block_gradient(prob, i, z, lam, 0.9)
-                assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
-
     def test_half_h_squared_gradient(self, inst222):
         # lam = 0, rho = 1, and zero duals: penalty part is 0.5 ||h||^2
         rng = np.random.default_rng(14)
         prob = rl.RelayProblem(inst222)
-        z, _ = rand_iterate(inst222, rng)
+        z, _ = rand_relay_iterate(inst222, rng)
         lam = np.zeros(rl.constraint_h(z, inst222).size)
         g = prob.al_block_gradient(3, z, lam, 1.0)  # V block: no rate term
         fd = fd_block_gradient(prob, 3, z, lam, 1.0)
