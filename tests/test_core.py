@@ -109,6 +109,18 @@ class TestBranchLogic:
         assert lam[0] == pytest.approx(1.0 / 1.0 + 1.0 / 0.5 + 1.0 / 0.25)
 
 
+class TestIpddToyOracle:
+    def test_converges_to_kkt_point(self):
+        cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=50,
+                        inner_stop="iteration-cap", max_inner=1, eps_outer=1e-7)
+        z, lam, trace = pdd_run(ToyEquality(), np.array([5.0, 3.0, -2.0]),
+                                np.zeros(1), cfg)
+        assert trace.records[-1].h_inf < 1e-6
+        assert z[0] == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(z[1:], 0.0, atol=1e-12)
+        assert lam[0] == pytest.approx(-2.0, abs=1e-5)
+
+
 class TestRbsum:
     def test_single_block_al_constant_after_first(self):
         prob = ToyEquality()

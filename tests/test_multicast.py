@@ -5,7 +5,7 @@ import scipy.linalg
 from pddopt import multicast as mc
 from pddopt import numerics
 from pddopt.errors import InvalidInputError
-from pddopt.verify import rand_unit_vec
+from pddopt.verify import fd_block_gradient, rand_unit_vec
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +205,31 @@ class TestInnerStep:
 
 
 class TestGradients:
+    def test_fd_w_block(self, inst422):
+        rng = np.random.default_rng(15)
+        prob = mc.MulticastProblem(inst422)
+        K = inst422.n_users
+        for _ in range(5):
+            z = mc.MulticastIterate(w=rand_unit_vec(rng, inst422.dim),
+                                    t=rng.uniform(0.5, 3.0, K))
+            lam = rng.standard_normal(K)
+            g = prob.al_block_gradient(1, z, lam, 0.7)
+            fd = fd_block_gradient(prob, 1, z, lam, 0.7)
+            assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
+
+    def test_fd_t_block_with_min_subgradient(self, inst422):
+        rng = np.random.default_rng(16)
+        prob = mc.MulticastProblem(inst422)
+        K = inst422.n_users
+        for _ in range(5):
+            z = mc.MulticastIterate(w=rand_unit_vec(rng, inst422.dim),
+                                    t=rng.uniform(0.5, 3.0, K))
+            lam = rng.standard_normal(K)
+            g = prob.al_block_gradient(0, z, lam, 0.7).copy()
+            g[int(np.argmin(z.t))] -= 1.0
+            fd = fd_block_gradient(prob, 0, z, lam, 0.7)
+            assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
+
     def test_half_h_squared_gradient(self, inst422):
         # with lam = 0, rho = 1 the penalty part of the AL is 0.5 ||h||^2
         rng = np.random.default_rng(17)
@@ -253,6 +278,21 @@ class TestSolveAndMetrics:
         assert mc.kkt_residual(w_star, inst) <= 1e-6
         rng = np.random.default_rng(8)
         assert mc.kkt_residual(rand_unit_vec(rng, 4), inst) >= 0.0
+
+    def test_kkt_grid_oracle_k2(self):
+        inst = mc.gen_instance(3, 2, 1, 10.0, seed=9)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            w = rand_unit_vec(rng, inst.dim)
+            r = mc.kkt_residual(w, inst)
+            we = numerics.real_embed_vec(w)
+            G = mc.rayleigh_gradients(w, inst)
+            M = G - np.outer(we, we @ G)
+            grid = np.linspace(0.0, 1.0, 1001)
+            vals = np.linalg.norm(M @ np.vstack([grid, 1 - grid]), axis=0)
+            # PG may only beat the grid by its resolution times the local slope
+            assert r <= vals.min() + 1e-6
+            assert vals.min() - r <= 1e-3 * (1.0 + np.linalg.norm(M, 2))
 
     def test_instance_json_roundtrip(self, inst422):
         data = mc.instance_to_dict(inst422)

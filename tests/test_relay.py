@@ -65,6 +65,18 @@ class TestWeights:
         np.testing.assert_allclose(u, 0.0)
         np.testing.assert_allclose(w, 1.0)
 
+    def test_log_weights_equal_rates(self, inst222):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            F = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            X = F @ inst222.H @ V
+            _, w = rl.wmmse_weights(X, F, inst222)
+            total, _, interf = rl._received_powers(X, F, inst222)
+            np.testing.assert_allclose(np.log(w), np.log(total / interf),
+                                       atol=1e-10)
+            assert np.all(w >= 1.0)
+
 
 class TestBlockUpdates:
     def test_update_f_decoupled_when_v_zero(self, inst222):
@@ -134,8 +146,31 @@ class TestInnerSweep:
         assert relay_power == pytest.approx(inst222.p_r)
         assert np.abs(rl.constraint_h(z, inst222)).max() == 0.0
 
+    def test_surrogate_identity_after_refresh(self, inst222):
+        rng = np.random.default_rng(12)
+        z, _ = rand_relay_iterate(inst222, rng)
+        u, w = rl.wmmse_weights(z.X, z.F, inst222)
+        total, _, interf = rl._received_powers(z.X, z.F, inst222)
+        rates = np.log(total / interf)
+        # e_k at the optimal u equals 1/w_k, so log w - w e + 1 = log w = rate
+        e = 1.0 / w
+        np.testing.assert_allclose(
+            inst222.alpha * (np.log(w) - w * e + 1.0),
+            inst222.alpha * rates, atol=1e-10)
+
 
 class TestGradients:
+    def test_fd_all_blocks(self, inst222):
+        rng = np.random.default_rng(13)
+        prob = rl.RelayProblem(inst222)
+        for _ in range(3):
+            z, duals = rand_relay_iterate(inst222, rng)
+            lam = 0.3 * prob.pack_duals(*duals)
+            for i in range(4):
+                g = prob.al_block_gradient(i, z, lam, 0.9)
+                fd = fd_block_gradient(prob, i, z, lam, 0.9)
+                assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
+
     def test_half_h_squared_gradient(self, inst222):
         # lam = 0, rho = 1, and zero duals: penalty part is 0.5 ||h||^2
         rng = np.random.default_rng(14)

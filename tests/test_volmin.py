@@ -53,6 +53,23 @@ class TestUpdateY:
         Y = vm.update_Y(z, P, Q, 0.7, inst)
         np.testing.assert_allclose(Y, z.X + 0.7 * Q, atol=1e-12)
 
+    def test_zero_gradient_and_lstsq_oracle(self, small):
+        inst, _ = small
+        rng = np.random.default_rng(3)
+        prob = vm.VolMinProblem(inst)
+        for _ in range(10):
+            z, P, Q = rand_volmin_iterate(inst, rng)
+            rho = float(rng.uniform(0.1, 2.0))
+            Y = vm.update_Y(z, P, Q, rho, inst)
+            zy = vm.replace(z, Y=Y)
+            lam = np.concatenate([P.ravel(), Q.ravel()])
+            assert np.abs(prob.al_block_gradient(0, zy, lam, rho)).max() <= 1e-9
+            W = np.concatenate([z.S, np.eye(inst.rank)], axis=1)
+            B = np.concatenate([inst.A + rho * P, z.X + rho * Q], axis=1)
+            Y_orc = np.linalg.lstsq(W.T, B.T, rcond=None)[0].T
+            np.testing.assert_allclose(Y, Y_orc, atol=1e-10)
+
+
 class TestUpdateS:
     def test_y_zero_fixed_point(self, small):
         inst, _ = small
@@ -122,6 +139,18 @@ class TestUpdateX:
 
 
 class TestMseMetric:
+    def test_exact_match_floor(self):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.1, 1.0, (6, 3))
+        assert vm.mse_metric(X, X) == vm.MSE_DB_FLOOR
+
+    def test_permutation_and_scale_invariance(self):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0.1, 1.0, (6, 3))
+        perm = [2, 0, 1]
+        scales = np.array([0.5, 2.0, 3.0])
+        assert vm.mse_metric(X[:, perm] * scales, X) == vm.MSE_DB_FLOOR
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(15)
         X_true = rng.uniform(0.1, 1.0, (5, 3))
