@@ -11,7 +11,6 @@ from .core import (
     BlockProblem,
     PddConfig,
     PddRecord,
-    PddState,
     PddTrace,
     pdd_run,
     rbsum_run,
@@ -30,7 +29,6 @@ __all__ = [
     "BlockProblem",
     "PddConfig",
     "PddRecord",
-    "PddState",
     "PddTrace",
     "pdd_run",
     "rbsum_run",

@@ -48,6 +48,8 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if hasattr(args, "seed"):
+            _check_seed(args.seed, "--seed")
         return args.func(args)
     except PddOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -90,6 +92,12 @@ def build_parser():
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
+
+
+def _check_seed(seed, flag):
+    """Seeds feed ``numpy.random.default_rng``, which takes no negative integer."""
+    if seed < 0:
+        raise InvalidInputError(f"{flag} must be a non-negative integer, got {seed}")
 
 
 def _add_app_flag(p):
@@ -266,10 +274,9 @@ def _trace_writer(path):
     fh = open(path, "w", newline="", buffering=1)
     writer = csv.writer(fh)
     writer.writerow(PddTrace.CSV_COLUMNS)
-    shell = PddTrace()
 
     def on_iteration(rec):
-        writer.writerow(shell.csv_row(rec))
+        writer.writerow(PddTrace.csv_row(rec))
         log.debug("k=%d h_inf=%.3e rho=%.3e branch=%s", rec.k, rec.h_inf,
                   rec.rho, rec.branch)
 
@@ -349,12 +356,16 @@ def _parse_seeds(expr):
     try:
         if ".." in expr:
             a, b = expr.split("..")
-            return list(range(int(a), int(b) + 1))
-        return [int(s) for s in expr.split(",") if s != ""]
+            seeds = list(range(int(a), int(b) + 1))
+        else:
+            seeds = [int(s) for s in expr.split(",") if s != ""]
     except ValueError as exc:
         raise InvalidInputError(
             f"malformed --seeds value {expr!r}: expected a comma list or a range a..b"
         ) from exc
+    for seed in seeds:
+        _check_seed(seed, "--seeds")
+    return seeds
 
 
 def cmd_bench(args):

@@ -156,18 +156,6 @@ class PddConfig:
 
 
 @dataclass
-class PddState:
-    """Mutable outer-loop state: iterate, duals, and current schedule values."""
-
-    z: object
-    lam: np.ndarray
-    rho: float
-    eta: float
-    eps: float
-    k: int = 0
-
-
-@dataclass
 class PddRecord:
     """One completed outer iteration."""
 
@@ -200,7 +188,8 @@ class PddTrace:
     def column(self, name):
         return [getattr(r, name) for r in self.records]
 
-    def csv_row(self, rec):
+    @staticmethod
+    def csv_row(rec):
         return [rec.k, repr(rec.objective), repr(rec.al_value), repr(rec.h_inf),
                 repr(rec.rho), repr(rec.eta), rec.branch, rec.inner_iters,
                 int(rec.inner_converged), repr(rec.time_s * 1e3)]
@@ -292,26 +281,21 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
         raise InvalidInputError(
             f"dual vector shape {lam.shape} does not match constraint dim {h0.shape}"
         )
-    state = PddState(
-        z=z0,
-        lam=lam,
-        rho=config.rho0,
-        eta=config.eta0 if config.eta0 is not None else max(1.0, _inf_norm(h0)),
-        eps=config.eps0,
-    )
+    z = z0
+    rho = config.rho0
+    eta = config.eta0 if config.eta0 is not None else max(1.0, _inf_norm(h0))
+    eps = config.eps0
     rho_min = config.resolved_rho_min()
     eps_shrink = config.resolved_eps_shrink()
     trace = PddTrace()
 
     for k in range(1, config.max_outer + 1):
-        state.k = k
-        eps_k = state.eps
         t_start = time.perf_counter()
         try:
-            state.z, inner_iters, inner_ok = rbsum_run(
-                problem, state.z, state.lam, state.rho,
+            z, inner_iters, inner_ok = rbsum_run(
+                problem, z, lam, rho,
                 stop=config.inner_stop, seed=rng,
-                eps_inner=state.eps, max_inner=config.max_inner,
+                eps_inner=eps, max_inner=config.max_inner,
                 descent_check=config.descent_check,
             )
         except NumericalFailureError as exc:
@@ -319,35 +303,35 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
                 f"inner solver failed at outer iteration {k}: {exc}",
                 residual=exc.residual, cond=exc.cond,
             ) from exc
-        h = np.asarray(problem.constraint(state.z), dtype=float)
+        h = np.asarray(problem.constraint(z), dtype=float)
         h_inf = _inf_norm(h)
-        al = problem.al_value(state.z, state.lam, state.rho)
+        al = problem.al_value(z, lam, rho)
         if not np.isfinite(al):
             raise NumericalFailureError(f"AL value non-finite at outer iteration {k}")
-        rho_k, eta_k = state.rho, state.eta
+        rho_k = rho
 
         if config.mode == IPDD:
-            state.lam = state.lam + h / state.rho
-            new_rho = config.c * state.rho
+            lam = lam + h / rho
+            new_rho = config.c * rho
             if new_rho < rho_min:
                 new_rho = rho_min
                 trace.rho_floor_hits += 1
-            state.rho = new_rho
+            rho = new_rho
             branch = BRANCH_BOTH
-        elif h_inf <= state.eta:
-            state.lam = state.lam + h / state.rho
+        elif h_inf <= eta:
+            lam = lam + h / rho
             branch = BRANCH_DUAL
         else:
-            new_rho = config.c * state.rho
+            new_rho = config.c * rho
             if new_rho < rho_min:
                 new_rho = rho_min
                 trace.rho_floor_hits += 1
-            state.rho = new_rho
+            rho = new_rho
             branch = BRANCH_PENALTY
 
         rec = PddRecord(
-            k=k, al_value=float(al), objective=float(problem.objective(state.z)),
-            h_inf=float(h_inf), rho=float(rho_k), eta=float(eta_k), branch=branch,
+            k=k, al_value=float(al), objective=float(problem.objective(z)),
+            h_inf=float(h_inf), rho=float(rho_k), eta=float(eta), branch=branch,
             inner_iters=inner_iters, inner_converged=bool(inner_ok),
             time_s=time.perf_counter() - t_start,
         )
@@ -357,13 +341,13 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
 
         # inner accuracy must have reached the outer tolerance before the
         # feasibility test alone may stop the run (eps_k -> 0 semantics)
-        if h_inf <= config.eps_outer and inner_ok and eps_k <= config.eps_outer:
+        if h_inf <= config.eps_outer and inner_ok and eps <= config.eps_outer:
             trace.converged = True
             break
-        state.eta = config.tau * min(state.eta, h_inf)
-        state.eps = max(eps_shrink * state.eps, config.eps_min)
+        eta = config.tau * min(eta, h_inf)
+        eps = max(eps_shrink * eps, config.eps_min)
 
-    return state.z, state.lam, trace
+    return z, lam, trace
 
 
 def stationarity_residuals(problem, z, lam, rho):

@@ -19,6 +19,8 @@ from .errors import InvalidInputError
 
 DEGENERATE_NORM_TOL = 1e-10  # guard for 1/||A_k^(1/2) w~|| factors
 JITTER_SCALE = 1e-8
+KKT_TOL = 1e-8  # projected-gradient stationarity of kkt_residual
+KKT_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -470,12 +472,12 @@ def rayleigh_gradients(w, instance):
     return _embed_rows(2.0 * (Aw - (qa / qb)[:, None] * Bw) / qb[:, None]).T
 
 
-def kkt_residual(w, instance, tol=1e-8, max_iter=200_000):
+def kkt_residual(w, instance):
     """First-order optimality gap of the max-min ratio problem at unit w.
 
     Minimizes ``||sum_k lam_k f_k + lam0 w||`` over the simplex of lam with
     lam0 eliminated in closed form (projection orthogonal to w), by
-    projected gradient on the squared objective to ``tol`` stationarity.
+    projected gradient on the squared objective to ``KKT_TOL`` stationarity.
     """
     w = np.asarray(w, dtype=complex).ravel()
     we = numerics.real_embed_vec(w / np.linalg.norm(w))
@@ -485,9 +487,9 @@ def kkt_residual(w, instance, tol=1e-8, max_iter=200_000):
     K = instance.n_users
     lam = np.full(K, 1.0 / K)
     lip = 2.0 * max(float(np.linalg.eigvalsh(Q).max()), 1e-300)
-    for _ in range(max_iter):
+    for _ in range(KKT_MAX_ITER):
         lam_next = numerics.project_simplex(lam - 2.0 * (Q @ lam) / lip)
-        done = np.abs(lam_next - lam).max() <= tol
+        done = np.abs(lam_next - lam).max() <= KKT_TOL
         lam = lam_next
         if done:
             break

@@ -1,42 +1,33 @@
 """Dense linear-algebra kernels and convex projections shared by the solvers.
 
 All functions are pure: they never mutate their inputs and hold no state,
-so they are safe to call from concurrent workers. Tolerances default to
-the values in :data:`DEFAULT_NUMERICS` and can be overridden per call.
+so they are safe to call from concurrent workers. Their tolerances are
+the module constants below.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, NumericalFailureError
 
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Default tolerances for the kernels in this module."""
-
-    hermitian_tol: float = 1e-12      # relative asymmetry allowed before rejecting input
-    eig_residual_rel: float = 1e-9    # ||Cv - lam*v|| <= rel * (lower bound of ||C||_2)
-    svd_residual_rel: float = 1e-9    # reconstruction and orthonormality residuals
-    sylvester_rel: float = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
-    sylvester_abs: float = 1e-12
-    cubic_tol: float = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
-    sign_tol: float = 1e-12           # threshold for "first nonzero component"
+HERMITIAN_TOL = 1e-12      # relative asymmetry allowed before rejecting input
+EIG_RESIDUAL_REL = 1e-9    # ||Cv - lam*v|| <= rel * (lower bound of ||C||_2)
+SVD_RESIDUAL_REL = 1e-9    # reconstruction and orthonormality residuals
+SYLVESTER_REL = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
+SYLVESTER_ABS = 1e-12
+CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
+SIGN_TOL = 1e-12           # threshold for "first nonzero component"
+SYLVESTER_COND_SIZE_CAP = 4096  # largest Kronecker system whose condition is estimated
 
 
-DEFAULT_NUMERICS = NumericsConfig()
-
-
-def fix_sign(v, tol=DEFAULT_NUMERICS.sign_tol):
+def fix_sign(v):
     """Flip a real vector so its first non-negligible component is positive.
 
     Returns (v, sign) where sign is +1 or -1; used to make eigenvector and
     singular-vector outputs reproducible across runs and LAPACK builds.
     """
     v = np.asarray(v)
-    idx = np.flatnonzero(np.abs(v) > tol)
+    idx = np.flatnonzero(np.abs(v) > SIGN_TOL)
     if idx.size == 0:
         return v, 1.0
     s = 1.0 if v[idx[0]].real > 0 else -1.0
@@ -61,7 +52,7 @@ def complex_from_embedding(v):
     return v[:n] + 1j * v[n:]
 
 
-def real_embed_hermitian(M, cfg=DEFAULT_NUMERICS):
+def real_embed_hermitian(M):
     """Embed a Hermitian matrix M into the real symmetric matrix
     ``[[Re M, -Im M], [Im M, Re M]]``.
 
@@ -72,7 +63,7 @@ def real_embed_hermitian(M, cfg=DEFAULT_NUMERICS):
     ------
     InvalidInputError
         If M is not square, or deviates from Hermitian symmetry by more
-        than ``cfg.hermitian_tol`` relative to its magnitude. Smaller
+        than ``HERMITIAN_TOL`` relative to its magnitude. Smaller
         asymmetries are removed by averaging M with its conjugate transpose.
     """
     M = np.asarray(M, dtype=complex)
@@ -80,17 +71,17 @@ def real_embed_hermitian(M, cfg=DEFAULT_NUMERICS):
         raise InvalidInputError(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, np.abs(M).max()) if M.size else 1.0
     asym = np.abs(M - M.conj().T).max() if M.size else 0.0
-    if asym > cfg.hermitian_tol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise InvalidInputError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{cfg.hermitian_tol:.1e} * {scale:.3e}"
+            f"{HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
     M = 0.5 * (M + M.conj().T)
     re, im = M.real, M.imag
     return np.block([[re, -im], [im, re]])
 
 
-def min_eigvec_sym(C, cfg=DEFAULT_NUMERICS):
+def min_eigvec_sym(C):
     """Smallest eigenpair of a real symmetric matrix.
 
     C must be symmetric: only its lower triangle is read. Only the smallest
@@ -104,7 +95,7 @@ def min_eigvec_sym(C, cfg=DEFAULT_NUMERICS):
     ------
     NumericalFailureError
         If C has a non-finite entry, the eigensolver does not converge, or
-        the residual ``||Cv - lam*v||`` exceeds ``cfg.eig_residual_rel``
+        the residual ``||Cv - lam*v||`` exceeds ``EIG_RESIDUAL_REL``
         times ``max(|lam|, largest column norm of C)``, a lower bound of
         ``||C||_2``.
     """
@@ -120,16 +111,16 @@ def min_eigvec_sym(C, cfg=DEFAULT_NUMERICS):
     v = vecs[:, 0]
     norm_c = max(np.abs(lam), np.linalg.norm(C, axis=0).max())
     resid = np.linalg.norm(C @ v - lam * v)
-    if not resid <= cfg.eig_residual_rel * max(norm_c, 1e-300):
+    if not resid <= EIG_RESIDUAL_REL * max(norm_c, 1e-300):
         raise NumericalFailureError(
-            f"eigenpair residual {resid:.3e} exceeds {cfg.eig_residual_rel:.1e} * ||C||",
+            f"eigenpair residual {resid:.3e} exceeds {EIG_RESIDUAL_REL:.1e} * ||C||",
             residual=resid,
         )
-    v, _ = fix_sign(v, cfg.sign_tol)
+    v, _ = fix_sign(v)
     return v, lam
 
 
-def thin_svd(M, cfg=DEFAULT_NUMERICS):
+def thin_svd(M):
     """Thin SVD of a real matrix with rows >= cols.
 
     Returns (U, s, V) with ``M = U @ diag(s) @ V.T``, singular values sorted
@@ -138,7 +129,7 @@ def thin_svd(M, cfg=DEFAULT_NUMERICS):
     Raises
     ------
     NumericalFailureError
-        On non-convergence or residuals above ``cfg.svd_residual_rel``.
+        On non-convergence or residuals above ``SVD_RESIDUAL_REL``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -149,7 +140,7 @@ def thin_svd(M, cfg=DEFAULT_NUMERICS):
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
     V = Vh.T
     for j in range(U.shape[1]):
-        _, sgn = fix_sign(U[:, j], cfg.sign_tol)
+        _, sgn = fix_sign(U[:, j])
         U[:, j] *= sgn
         V[:, j] *= sgn
     norm_m = max(s[0] if s.size else 0.0, 1e-300)
@@ -158,7 +149,7 @@ def thin_svd(M, cfg=DEFAULT_NUMERICS):
         np.linalg.norm(U.T @ U - np.eye(U.shape[1])),
         np.linalg.norm(V.T @ V - np.eye(V.shape[1])),
     )
-    if resid > cfg.svd_residual_rel * norm_m or orth > cfg.svd_residual_rel:
+    if resid > SVD_RESIDUAL_REL * norm_m or orth > SVD_RESIDUAL_REL:
         raise NumericalFailureError(
             f"SVD residuals too large (reconstruction {resid:.3e}, orthonormality {orth:.3e})",
             residual=max(resid, orth),
@@ -166,12 +157,12 @@ def thin_svd(M, cfg=DEFAULT_NUMERICS):
     return U, s, V
 
 
-def solve_sylvester(A, B, C, cfg=DEFAULT_NUMERICS):
+def solve_sylvester(A, B, C):
     """Solve A F + F B = C for F (A, B square, real or complex).
 
     Uses the Schur-based Bartels-Stewart solver; the result is validated
     against the relative residual bound
-    ``||AF + FB - C|| <= rel * (||A|| + ||B||) * ||F|| + abs``.
+    ``||AF + FB - C|| <= SYLVESTER_REL * (||A|| + ||B||) * ||F|| + SYLVESTER_ABS``.
 
     Raises
     ------
@@ -191,8 +182,8 @@ def solve_sylvester(A, B, C, cfg=DEFAULT_NUMERICS):
         ) from exc
     resid = np.linalg.norm(A @ F + F @ B - C)
     bound = (
-        cfg.sylvester_rel * (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(F)
-        + cfg.sylvester_abs
+        SYLVESTER_REL * (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(F)
+        + SYLVESTER_ABS
     )
     if not np.isfinite(resid) or resid > bound:
         raise NumericalFailureError(
@@ -203,10 +194,10 @@ def solve_sylvester(A, B, C, cfg=DEFAULT_NUMERICS):
     return F
 
 
-def _sylvester_cond(A, B, size_cap=4096):
+def _sylvester_cond(A, B):
     """Condition estimate of I (x) A + B^T (x) I, or None if too large."""
     n, m = A.shape[0], B.shape[0]
-    if n * m > size_cap:
+    if n * m > SYLVESTER_COND_SIZE_CAP:
         return None
     K = np.kron(np.eye(m), A) + np.kron(B.T, np.eye(n))
     return float(np.linalg.cond(K))
@@ -255,12 +246,12 @@ def project_simplex_columns(S):
     return np.maximum(S - theta[None, :], 0.0)
 
 
-def solve_monotone_cubic(a, b, d, cfg=DEFAULT_NUMERICS):
+def solve_monotone_cubic(a, b, d):
     """Nonnegative root of the strictly increasing cubic a*s^3 + b*s - d = 0.
 
     Requires a > 0, b > 0, d >= 0; the root is unique because the left side
     is strictly increasing in s. Closed-form (Cardano) evaluation followed
-    by Newton polishing to ``cfg.cubic_tol * max(1, |d|)``.
+    by Newton polishing to ``CUBIC_TOL * max(1, |d|)``.
     """
     if not (a > 0 and b > 0):
         raise InvalidInputError(f"cubic requires a > 0 and b > 0, got a={a}, b={b}")
@@ -273,7 +264,7 @@ def solve_monotone_cubic(a, b, d, cfg=DEFAULT_NUMERICS):
     disc = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
     s = np.cbrt(q / 2.0 + disc) + np.cbrt(q / 2.0 - disc)
     s = max(s, 0.0)
-    tol = cfg.cubic_tol * max(1.0, abs(d))
+    tol = CUBIC_TOL * max(1.0, abs(d))
     for _ in range(100):
         r = a * s**3 + b * s - d
         if abs(r) <= tol:

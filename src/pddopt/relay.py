@@ -4,7 +4,8 @@ The source precoder V and relay precoder F are coupled through the relay
 power constraint. Splitting variables (X = FHV plus barred copies that own
 the power constraints) turns the couplings into equality constraints that
 PDD dualizes; the inner loop is a four-block BSUM whose rate surrogate
-comes from the MMSE reformulation with receive scalars u and weights w.
+comes from the MMSE reformulation with receive scalars u and weights w,
+recomputed from (X, F) by the two blocks that read them.
 
 All rates are natural-log.
 """
@@ -65,7 +66,7 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
 
 @dataclass(frozen=True)
 class RelayIterate:
-    """Primal blocks, barred copies and MMSE scalars."""
+    """Primal blocks and their barred copies."""
 
     V: np.ndarray    # N_s x K
     F: np.ndarray    # N_r x N_r
@@ -73,8 +74,6 @@ class RelayIterate:
     Vb: np.ndarray
     Fb: np.ndarray
     Xb: np.ndarray
-    u: np.ndarray    # K complex receive scalars
-    w: np.ndarray    # K weights, >= 1
 
 
 def _cvec(M):
@@ -146,11 +145,14 @@ def mse_matrices(u, w, instance):
     return G_w, D_w
 
 
-def update_F(iterate, duals, rho, instance):
-    """Relay-precoder block: solve the Sylvester optimality system."""
+def update_F(iterate, weights, duals, rho, instance):
+    """Relay-precoder block: solve the Sylvester optimality system.
+
+    ``weights`` is the ``(u, w)`` pair of :func:`wmmse_weights`.
+    """
     z = iterate
     Z, Zf, _, _ = duals
-    G_w, _ = mse_matrices(z.u, z.w, instance)
+    G_w, _ = mse_matrices(*weights, instance)
     sr = instance.sigma_r
     HV = instance.H @ z.V
     A = instance.sigma_r2 * (2.0 * rho * G_w + np.eye(instance.n_r))
@@ -173,11 +175,11 @@ def update_bars(iterate, duals, rho, instance):
     return Vb, Xb, Fb
 
 
-def update_X(iterate, duals, rho, instance):
+def update_X(iterate, weights, duals, rho, instance):
     """Auxiliary received-signal block: unconstrained quadratic minimum."""
     z = iterate
     Z, _, Zx, _ = duals
-    G_w, D_w = mse_matrices(z.u, z.w, instance)
+    G_w, D_w = mse_matrices(*weights, instance)
     Gcol = instance.g.T
     rhs = 2.0 * rho * (Gcol * D_w[None, :]) \
         + (z.F @ instance.H @ z.V - rho * Z) + (z.Xb - rho * Zx)
@@ -194,17 +196,13 @@ def update_V(iterate, duals, rho, instance):
     return np.linalg.solve(lhs, rhs)
 
 
-def refresh_weights(iterate, instance):
-    u, w = wmmse_weights(iterate.X, iterate.F, instance)
-    return replace(iterate, u=u, w=w)
-
-
 class RelayProblem(BlockProblem):
     """Four-block AL problem: F, barred copies, X, V.
 
-    Every ``step`` refreshes (u, w) at the current point before its block
-    update, which makes each individual step a tight surrogate minimization
-    of the AL and keeps the descent property under any block visit order.
+    The F and X steps compute (u, w) at the current point before their
+    block update, which makes each individual step a tight surrogate
+    minimization of the AL and keeps the descent property under any block
+    visit order.
     The duals live only in the outer loop's flat vector ``lam``; each call
     unpacks the matrices it needs.
     """
@@ -253,14 +251,15 @@ class RelayProblem(BlockProblem):
     def step(self, i, z, lam, rho):
         inst = self.instance
         duals = self.unpack_duals(lam)
-        z = refresh_weights(z, inst)
         if i == 0:
-            return replace(z, F=update_F(z, duals, rho, inst))
+            weights = wmmse_weights(z.X, z.F, inst)
+            return replace(z, F=update_F(z, weights, duals, rho, inst))
         if i == 1:
             Vb, Xb, Fb = update_bars(z, duals, rho, inst)
             return replace(z, Vb=Vb, Xb=Xb, Fb=Fb)
         if i == 2:
-            return replace(z, X=update_X(z, duals, rho, inst))
+            weights = wmmse_weights(z.X, z.F, inst)
+            return replace(z, X=update_X(z, weights, duals, rho, inst))
         return replace(z, V=update_V(z, duals, rho, inst))
 
     # --- diagnostics --------------------------------------------------------
@@ -369,11 +368,7 @@ def initial_iterate(instance, rng):
                                + inst.sigma_r2 * inst.n_r))
     F0 = beta * np.eye(inst.n_r, dtype=complex)
     X0 = F0 @ inst.H @ V0
-    z = RelayIterate(
-        V=V0, F=F0, X=X0, Vb=V0.copy(), Fb=F0.copy(), Xb=X0.copy(),
-        u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
-    )
-    return refresh_weights(z, inst)
+    return RelayIterate(V=V0, F=F0, X=X0, Vb=V0.copy(), Fb=F0.copy(), Xb=X0.copy())
 
 
 def repair_feasibility(V, F, instance):

@@ -112,11 +112,10 @@ def rand_relay_iterate(inst, rng, scale=1.0):
         V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
         X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
         Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
-        u=np.zeros(inst.n_users, dtype=complex), w=np.ones(inst.n_users),
     )
     duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
              cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
-    return rl.refresh_weights(z, inst), duals
+    return z, duals
 
 
 def rand_volmin_iterate(inst, rng, scale=1.0):
@@ -596,15 +595,15 @@ def _relay_instance(rng):
     return rl.gen_instance(2, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
 
 
-def _surrogate_block_gradients(z, duals, rho, inst):
+def _surrogate_block_gradients(z, weights, duals, rho, inst):
     """Independent gradients of the quadratic MSE surrogate for F, X, V.
 
     Written directly from the surrogate objective (weighted MSE plus
     penalty), as the oracle against which the closed-form block updates
-    are checked.
+    are checked. ``weights`` are the ``(u, w)`` of the expansion point.
     """
     Z, Zf, Zx, Zv = duals
-    G_w, D_w = rl.mse_matrices(z.u, z.w, inst)
+    G_w, D_w = rl.mse_matrices(*weights, inst)
     Gcol = inst.g.T
     H, sr = inst.H, inst.sigma_r
     M1 = Z + (z.X - z.F @ H @ z.V) / rho
@@ -676,14 +675,15 @@ def _block_updates_zero_gradient(rng):
     for _ in range(20):
         z, duals = rand_relay_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
-        zF = rl.replace(z, F=rl.update_F(z, duals, rho, inst))
-        g_F, _, _ = _surrogate_block_gradients(zF, duals, rho, inst)
+        weights = rl.wmmse_weights(z.X, z.F, inst)
+        zF = rl.replace(z, F=rl.update_F(z, weights, duals, rho, inst))
+        g_F, _, _ = _surrogate_block_gradients(zF, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_F).max())
-        zX = rl.replace(z, X=rl.update_X(z, duals, rho, inst))
-        _, g_X, _ = _surrogate_block_gradients(zX, duals, rho, inst)
+        zX = rl.replace(z, X=rl.update_X(z, weights, duals, rho, inst))
+        _, g_X, _ = _surrogate_block_gradients(zX, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_X).max())
         zV = rl.replace(z, V=rl.update_V(z, duals, rho, inst))
-        _, _, g_V = _surrogate_block_gradients(zV, duals, rho, inst)
+        _, _, g_V = _surrogate_block_gradients(zV, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_V).max())
     return worst <= 1e-7, f"worst grad entry {worst:.2e}"
 

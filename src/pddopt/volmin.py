@@ -113,7 +113,7 @@ def default_beta(Y):
     return 1.01 * float(np.linalg.norm(Y, ord=2)) ** 2 + 1e-12
 
 
-def update_S(iterate, P, rho, instance, beta_policy=default_beta):
+def update_S(iterate, P, rho, instance):
     """Majorize-minimize step on S followed by column-wise simplex projection.
 
     The quadratic coupling Y^T Y is upper-bounded by beta I with
@@ -122,7 +122,7 @@ def update_S(iterate, P, rho, instance, beta_policy=default_beta):
     S-subproblem does not increase.
     """
     z = iterate
-    beta = beta_policy(z.Y)
+    beta = default_beta(z.Y)
     target = z.Y.T @ (instance.A + rho * P) + (beta * np.eye(z.S.shape[0])
                                                  - z.Y.T @ z.Y) @ z.S
     return numerics.project_simplex_columns(target / beta)

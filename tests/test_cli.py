@@ -285,6 +285,17 @@ class TestBadInputExitCode:
         assert code == 2
         assert "malformed --seeds value 'a..b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--app", "relay", "--out", "inst.json", "--seed", -1),
+        ("solve", "--app", "relay", "--k", 1, "--out", "run", "--seed", -1),
+        ("verify", "pdd-core", "--seed", -1),
+        ("bench", "--app", "relay", "--k", 1, "--out", "bench", "--seeds=-1..0"),
+    ], ids=["gen", "solve", "verify", "bench"])
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
 
 class TestBadInstanceFile:
     """A missing or malformed ``--instance``/``--truth`` file exits 2 and names the file."""

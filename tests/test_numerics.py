@@ -137,26 +137,6 @@ class TestSylvester:
         F = numerics.solve_sylvester(np.diag(d), np.zeros((4, 4)), C)
         np.testing.assert_allclose(F, C / d[:, None], atol=1e-12)
 
-    @pytest.mark.parametrize("cplx", [False, True])
-    def test_kronecker_oracle(self, cplx):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 6))
-
-            def mat(a, b):
-                M = rng.standard_normal((a, b))
-                return M + 1j * rng.standard_normal((a, b)) if cplx else M
-
-            G = mat(n, n)
-            A = G @ G.conj().T + np.eye(n)
-            G = mat(m, m)
-            B = G @ G.conj().T
-            C = mat(n, m)
-            F = numerics.solve_sylvester(A, B, C)
-            K = np.kron(np.eye(m), A) + np.kron(B.T, np.eye(n))
-            F_expect = np.linalg.solve(K, C.ravel(order="F")).reshape((n, m), order="F")
-            np.testing.assert_allclose(F, F_expect, atol=1e-8, rtol=1e-8)
 
 
 class TestProjectBall:
