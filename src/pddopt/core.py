@@ -42,10 +42,26 @@ class BlockProblem:
     :meth:`al_value` and :meth:`step`. ``step(i, z, lam, rho)`` returns a new
     iterate with only block ``i`` changed and must never increase the AL
     (surrogate contract). The optional gradient/projection hooks enable the
-    stationarity-residual diagnostic.
+    stationarity-residual diagnostic; :meth:`bind` lets a problem do its
+    per-(lam, rho) work once per inner solve.
     """
 
     n_blocks = 1
+
+    def bind(self, lam, rho):
+        """Prepare for many calls at one fixed ``(lam, rho)``; returns the λ to pass.
+
+        :func:`rbsum_run` calls this once per inner solve and passes the
+        returned vector, with ``rho``, to every ``al_value``, ``step`` and
+        ``al_block_gradient`` call of that solve. A subclass may unpack
+        ``lam`` and compute per-solve constants here, and return a private
+        read-only copy of ``lam`` that its methods recognize by identity.
+        Every method must give the same result, bit for bit, for a
+        ``(lam, rho)`` it was not bound to (or for a λ that was changed in
+        place after binding) as for a bound one. The default does nothing
+        and returns ``lam``.
+        """
+        return lam
 
     def constraint(self, z):
         """Dualized equality-constraint residual h(z) as a flat real vector."""
@@ -225,11 +241,15 @@ def rbsum_run(problem, z, lam, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
 
     ``seed`` may be an int or a ``numpy.random.Generator`` (the latter lets
     an outer loop thread one stream through successive inner solves).
+
+    ``(lam, rho)`` is bound once, by ``problem.bind``, before the first
+    sweep; every call of the solve then receives the vector it returns.
     """
     if stop not in _STOP_RULES:
         raise InvalidInputError(f"unknown inner stop rule {stop!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = problem.n_blocks
+    lam = problem.bind(lam, rho)
     L_prev = problem.al_value(z, lam, rho)
     if not np.isfinite(L_prev):
         raise NumericalFailureError(f"AL value is not finite at inner start: {L_prev}")

@@ -115,12 +115,16 @@ def build_instance(channels, groups, sigma2, p_bs):
     and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
     instance keeps only the O(K N_t) channel data; the dense forms are
     properties for reference checks. A user with an all-zero channel is
-    accepted here and rejected by :func:`initial_iterate`.
+    accepted here and rejected by :func:`initial_iterate`. A non-finite
+    channel, noise power or budget raises :class:`InvalidInputError`
+    naming the field (``channels``, ``sigma2``, ``P_BS``).
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
         raise InvalidInputError(f"channels must be K x N_t, got shape {channels.shape}")
     K, n_t = channels.shape
+    numerics.require_finite("channels", channels)
+    numerics.require_finite("P_BS", p_bs)
     if p_bs <= 0:
         raise InvalidInputError(f"power budget must be positive, got {p_bs}")
     groups = tuple(tuple(int(u) for u in g) for g in groups)
@@ -130,6 +134,7 @@ def build_instance(channels, groups, sigma2, p_bs):
     if sorted(seen) != list(range(K)):
         raise InvalidInputError("groups must partition the user set exactly")
     sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,)).copy()
+    numerics.require_finite("sigma2", sigma2)
     if np.any(sigma2 <= 0):
         raise InvalidInputError("noise powers must be positive")
 

@@ -17,7 +17,13 @@ SYLVESTER_REL = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
 SYLVESTER_ABS = 1e-12
 CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
-SYLVESTER_COND_SIZE_CAP = 4096  # largest Kronecker system whose condition is estimated
+
+
+def require_finite(name, value):
+    """Raise :class:`InvalidInputError` naming ``name`` unless every entry of
+    ``value`` (scalar or array, real or complex) is finite."""
+    if not np.isfinite(value).all():
+        raise InvalidInputError(f"{name} has a non-finite entry")
 
 
 def fix_sign(v):
@@ -158,28 +164,47 @@ def thin_svd(M):
 
 
 def solve_sylvester(A, B, C):
-    """Solve A F + F B = C for F (A, B square, real or complex).
+    """Solve A F + F B = C for Hermitian A and B (real or complex).
 
-    Uses the Schur-based Bartels-Stewart solver; the result is validated
-    against the relative residual bound
+    Contract: A (n x n) and B (m x m) are Hermitian and every sum
+    ``lambda_i(A) + mu_j(B)`` of their eigenvalues is positive, e.g. A
+    positive definite and B positive semidefinite, as in the relay F-step.
+    Only the lower triangles of A and B are read, as in
+    :func:`min_eigvec_sym`; an A or B that is not Hermitian is caught by
+    the residual check. With ``A = U_A diag(lambda) U_A^H`` and
+    ``B = U_B diag(mu) U_B^H`` (two Hermitian eigendecompositions),
+
+        F = U_A [(U_A^H C U_B) / (lambda_i + mu_j)] U_B^H,
+
+    validated against the relative residual bound
     ``||AF + FB - C|| <= SYLVESTER_REL * (||A|| + ||B||) * ||F|| + SYLVESTER_ABS``.
 
     Raises
     ------
     NumericalFailureError
-        If the triangular solve breaks down (spectra of A and -B too close)
-        or the residual bound fails; the error carries a condition estimate
-        of the Kronecker system when it is cheap to form.
+        If A, B or C has a non-finite entry, an eigendecomposition fails,
+        some ``lambda_i + mu_j <= 0``, or the residual bound fails. The
+        last two carry ``cond = max|lambda_i + mu_j| / min|lambda_i + mu_j|``,
+        the 2-norm condition number of ``I (x) A + B^T (x) I`` for
+        Hermitian A and B.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     C = np.asarray(C)
+    if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()):
+        raise NumericalFailureError("Sylvester input has a non-finite entry")
     try:
-        F = scipy.linalg.solve_sylvester(A, B, C)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        lam_a, U_a = np.linalg.eigh(A)
+        lam_b, U_b = np.linalg.eigh(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Sylvester eigendecomposition failed: {exc}") from exc
+    denom = lam_a[:, None] + lam_b[None, :]
+    if not denom.min() > 0:
         raise NumericalFailureError(
-            f"Sylvester solve failed: {exc}", cond=_sylvester_cond(A, B)
-        ) from exc
+            f"Sylvester eigenvalue sums must be positive, smallest is {denom.min():.3e}",
+            cond=_kron_sum_cond(denom),
+        )
+    F = U_a @ ((U_a.conj().T @ C @ U_b) / denom) @ U_b.conj().T
     resid = np.linalg.norm(A @ F + F @ B - C)
     bound = (
         SYLVESTER_REL * (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(F)
@@ -189,18 +214,16 @@ def solve_sylvester(A, B, C):
         raise NumericalFailureError(
             f"Sylvester residual {resid:.3e} exceeds bound {bound:.3e}",
             residual=resid,
-            cond=_sylvester_cond(A, B),
+            cond=_kron_sum_cond(denom),
         )
     return F
 
 
-def _sylvester_cond(A, B):
-    """Condition estimate of I (x) A + B^T (x) I, or None if too large."""
-    n, m = A.shape[0], B.shape[0]
-    if n * m > SYLVESTER_COND_SIZE_CAP:
-        return None
-    K = np.kron(np.eye(m), A) + np.kron(B.T, np.eye(n))
-    return float(np.linalg.cond(K))
+def _kron_sum_cond(denom):
+    """2-norm condition number of ``I (x) A + B^T (x) I`` from its eigenvalues
+    ``lambda_i + mu_j`` (A, B Hermitian), inf if one of them is zero."""
+    size = np.abs(denom)
+    return float(size.max() / size.min()) if size.min() > 0 else float("inf")
 
 
 def project_ball(M, radius):

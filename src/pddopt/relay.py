@@ -41,22 +41,30 @@ class RelayInstance:
 
 
 def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
+    """Validate and store one relay network.
+
+    Every value must be finite; an :class:`InvalidInputError` names the
+    first field (by its :func:`instance_to_dict` key) that is not.
+    """
     H = np.asarray(H, dtype=complex)
     g = np.asarray(g, dtype=complex)
     n_r, n_s = H.shape
     if g.ndim != 2 or g.shape[1] != n_r:
         raise InvalidInputError(f"relay-user channels must be K x {n_r}, got {g.shape}")
     K = g.shape[0]
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,)).copy()
+    alpha = (np.ones(K) if alpha is None
+             else np.broadcast_to(np.asarray(alpha, dtype=float), (K,)).copy())
+    for name, value in (("H", H), ("g", g), ("sigma_R2", sigma_r2), ("sigma2", sigma2),
+                        ("P_S", p_s), ("P_R", p_r), ("alpha", alpha)):
+        numerics.require_finite(name, value)
     if sigma_r2 <= 0:
         raise InvalidInputError("relay noise power must be positive (the F-copy "
                                 "constraint degenerates at sigma_R = 0)")
-    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,)).copy()
     if np.any(sigma2 <= 0):
         raise InvalidInputError("user noise powers must be positive")
     if p_s <= 0 or p_r <= 0:
         raise InvalidInputError("power budgets must be positive")
-    alpha = (np.ones(K) if alpha is None
-             else np.broadcast_to(np.asarray(alpha, dtype=float), (K,)).copy())
     if np.any(alpha <= 0):
         raise InvalidInputError("rate weights must be positive")
     return RelayInstance(n_s=n_s, n_r=n_r, n_users=K, H=H, g=g,
@@ -203,8 +211,9 @@ class RelayProblem(BlockProblem):
     block update, which makes each individual step a tight surrogate
     minimization of the AL and keeps the descent property under any block
     visit order.
-    The duals live only in the outer loop's flat vector ``lam``; each call
-    unpacks the matrices it needs.
+    The duals live only in the outer loop's flat vector ``lam``.
+    :meth:`bind` unpacks them once per inner solve; a call with a λ that
+    was not bound unpacks the matrices it needs itself.
     """
 
     n_blocks = 4
@@ -218,6 +227,7 @@ class RelayProblem(BlockProblem):
             (inst.n_r, inst.n_users),   # Zx
             (inst.n_s, inst.n_users),   # Zv
         ]
+        self._bound = (None, None)      # (bound λ, its unpacked duals)
 
     # --- dual packing -----------------------------------------------------
 
@@ -233,6 +243,17 @@ class RelayProblem(BlockProblem):
             out.append(_cmat(lam[pos:pos + n], shape))
             pos += n
         return tuple(out)
+
+    def bind(self, lam, rho):
+        """Unpack ``lam`` once; returns the read-only copy that selects it."""
+        lam = np.array(lam, dtype=float)
+        lam.flags.writeable = False
+        self._bound = (lam, self.unpack_duals(lam))
+        return lam
+
+    def _duals(self, lam):
+        bound_lam, duals = self._bound
+        return duals if lam is bound_lam else self.unpack_duals(lam)
 
     # --- BlockProblem interface --------------------------------------------
 
@@ -250,7 +271,7 @@ class RelayProblem(BlockProblem):
 
     def step(self, i, z, lam, rho):
         inst = self.instance
-        duals = self.unpack_duals(lam)
+        duals = self._duals(lam)
         if i == 0:
             weights = wmmse_weights(z.X, z.F, inst)
             return replace(z, F=update_F(z, weights, duals, rho, inst))
@@ -308,7 +329,7 @@ class RelayProblem(BlockProblem):
 
     def al_block_gradient(self, i, z, lam, rho):
         inst = self.instance
-        Z, Zf, Zx, Zv = self.unpack_duals(lam)
+        Z, Zf, Zx, Zv = self._duals(lam)
         H = inst.H
         sr = inst.sigma_r
         M1 = Z + (z.X - z.F @ H @ z.V) / rho

@@ -49,6 +49,7 @@ def build_instance(A, rank, eps=1e-2):
         raise InvalidInputError("data must have at least one column")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("data contains non-finite entries")
+    numerics.require_finite("eps", eps)
     if eps <= 0:
         raise InvalidInputError(f"smoothing eps must be positive, got {eps}")
     return VolMinInstance(A=A, rank=int(rank), eps=float(eps))
@@ -101,9 +102,12 @@ def f_eps_gradient(X, eps):
 
 def update_Y(iterate, P, Q, rho, instance):
     """Exact minimizer of the Y block (normal equations with I + S S^T)."""
-    z = iterate
-    A = instance.A
-    rhs = (A + rho * P) @ z.S.T + (z.X + rho * Q)
+    return _update_Y(iterate, instance.A + rho * P, Q, rho)
+
+
+def _update_Y(z, AP, Q, rho):
+    """:func:`update_Y` given ``AP = A + rho * P``."""
+    rhs = AP @ z.S.T + (z.X + rho * Q)
     K = z.S.shape[0]
     return np.linalg.solve(np.eye(K) + z.S @ z.S.T, rhs.T).T
 
@@ -121,10 +125,13 @@ def update_S(iterate, P, rho, instance):
     simplex projections and guarantees the data-fit objective of the
     S-subproblem does not increase.
     """
-    z = iterate
+    return _update_S(iterate, instance.A + rho * P)
+
+
+def _update_S(z, AP):
+    """:func:`update_S` given ``AP = A + rho * P``."""
     beta = default_beta(z.Y)
-    target = z.Y.T @ (instance.A + rho * P) + (beta * np.eye(z.S.shape[0])
-                                                 - z.Y.T @ z.Y) @ z.S
+    target = z.Y.T @ AP + (beta * np.eye(z.S.shape[0]) - z.Y.T @ z.Y) @ z.S
     return numerics.project_simplex_columns(target / beta)
 
 
@@ -172,12 +179,17 @@ def update_X(iterate, Q, rho, eps):
 
 
 class VolMinProblem(BlockProblem):
-    """Three-block AL problem: Y, S, X (in that sweep order)."""
+    """Three-block AL problem: Y, S, X (in that sweep order).
+
+    :meth:`bind` unpacks ``(P, Q)`` and forms ``A + rho * P`` once per inner
+    solve; a call with a (λ, ρ) that was not bound computes them itself.
+    """
 
     n_blocks = 3
 
     def __init__(self, instance):
         self.instance = instance
+        self._bound = (None, None, None)   # (bound λ, its ρ, (P, Q, A + ρP))
 
     def unpack_duals(self, lam):
         """``(P, Q)``: duals of A - YS and X - Y, reshaped from the flat vector."""
@@ -187,6 +199,25 @@ class VolMinProblem(BlockProblem):
         P = lam[:N * L].reshape(N, L)
         Q = lam[N * L:].reshape(N, K)
         return P, Q
+
+    def bind(self, lam, rho):
+        """Unpack ``lam`` and form ``A + rho * P`` once; returns the read-only
+        copy of ``lam`` that selects them."""
+        lam = np.array(lam, dtype=float)
+        lam.flags.writeable = False
+        self._bound = (lam, rho, self._per_solve(lam, rho))
+        return lam
+
+    def _per_solve(self, lam, rho):
+        P, Q = self.unpack_duals(lam)
+        return P, Q, self.instance.A + rho * P
+
+    def _duals(self, lam, rho):
+        """``(P, Q, A + rho * P)``, from :meth:`bind` when ``(lam, rho)`` is bound."""
+        bound_lam, bound_rho, duals = self._bound
+        if lam is bound_lam and rho == bound_rho:
+            return duals
+        return self._per_solve(lam, rho)
 
     def constraint(self, z):
         r1 = self.instance.A - z.Y @ z.S
@@ -202,11 +233,11 @@ class VolMinProblem(BlockProblem):
         return f_eps(z.X, self.instance.eps)
 
     def step(self, i, z, lam, rho):
-        P, Q = self.unpack_duals(lam)
+        _, Q, AP = self._duals(lam, rho)
         if i == 0:
-            return replace(z, Y=update_Y(z, P, Q, rho, self.instance))
+            return replace(z, Y=_update_Y(z, AP, Q, rho))
         if i == 1:
-            return replace(z, S=update_S(z, P, rho, self.instance))
+            return replace(z, S=_update_S(z, AP))
         return replace(z, X=update_X(z, Q, rho, self.instance.eps))
 
     # --- diagnostics ------------------------------------------------------
@@ -225,7 +256,7 @@ class VolMinProblem(BlockProblem):
         return lambda v: numerics.project_simplex_columns(v.reshape(K, L)).ravel()
 
     def al_block_gradient(self, i, z, lam, rho):
-        P, Q = self.unpack_duals(lam)
+        P, Q, _ = self._duals(lam, rho)
         M1 = P + (self.instance.A - z.Y @ z.S) / rho
         M2 = Q + (z.X - z.Y) / rho
         if i == 0:

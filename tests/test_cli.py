@@ -336,6 +336,17 @@ class TestBadInstanceFile:
         assert self._solve(tmp_path, "multicast", "--instance", path) == 2
         assert f"instance file {path} holds a malformed value" in capsys.readouterr().err
 
+    def test_relay_instance_with_nan_channel(self, tmp_path, capsys):
+        path = tmp_path / "rel.json"
+        run_cli("gen", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2, "--seed", 0,
+                "--out", path)
+        data = json.loads(path.read_text())
+        data["H"][0][1][0] = float("nan")
+        path.write_text(json.dumps(data))   # written as the JSON token NaN
+        assert self._solve(tmp_path, "relay", "--instance", path) == 2
+        assert (f"instance file {path} holds a malformed value: H has a non-finite entry"
+                in capsys.readouterr().err)
+
     def test_volmin_csv_with_non_numeric_cell(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         path.write_text("1,2\na,3\n")

@@ -46,6 +46,18 @@ class TestBuildInstance:
         with pytest.raises(InvalidInputError):
             mc.build_instance(np.ones((2, 2), dtype=complex), [[0], [0]], 1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["channels", "sigma2", "P_BS"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_field(self, field, bad):
+        args = {"channels": np.ones((2, 2), dtype=complex), "sigma2": np.ones(2), "P_BS": 1.0}
+        if field == "P_BS":
+            args[field] = bad
+        else:
+            args[field] = args[field].copy()
+            args[field][1] = bad
+        with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry"):
+            mc.build_instance(args["channels"], [[0], [1]], args["sigma2"], args["P_BS"])
+
     def test_phase_rotation_leaves_matrices_invariant(self, inst422):
         rot = mc.build_instance(inst422.channels * np.exp(0.7j),
                                 inst422.groups, inst422.sigma2, inst422.p_bs)

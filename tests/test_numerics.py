@@ -137,6 +137,43 @@ class TestSylvester:
         F = numerics.solve_sylvester(np.diag(d), np.zeros((4, 4)), C)
         np.testing.assert_allclose(F, C / d[:, None], atol=1e-12)
 
+    @pytest.mark.parametrize("which", ["A", "B", "C"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_before_lapack(self, monkeypatch, which, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("eigh called on non-finite input")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        args = {"A": np.eye(3), "B": np.eye(2), "C": np.ones((3, 2))}
+        args[which] = args[which].copy()
+        args[which][1, 0] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            numerics.solve_sylvester(args["A"], args["B"], args["C"])
+
+    def test_non_positive_eigenvalue_sum_rejected(self):
+        # lambda(A) = {1, 2}, mu(B) = {-1, 3}: the sum 1 + (-1) is zero
+        with pytest.raises(NumericalFailureError, match="must be positive") as info:
+            numerics.solve_sylvester(np.diag([1.0, 2.0]), np.diag([-1.0, 3.0]),
+                                     np.ones((2, 2)))
+        assert info.value.cond == np.inf
+
+    def test_failure_carries_kronecker_condition_number(self):
+        # sums {-1, 4, 1, 6}: the Kronecker sum's 2-norm condition number is 6 / 1
+        with pytest.raises(NumericalFailureError) as info:
+            numerics.solve_sylvester(np.diag([1.0, 3.0]), np.diag([-2.0, 3.0]),
+                                     np.ones((2, 2)))
+        K = np.kron(np.eye(2), np.diag([1.0, 3.0])) + np.kron(np.diag([-2.0, 3.0]), np.eye(2))
+        assert info.value.cond == pytest.approx(np.linalg.cond(K), rel=1e-12)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_non_hermitian_a_fails_residual_check(self, cplx):
+        # only the lower triangle is read, so eigh sees 2 I; the upper entry breaks AF + FB = C
+        A = np.array([[2.0, 5.0], [0.0, 2.0]], dtype=complex if cplx else float)
+        with pytest.raises(NumericalFailureError, match="residual") as info:
+            numerics.solve_sylvester(A, np.eye(2), np.arange(4.0).reshape(2, 2) + 1.0)
+        assert info.value.residual > 1.0
+        assert info.value.cond == pytest.approx(1.0)
+
 
 
 class TestProjectBall:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pddopt import relay as rl
+from pddopt.core import rbsum_run
 from pddopt.errors import InvalidInputError
 from pddopt.verify import fd_block_gradient, rand_relay_iterate
 
@@ -21,6 +22,19 @@ class TestInstance:
         with pytest.raises(InvalidInputError):
             rl.build_instance(np.eye(2, dtype=complex), np.eye(2, dtype=complex),
                               1.0, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["H", "g", "sigma_R2", "sigma2", "P_S", "P_R", "alpha"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_field(self, inst222, field, bad):
+        data = rl.instance_to_dict(inst222)
+        if field in ("H", "g"):
+            data[field][1][0][1] = bad
+        elif field in ("sigma2", "alpha"):
+            data[field][0] = bad
+        else:
+            data[field] = bad
+        with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry"):
+            rl.instance_from_dict(data)
 
     def test_json_roundtrip(self, inst222):
         back = rl.instance_from_dict(rl.instance_to_dict(inst222))
@@ -195,3 +209,45 @@ class TestSolve:
                         for _ in range(50))
         assert res["sum_rate_nats"] > best_rand
         assert res["sum_rate_nats"] > 0.0
+
+
+def _same_iterate(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("V", "F", "X", "Vb", "Fb", "Xb"))
+
+
+class TestBind:
+    """``bind`` changes no result: bound, unbound and re-bound calls agree bit for bit."""
+
+    def _start(self, inst):
+        rng = np.random.default_rng(21)
+        z, duals = rand_relay_iterate(inst, rng)
+        prob = rl.RelayProblem(inst)
+        return prob, z, prob.pack_duals(*duals)
+
+    def test_rbsum_run_rebinds_after_in_place_change(self, inst222):
+        prob, z0, lam = self._start(inst222)
+        for _ in range(2):
+            z, iters, _ = rbsum_run(prob, z0, lam, 0.7, stop="iteration-cap",
+                                    seed=5, max_inner=4)
+            z_ref, iters_ref, _ = rbsum_run(rl.RelayProblem(inst222), z0, lam.copy(), 0.7,
+                                            stop="iteration-cap", seed=5, max_inner=4)
+            assert iters == iters_ref and _same_iterate(z, z_ref)
+            lam *= -0.5       # in place, between the runs
+            lam[0] += 1.0
+
+    def test_unbound_calls_equal_bound_calls(self, inst222):
+        prob, z, lam = self._start(inst222)
+        rho = 0.7
+        bound = prob.bind(lam, rho)
+        for i in range(prob.n_blocks):
+            assert _same_iterate(prob.step(i, z, bound, rho), prob.step(i, z, lam.copy(), rho))
+            assert (prob.al_block_gradient(i, z, bound, rho).tobytes()
+                    == prob.al_block_gradient(i, z, lam.copy(), rho).tobytes())
+        lam[3] += 2.0         # the caller's λ changes in place after binding
+        fresh = rl.RelayProblem(inst222)
+        for i in range(prob.n_blocks):
+            assert _same_iterate(prob.step(i, z, lam, rho), fresh.step(i, z, lam, rho))
+            assert (prob.al_block_gradient(i, z, lam, rho).tobytes()
+                    == fresh.al_block_gradient(i, z, lam, rho).tobytes())
+        assert not bound.flags.writeable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pddopt import volmin as vm
+from pddopt.core import rbsum_run
 from pddopt.errors import InvalidInputError
 from pddopt.verify import rand_volmin_iterate
 
@@ -193,6 +194,11 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             vm.solve_restarts(inst, restarts=0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_smoothing_rejected(self, eps):
+        with pytest.raises(InvalidInputError, match="^eps has a non-finite entry"):
+            vm.build_instance(np.ones((3, 4)), rank=2, eps=eps)
+
     def test_fewer_columns_than_rank_rejected(self):
         # build_instance accepts L < K (the S-step alone is well defined);
         # seeding X needs K distinct data columns
@@ -201,3 +207,46 @@ class TestSolve:
             vm.initial_iterate(inst, np.random.default_rng(0))
         with pytest.raises(InvalidInputError, match="need at least K data columns"):
             vm.solve_restarts(inst, restarts=1)
+
+
+def _same_iterate(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "S", "Y"))
+
+
+class TestBind:
+    """``bind`` changes no result: bound, unbound and re-bound calls agree bit for bit."""
+
+    def _start(self, inst):
+        rng = np.random.default_rng(22)
+        z, P, Q = rand_volmin_iterate(inst, rng)
+        return vm.VolMinProblem(inst), z, np.concatenate([P.ravel(), Q.ravel()])
+
+    def test_rbsum_run_rebinds_after_in_place_change(self, small):
+        inst, _ = small
+        prob, z0, lam = self._start(inst)
+        for _ in range(2):
+            z, iters, _ = rbsum_run(prob, z0, lam, 0.4, stop="iteration-cap",
+                                    seed=5, max_inner=4)
+            z_ref, iters_ref, _ = rbsum_run(vm.VolMinProblem(inst), z0, lam.copy(), 0.4,
+                                            stop="iteration-cap", seed=5, max_inner=4)
+            assert iters == iters_ref and _same_iterate(z, z_ref)
+            lam *= -0.5       # in place, between the runs
+            lam[0] += 1.0
+
+    def test_unbound_calls_equal_bound_calls(self, small):
+        inst, _ = small
+        prob, z, lam = self._start(inst)
+        rho = 0.4
+        bound = prob.bind(lam, rho)
+        fresh = vm.VolMinProblem(inst)
+        for i in range(prob.n_blocks):
+            assert _same_iterate(prob.step(i, z, bound, rho), prob.step(i, z, lam.copy(), rho))
+            assert (prob.al_block_gradient(i, z, bound, rho).tobytes()
+                    == prob.al_block_gradient(i, z, lam.copy(), rho).tobytes())
+            # the bound λ at another rho: A + rho P must not be reused
+            assert _same_iterate(prob.step(i, z, bound, 0.9), fresh.step(i, z, lam, 0.9))
+        lam[3] += 2.0         # the caller's λ changes in place after binding
+        for i in range(prob.n_blocks):
+            assert _same_iterate(prob.step(i, z, lam, rho), fresh.step(i, z, lam, rho))
+            assert (prob.al_block_gradient(i, z, lam, rho).tobytes()
+                    == fresh.al_block_gradient(i, z, lam, rho).tobytes())
