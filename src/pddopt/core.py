@@ -39,27 +39,26 @@ class BlockProblem:
     """Abstract augmented-Lagrangian problem with per-block updates.
 
     Subclasses must set :attr:`n_blocks` and implement :meth:`constraint`,
-    :meth:`al_value` and :meth:`step`. ``step(i, z, lam, rho)`` returns a new
-    iterate with only block ``i`` changed and must never increase the AL
+    :meth:`al_value` and :meth:`step`. ``step(i, z, duals, rho)`` returns a
+    new iterate with only block ``i`` changed and must never increase the AL
     (surrogate contract). The optional gradient/projection hooks enable the
-    stationarity-residual diagnostic; :meth:`bind` lets a problem do its
-    per-(lam, rho) work once per inner solve.
+    stationarity-residual diagnostic.
+
+    The multipliers reach the AL methods only as ``duals``, the value that
+    :meth:`unpack_duals` returns for the flat vector ``lam`` and ``rho``;
+    a problem keeps no per-(lam, rho) state of its own.
     """
 
     n_blocks = 1
 
-    def bind(self, lam, rho):
-        """Prepare for many calls at one fixed ``(lam, rho)``; returns the λ to pass.
+    def unpack_duals(self, lam, rho):
+        """The form of ``lam`` that ``al_value``, ``step`` and
+        ``al_block_gradient`` take at penalty ``rho``.
 
-        :func:`rbsum_run` calls this once per inner solve and passes the
-        returned vector, with ``rho``, to every ``al_value``, ``step`` and
-        ``al_block_gradient`` call of that solve. A subclass may unpack
-        ``lam`` and compute per-solve constants here, and return a private
-        read-only copy of ``lam`` that its methods recognize by identity.
-        Every method must give the same result, bit for bit, for a
-        ``(lam, rho)`` it was not bound to (or for a λ that was changed in
-        place after binding) as for a bound one. The default does nothing
-        and returns ``lam``.
+        :func:`pdd_run` calls this once per outer iteration and passes the
+        result to every AL call of that iteration, the inner solve included.
+        A subclass may unpack ``lam`` into matrices and compute constants
+        that depend only on ``(lam, rho)`` here. The default returns ``lam``.
         """
         return lam
 
@@ -67,11 +66,11 @@ class BlockProblem:
         """Dualized equality-constraint residual h(z) as a flat real vector."""
         raise NotImplementedError
 
-    def al_value(self, z, lam, rho):
+    def al_value(self, z, duals, rho):
         """Augmented Lagrangian L(z; lam, rho) (minimization form)."""
         raise NotImplementedError
 
-    def step(self, i, z, lam, rho):
+    def step(self, i, z, duals, rho):
         """Exact surrogate minimization of block ``i``; returns the new iterate."""
         raise NotImplementedError
 
@@ -96,7 +95,7 @@ class BlockProblem:
             f"{type(self).__name__} does not support block replacement"
         )
 
-    def al_block_gradient(self, i, z, lam, rho):
+    def al_block_gradient(self, i, z, duals, rho):
         """Gradient of the smooth AL part w.r.t. block ``i`` (flat, real)."""
         raise UnsupportedOperationError(
             f"{type(self).__name__} does not provide AL gradients"
@@ -124,11 +123,10 @@ class PddConfig:
 
     mode: str = PDD
     rho0: float = 1.0            # initial penalty parameter
-    c: float = 0.6               # penalty shrink factor on the penalty branch
+    c: float = 0.6               # penalty shrink on the penalty branch; eps shrink always
     tau: float = 0.9             # constraint-violation threshold shrink
     eta0: float | None = None    # None: max(1, ||h(z0)||_inf)
     eps0: float = 1e-3           # initial inner accuracy
-    eps_shrink: float | None = None  # None: same as c
     max_outer: int = 50
     max_inner: int = 100
     eps_outer: float = 1e-4      # outer feasibility tolerance on ||h||_inf
@@ -151,8 +149,6 @@ class PddConfig:
             raise InvalidInputError(f"eta0 must be positive, got {self.eta0}")
         if not self.eps0 > 0:
             raise InvalidInputError(f"eps0 must be positive, got {self.eps0}")
-        if self.eps_shrink is not None and not 0 < self.eps_shrink < 1:
-            raise InvalidInputError(f"eps_shrink must lie in (0, 1), got {self.eps_shrink}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise InvalidInputError("max_outer and max_inner must be >= 1")
         if self.inner_stop not in _STOP_RULES:
@@ -166,9 +162,6 @@ class PddConfig:
 
     def resolved_rho_min(self):
         return 1e-8 * self.rho0 if self.rho_min is None else self.rho_min
-
-    def resolved_eps_shrink(self):
-        return self.c if self.eps_shrink is None else self.eps_shrink
 
 
 @dataclass
@@ -230,7 +223,7 @@ class PddTrace:
             json.dump(self.to_dict(), fh, indent=2)
 
 
-def rbsum_run(problem, z, lam, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
+def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
               max_inner=100, descent_check=False):
     """Randomized BSUM sweeps on the AL at fixed (lam, rho).
 
@@ -242,15 +235,14 @@ def rbsum_run(problem, z, lam, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
     ``seed`` may be an int or a ``numpy.random.Generator`` (the latter lets
     an outer loop thread one stream through successive inner solves).
 
-    ``(lam, rho)`` is bound once, by ``problem.bind``, before the first
-    sweep; every call of the solve then receives the vector it returns.
+    ``duals`` is ``problem.unpack_duals(lam, rho)``, passed as is to every
+    AL call of the solve (for the default hook, the flat ``lam`` itself).
     """
     if stop not in _STOP_RULES:
         raise InvalidInputError(f"unknown inner stop rule {stop!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = problem.n_blocks
-    lam = problem.bind(lam, rho)
-    L_prev = problem.al_value(z, lam, rho)
+    L_prev = problem.al_value(z, duals, rho)
     if not np.isfinite(L_prev):
         raise NumericalFailureError(f"AL value is not finite at inner start: {L_prev}")
     it = 0
@@ -259,8 +251,8 @@ def rbsum_run(problem, z, lam, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
         lead = int(rng.integers(n))
         order = [lead] + [i for i in range(n) if i != lead]
         for i in order:
-            z = problem.step(i, z, lam, rho)
-        L = problem.al_value(z, lam, rho)
+            z = problem.step(i, z, duals, rho)
+        L = problem.al_value(z, duals, rho)
         if not np.isfinite(L):
             raise NumericalFailureError(f"AL value became non-finite at inner iteration {it}")
         if descent_check and L > L_prev + 1e-9 * (1.0 + abs(L_prev)):
@@ -272,7 +264,7 @@ def rbsum_run(problem, z, lam, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
                 converged = True
                 break
         elif stop == STOP_RESIDUAL:
-            e, delta = stationarity_residuals(problem, z, lam, rho)
+            e, delta = stationarity_residuals(problem, z, duals, rho)
             if max(_inf_norm(e), _inf_norm(delta)) <= eps_inner:
                 converged = True
                 break
@@ -291,6 +283,9 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     below ``config.eps_outer`` with the inner stop satisfied, or at
     ``config.max_outer``.
 
+    Each outer iteration calls ``problem.unpack_duals(lam, rho)`` once and
+    passes the result to the inner solve and to the iteration's AL value.
+
     ``on_iteration``, when given, receives each :class:`PddRecord` as soon
     as it is complete (used for crash-safe trace streaming).
     """
@@ -306,14 +301,14 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     eta = config.eta0 if config.eta0 is not None else max(1.0, _inf_norm(h0))
     eps = config.eps0
     rho_min = config.resolved_rho_min()
-    eps_shrink = config.resolved_eps_shrink()
     trace = PddTrace()
 
     for k in range(1, config.max_outer + 1):
         t_start = time.perf_counter()
+        duals = problem.unpack_duals(lam, rho)
         try:
             z, inner_iters, inner_ok = rbsum_run(
-                problem, z, lam, rho,
+                problem, z, duals, rho,
                 stop=config.inner_stop, seed=rng,
                 eps_inner=eps, max_inner=config.max_inner,
                 descent_check=config.descent_check,
@@ -325,29 +320,24 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
             ) from exc
         h = np.asarray(problem.constraint(z), dtype=float)
         h_inf = _inf_norm(h)
-        al = problem.al_value(z, lam, rho)
+        al = problem.al_value(z, duals, rho)
         if not np.isfinite(al):
             raise NumericalFailureError(f"AL value non-finite at outer iteration {k}")
         rho_k = rho
 
         if config.mode == IPDD:
-            lam = lam + h / rho
-            new_rho = config.c * rho
-            if new_rho < rho_min:
-                new_rho = rho_min
-                trace.rho_floor_hits += 1
-            rho = new_rho
             branch = BRANCH_BOTH
         elif h_inf <= eta:
-            lam = lam + h / rho
             branch = BRANCH_DUAL
         else:
-            new_rho = config.c * rho
-            if new_rho < rho_min:
-                new_rho = rho_min
-                trace.rho_floor_hits += 1
-            rho = new_rho
             branch = BRANCH_PENALTY
+        if branch != BRANCH_PENALTY:
+            lam = lam + h / rho
+        if branch != BRANCH_DUAL:
+            rho = config.c * rho
+            if rho < rho_min:
+                rho = rho_min
+                trace.rho_floor_hits += 1
 
         rec = PddRecord(
             k=k, al_value=float(al), objective=float(problem.objective(z)),
@@ -365,13 +355,15 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
             trace.converged = True
             break
         eta = config.tau * min(eta, h_inf)
-        eps = max(eps_shrink * eps, config.eps_min)
+        eps = max(config.c * eps, config.eps_min)
 
     return z, lam, trace
 
 
-def stationarity_residuals(problem, z, lam, rho):
+def stationarity_residuals(problem, z, duals, rho):
     """Per-block stationarity diagnostics (e, delta) of the AL at ``z``.
+
+    ``duals`` is ``problem.unpack_duals(lam, rho)``, as for :func:`rbsum_run`.
 
     Blocks that declare a nonsmooth prox contribute only to ``delta``:
     the proximal-gradient fixed-point residual ``x_i - prox(x_i - g_i)``
@@ -385,7 +377,7 @@ def stationarity_residuals(problem, z, lam, rho):
     """
     e_parts, d_parts = [], []
     for i in range(problem.n_blocks):
-        g = np.asarray(problem.al_block_gradient(i, z, lam, rho), dtype=float).ravel()
+        g = np.asarray(problem.al_block_gradient(i, z, duals, rho), dtype=float).ravel()
         x = np.asarray(problem.block_value(i, z), dtype=float).ravel()
         prox = problem.block_nonsmooth_prox(i)
         if prox is not None:

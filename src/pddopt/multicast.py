@@ -116,8 +116,9 @@ def build_instance(channels, groups, sigma2, p_bs):
     instance keeps only the O(K N_t) channel data; the dense forms are
     properties for reference checks. A user with an all-zero channel is
     accepted here and rejected by :func:`initial_iterate`. A non-finite
-    channel, noise power or budget raises :class:`InvalidInputError`
-    naming the field (``channels``, ``sigma2``, ``P_BS``).
+    channel, noise power or budget, or a ``sigma2`` that is neither a
+    scalar nor K entries, raises :class:`InvalidInputError` naming the
+    field (``channels``, ``sigma2``, ``P_BS``).
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
@@ -133,7 +134,7 @@ def build_instance(channels, groups, sigma2, p_bs):
     seen = [u for g in groups for u in g]
     if sorted(seen) != list(range(K)):
         raise InvalidInputError("groups must partition the user set exactly")
-    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,)).copy()
+    sigma2 = numerics.per_user("sigma2", sigma2, K)
     numerics.require_finite("sigma2", sigma2)
     if np.any(sigma2 <= 0):
         raise InvalidInputError("noise powers must be positive")
@@ -405,7 +406,7 @@ def default_config(instance, seed=0, **overrides):
     """
     cfg = dict(
         mode="pdd", rho0=0.5 * instance.n_users, c=0.6, tau=0.9,
-        eps0=1e-3, eps_shrink=0.6, eps_outer=1e-4, eps_min=1e-5,
+        eps0=1e-3, eps_outer=1e-4, eps_min=1e-5,
         max_outer=50, max_inner=100, seed=seed, inner_stop="residual",
     )
     cfg.update(overrides)

@@ -26,6 +26,19 @@ def require_finite(name, value):
         raise InvalidInputError(f"{name} has a non-finite entry")
 
 
+def per_user(name, value, n):
+    """``value``, a scalar or ``n`` entries, as a new float vector of length ``n``.
+
+    Any other shape raises :class:`InvalidInputError` naming ``name``.
+    """
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, (n,)).copy()
+    except ValueError:
+        raise InvalidInputError(f"{name} must be a scalar or have {n} entries, "
+                                f"got shape {value.shape}") from None
+
+
 def fix_sign(v):
     """Flip a real vector so its first non-negligible component is positive.
 

@@ -43,8 +43,9 @@ class RelayInstance:
 def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
     """Validate and store one relay network.
 
-    Every value must be finite; an :class:`InvalidInputError` names the
-    first field (by its :func:`instance_to_dict` key) that is not.
+    Every value must be finite, and ``sigma2`` and ``alpha`` each a scalar
+    or K entries; an :class:`InvalidInputError` names the first field (by
+    its :func:`instance_to_dict` key) that is not.
     """
     H = np.asarray(H, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -52,9 +53,8 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
     if g.ndim != 2 or g.shape[1] != n_r:
         raise InvalidInputError(f"relay-user channels must be K x {n_r}, got {g.shape}")
     K = g.shape[0]
-    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,)).copy()
-    alpha = (np.ones(K) if alpha is None
-             else np.broadcast_to(np.asarray(alpha, dtype=float), (K,)).copy())
+    sigma2 = numerics.per_user("sigma2", sigma2, K)
+    alpha = np.ones(K) if alpha is None else numerics.per_user("alpha", alpha, K)
     for name, value in (("H", H), ("g", g), ("sigma_R2", sigma_r2), ("sigma2", sigma2),
                         ("P_S", p_s), ("P_R", p_r), ("alpha", alpha)):
         numerics.require_finite(name, value)
@@ -211,9 +211,8 @@ class RelayProblem(BlockProblem):
     block update, which makes each individual step a tight surrogate
     minimization of the AL and keeps the descent property under any block
     visit order.
-    The duals live only in the outer loop's flat vector ``lam``.
-    :meth:`bind` unpacks them once per inner solve; a call with a λ that
-    was not bound unpacks the matrices it needs itself.
+    The duals live only in the outer loop's flat vector ``lam``;
+    :meth:`unpack_duals` turns it into the ``duals`` the AL methods take.
     """
 
     n_blocks = 4
@@ -227,16 +226,16 @@ class RelayProblem(BlockProblem):
             (inst.n_r, inst.n_users),   # Zx
             (inst.n_s, inst.n_users),   # Zv
         ]
-        self._bound = (None, None)      # (bound λ, its unpacked duals)
 
     # --- dual packing -----------------------------------------------------
 
     def pack_duals(self, Z, Zf, Zx, Zv):
         return np.concatenate([_cvec(M) for M in (Z, Zf, Zx, Zv)])
 
-    def unpack_duals(self, lam):
-        """``(Z, Zf, Zx, Zv)``: duals of X - FHV, sigma_R (F - Fb), X - Xb, V - Vb."""
-        out = []
+    def unpack_duals(self, lam, rho):
+        """``(lam, Z, Zf, Zx, Zv)``: the flat vector, then the duals of
+        X - FHV, sigma_R (F - Fb), X - Xb and V - Vb."""
+        out = [lam]
         pos = 0
         for shape in self._shapes:
             n = 2 * shape[0] * shape[1]
@@ -244,34 +243,23 @@ class RelayProblem(BlockProblem):
             pos += n
         return tuple(out)
 
-    def bind(self, lam, rho):
-        """Unpack ``lam`` once; returns the read-only copy that selects it."""
-        lam = np.array(lam, dtype=float)
-        lam.flags.writeable = False
-        self._bound = (lam, self.unpack_duals(lam))
-        return lam
-
-    def _duals(self, lam):
-        bound_lam, duals = self._bound
-        return duals if lam is bound_lam else self.unpack_duals(lam)
-
     # --- BlockProblem interface --------------------------------------------
 
     def constraint(self, z):
         return constraint_h(z, self.instance)
 
-    def al_value(self, z, lam, rho):
+    def al_value(self, z, duals, rho):
         h = self.constraint(z)
         return float(-rate_value(z.X, z.F, self.instance)
-                     + np.dot(lam, h) + np.dot(h, h) / (2.0 * rho))
+                     + np.dot(duals[0], h) + np.dot(h, h) / (2.0 * rho))
 
     def objective(self, z):
         """Weighted sum rate (nats) of the actual precoders (V, F)."""
         return sum_rate(z.V, z.F, self.instance)
 
-    def step(self, i, z, lam, rho):
+    def step(self, i, z, duals, rho):
         inst = self.instance
-        duals = self._duals(lam)
+        duals = duals[1:]
         if i == 0:
             weights = wmmse_weights(z.X, z.F, inst)
             return replace(z, F=update_F(z, weights, duals, rho, inst))
@@ -327,9 +315,9 @@ class RelayProblem(BlockProblem):
 
         return proj
 
-    def al_block_gradient(self, i, z, lam, rho):
+    def al_block_gradient(self, i, z, duals, rho):
         inst = self.instance
-        Z, Zf, Zx, Zv = self._duals(lam)
+        _, Z, Zf, Zx, Zv = duals
         H = inst.H
         sr = inst.sigma_r
         M1 = Z + (z.X - z.F @ H @ z.V) / rho
@@ -368,7 +356,7 @@ def default_config(instance, seed=0, **overrides):
     rho0 = 500.0 * K / (2.0 * K * n_r + n_s**2 + K * n_s)
     cfg = dict(
         mode="pdd", rho0=rho0, c=0.6, tau=0.99,
-        eps0=1e-3, eps_shrink=0.6, eps_outer=1e-3, eps_min=1e-5,
+        eps0=1e-3, eps_outer=1e-3, eps_min=1e-5,
         max_outer=30, max_inner=100, seed=seed,
     )
     cfg.update(overrides)

@@ -64,8 +64,10 @@ def _property(suite, *names):
 # shared helpers
 # --------------------------------------------------------------------------
 
-def fd_block_gradient(problem, i, z, lam, rho, step=1e-5):
-    """Central finite differences of the AL through a block's flat coordinates."""
+def fd_block_gradient(problem, i, z, duals, rho, step=1e-5):
+    """Central finite differences of the AL through a block's flat coordinates.
+
+    ``duals`` is ``problem.unpack_duals(lam, rho)``."""
     x = problem.block_value(i, z)
     g = np.empty_like(x)
     for j in range(x.size):
@@ -74,8 +76,8 @@ def fd_block_gradient(problem, i, z, lam, rho, step=1e-5):
         xm = x.copy()
         xm[j] -= step
         g[j] = (
-            problem.al_value(problem.set_block_value(i, z, xp), lam, rho)
-            - problem.al_value(problem.set_block_value(i, z, xm), lam, rho)
+            problem.al_value(problem.set_block_value(i, z, xp), duals, rho)
+            - problem.al_value(problem.set_block_value(i, z, xm), duals, rho)
         ) / (2.0 * step)
     return g
 
@@ -87,11 +89,12 @@ def _rel_err(approx, exact):
 def _al_sweeps(prob, z, lam, rho, sweeps=3):
     """Run full sweeps; return whether the AL never rose and the iterates."""
     ok, iterates = True, []
-    L_prev = prob.al_value(z, lam, rho)
+    duals = prob.unpack_duals(lam, rho)
+    L_prev = prob.al_value(z, duals, rho)
     for _ in range(sweeps):
         for i in range(prob.n_blocks):
-            z = prob.step(i, z, lam, rho)
-        L = prob.al_value(z, lam, rho)
+            z = prob.step(i, z, duals, rho)
+        L = prob.al_value(z, duals, rho)
         ok &= L <= L_prev + 1e-9 * (1.0 + abs(L_prev))
         L_prev = L
         iterates.append(z)
@@ -741,11 +744,11 @@ def _relay_fd_al_gradient(rng):
     worst = 0.0
     for _ in range(3):
         z, duals = rand_relay_iterate(inst, rng)
-        lam = 0.3 * prob.pack_duals(*duals)
         rho = 0.9
+        duals = prob.unpack_duals(0.3 * prob.pack_duals(*duals), rho)
         for i in range(4):
-            fd = fd_block_gradient(prob, i, z, lam, rho)
-            worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, lam, rho)))
+            fd = fd_block_gradient(prob, i, z, duals, rho)
+            worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, duals, rho)))
     return worst <= 1e-4, f"worst rel {worst:.2e}"
 
 
@@ -782,10 +785,10 @@ def _y_update(rng):
     for _ in range(20):
         z, P, Q = rand_volmin_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
-        Y = vm.update_Y(z, P, Q, rho, inst)
+        Y = vm.update_Y(z, inst.A + rho * P, Q, rho)
         zy = vm.replace(z, Y=Y)
-        lam = np.concatenate([P.ravel(), Q.ravel()])
-        worst_g = max(worst_g, np.abs(prob.al_block_gradient(0, zy, lam, rho)).max())
+        duals = prob.unpack_duals(np.concatenate([P.ravel(), Q.ravel()]), rho)
+        worst_g = max(worst_g, np.abs(prob.al_block_gradient(0, zy, duals, rho)).max())
         # stacked least-squares oracle: Y [S I] ~ [A + rho P, X + rho Q]
         W = np.concatenate([z.S, np.eye(inst.rank)], axis=1)
         B = np.concatenate([inst.A + rho * P, z.X + rho * Q], axis=1)
@@ -804,8 +807,8 @@ def _s_update(rng):
         z, P, _ = rand_volmin_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
         beta = vm.default_beta(z.Y)
-        S_new = vm.update_S(z, P, rho, inst)
         target = inst.A + rho * P
+        S_new = vm.update_S(z, target)
 
         def fit(S):
             return np.linalg.norm(z.Y @ S - target) ** 2
@@ -871,10 +874,10 @@ def _volmin_fd_al_gradient(rng):
     worst = 0.0
     for _ in range(3):
         z, P, Q = rand_volmin_iterate(inst, rng)
-        lam = np.concatenate([P.ravel(), Q.ravel()])
+        duals = prob.unpack_duals(np.concatenate([P.ravel(), Q.ravel()]), 0.8)
         for i in range(3):
-            fd = fd_block_gradient(prob, i, z, lam, 0.8)
-            worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, lam, 0.8)))
+            fd = fd_block_gradient(prob, i, z, duals, 0.8)
+            worst = max(worst, _rel_err(fd, prob.al_block_gradient(i, z, duals, 0.8)))
     return worst <= 1e-4, f"worst rel {worst:.2e}"
 
 

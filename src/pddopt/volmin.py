@@ -100,13 +100,11 @@ def f_eps_gradient(X, eps):
     return U @ np.diag(2.0 * s * der / val) @ V.T
 
 
-def update_Y(iterate, P, Q, rho, instance):
-    """Exact minimizer of the Y block (normal equations with I + S S^T)."""
-    return _update_Y(iterate, instance.A + rho * P, Q, rho)
+def update_Y(z, AP, Q, rho):
+    """Exact minimizer of the Y block (normal equations with I + S S^T).
 
-
-def _update_Y(z, AP, Q, rho):
-    """:func:`update_Y` given ``AP = A + rho * P``."""
+    ``AP`` is ``A + rho * P``.
+    """
     rhs = AP @ z.S.T + (z.X + rho * Q)
     K = z.S.shape[0]
     return np.linalg.solve(np.eye(K) + z.S @ z.S.T, rhs.T).T
@@ -117,19 +115,14 @@ def default_beta(Y):
     return 1.01 * float(np.linalg.norm(Y, ord=2)) ** 2 + 1e-12
 
 
-def update_S(iterate, P, rho, instance):
+def update_S(z, AP):
     """Majorize-minimize step on S followed by column-wise simplex projection.
 
-    The quadratic coupling Y^T Y is upper-bounded by beta I with
-    beta > sigma_1(Y)^2, which decouples the columns into independent
-    simplex projections and guarantees the data-fit objective of the
-    S-subproblem does not increase.
+    ``AP`` is ``A + rho * P``. The quadratic coupling Y^T Y is upper-bounded
+    by beta I with beta > sigma_1(Y)^2, which decouples the columns into
+    independent simplex projections and guarantees the data-fit objective
+    of the S-subproblem does not increase.
     """
-    return _update_S(iterate, instance.A + rho * P)
-
-
-def _update_S(z, AP):
-    """:func:`update_S` given ``AP = A + rho * P``."""
     beta = default_beta(z.Y)
     target = z.Y.T @ AP + (beta * np.eye(z.S.shape[0]) - z.Y.T @ z.Y) @ z.S
     return numerics.project_simplex_columns(target / beta)
@@ -179,65 +172,42 @@ def update_X(iterate, Q, rho, eps):
 
 
 class VolMinProblem(BlockProblem):
-    """Three-block AL problem: Y, S, X (in that sweep order).
-
-    :meth:`bind` unpacks ``(P, Q)`` and forms ``A + rho * P`` once per inner
-    solve; a call with a (λ, ρ) that was not bound computes them itself.
-    """
+    """Three-block AL problem: Y, S, X (in that sweep order)."""
 
     n_blocks = 3
 
     def __init__(self, instance):
         self.instance = instance
-        self._bound = (None, None, None)   # (bound λ, its ρ, (P, Q, A + ρP))
 
-    def unpack_duals(self, lam):
-        """``(P, Q)``: duals of A - YS and X - Y, reshaped from the flat vector."""
+    def unpack_duals(self, lam, rho):
+        """``(lam, P, Q, A + rho * P)``: the flat vector, the duals of A - YS
+        and X - Y reshaped from it (views), and the Y and S steps' data term."""
         N, L = self.instance.A.shape
         K = self.instance.rank
         lam = np.asarray(lam, dtype=float)
         P = lam[:N * L].reshape(N, L)
         Q = lam[N * L:].reshape(N, K)
-        return P, Q
-
-    def bind(self, lam, rho):
-        """Unpack ``lam`` and form ``A + rho * P`` once; returns the read-only
-        copy of ``lam`` that selects them."""
-        lam = np.array(lam, dtype=float)
-        lam.flags.writeable = False
-        self._bound = (lam, rho, self._per_solve(lam, rho))
-        return lam
-
-    def _per_solve(self, lam, rho):
-        P, Q = self.unpack_duals(lam)
-        return P, Q, self.instance.A + rho * P
-
-    def _duals(self, lam, rho):
-        """``(P, Q, A + rho * P)``, from :meth:`bind` when ``(lam, rho)`` is bound."""
-        bound_lam, bound_rho, duals = self._bound
-        if lam is bound_lam and rho == bound_rho:
-            return duals
-        return self._per_solve(lam, rho)
+        return lam, P, Q, self.instance.A + rho * P
 
     def constraint(self, z):
         r1 = self.instance.A - z.Y @ z.S
         r2 = z.X - z.Y
         return np.concatenate([r1.ravel(), r2.ravel()])
 
-    def al_value(self, z, lam, rho):
+    def al_value(self, z, duals, rho):
         h = self.constraint(z)
         return float(f_eps(z.X, self.instance.eps)
-                     + np.dot(lam, h) + np.dot(h, h) / (2.0 * rho))
+                     + np.dot(duals[0], h) + np.dot(h, h) / (2.0 * rho))
 
     def objective(self, z):
         return f_eps(z.X, self.instance.eps)
 
-    def step(self, i, z, lam, rho):
-        _, Q, AP = self._duals(lam, rho)
+    def step(self, i, z, duals, rho):
+        _, _, Q, AP = duals
         if i == 0:
-            return replace(z, Y=_update_Y(z, AP, Q, rho))
+            return replace(z, Y=update_Y(z, AP, Q, rho))
         if i == 1:
-            return replace(z, S=_update_S(z, AP))
+            return replace(z, S=update_S(z, AP))
         return replace(z, X=update_X(z, Q, rho, self.instance.eps))
 
     # --- diagnostics ------------------------------------------------------
@@ -255,8 +225,8 @@ class VolMinProblem(BlockProblem):
         K, L = self.instance.rank, self.instance.n_cols
         return lambda v: numerics.project_simplex_columns(v.reshape(K, L)).ravel()
 
-    def al_block_gradient(self, i, z, lam, rho):
-        P, Q, _ = self._duals(lam, rho)
+    def al_block_gradient(self, i, z, duals, rho):
+        _, P, Q, _ = duals
         M1 = P + (self.instance.A - z.Y @ z.S) / rho
         M2 = Q + (z.X - z.Y) / rho
         if i == 0:
@@ -269,7 +239,7 @@ class VolMinProblem(BlockProblem):
 def default_config(instance, seed=0, **overrides):
     cfg = dict(
         mode="pdd", rho0=instance.n_cols / 100.0, c=0.6, tau=0.9,
-        eps0=1e-3, eps_shrink=0.6, eps_outer=1e-4,
+        eps0=1e-3, eps_outer=1e-4,
         max_outer=30, max_inner=100, seed=seed,
     )
     cfg.update(overrides)

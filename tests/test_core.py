@@ -50,7 +50,7 @@ class TestPddConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(mode="foo"), dict(rho0=0.0), dict(rho0=-1.0), dict(c=0.0),
-        dict(c=1.0), dict(tau=1.5), dict(eps0=0.0), dict(eps_shrink=1.0),
+        dict(c=1.0), dict(tau=1.5), dict(eps0=0.0), dict(tau=0.0),
         dict(max_outer=0), dict(max_inner=0), dict(inner_stop="bogus"),
         dict(rho_min=-1.0), dict(eta0=0.0), dict(eps_min=-1e-3),
     ])
@@ -61,7 +61,6 @@ class TestPddConfig:
     def test_resolved_defaults(self):
         cfg = PddConfig(rho0=2.0, c=0.5)
         assert cfg.resolved_rho_min() == pytest.approx(2e-8)
-        assert cfg.resolved_eps_shrink() == 0.5
         assert PddConfig(rho_min=0.0).resolved_rho_min() == 0.0
 
 
@@ -210,7 +209,7 @@ class TestPddRunSchedules:
                         inner_stop="iteration-cap", max_inner=1, eps_outer=0.0,
                         eta0=10.0)
         pdd_run(prob, 0.0, np.zeros(1), cfg)
-        # eps_shrink defaults to c: 1e-2, 5e-3, then the 4e-3 floor
+        # eps shrinks by c: 1e-2, 5e-3, then the 4e-3 floor
         assert eps == [1e-2, 5e-3, 4e-3, 4e-3, 4e-3, 4e-3]
 
     def test_dual_shape_mismatch(self):
@@ -219,13 +218,64 @@ class TestPddRunSchedules:
 
     def test_termination_needs_inner_accuracy(self):
         # feasible from the start, but eps_k must fall below eps_outer first
-        cfg = PddConfig(mode="pdd", rho0=1.0, c=0.5, eps0=1.0, eps_shrink=0.5,
-                        eps_outer=1e-1, max_outer=20, inner_stop="iteration-cap",
-                        max_inner=3)
+        cfg = PddConfig(mode="pdd", rho0=1.0, c=0.5, eps0=1.0, eps_outer=1e-1,
+                        max_outer=20, inner_stop="iteration-cap", max_inner=3)
         _, _, trace = pdd_run(ToyEquality(), np.array([1.0, 0.0, 0.0]),
                               np.array([-2.0]), cfg)
         assert trace.converged
         assert len(trace.records) >= 4  # eps: 1.0, .5, .25, .125, .0625 <= 0.1
+
+
+class RecordingToy(ToyEquality):
+    """ToyEquality whose duals are a fresh tuple per ``unpack_duals`` call; logs
+    each unpack and the duals and rho of every AL call, in order."""
+
+    def __init__(self):
+        self.log = []
+
+    def unpack_duals(self, lam, rho):
+        duals = (lam.copy(),)
+        self.log.append(("unpack", duals, rho, lam.copy()))
+        return duals
+
+    def al_value(self, z, duals, rho):
+        self.log.append(("al_value", duals, rho, z))
+        return super().al_value(z, duals[0], rho)
+
+    def step(self, i, z, duals, rho):
+        z = super().step(i, z, duals[0], rho)
+        self.log.append(("step", duals, rho, z))
+        return z
+
+    def al_block_gradient(self, i, z, duals, rho):
+        self.log.append(("al_block_gradient", duals, rho, z))
+        return super().al_block_gradient(i, z, duals[0], rho)
+
+
+class TestDualsContract:
+    @pytest.mark.parametrize("mode", ["pdd", "ipdd"])
+    def test_unpacked_once_per_outer_iteration(self, mode):
+        prob = RecordingToy()
+        cfg = PddConfig(mode=mode, rho0=1.0, c=0.5, eta0=0.05, eps0=1e-2, max_outer=8,
+                        inner_stop="residual", max_inner=3, eps_outer=0.0)
+        lam0 = np.array([0.3])
+        _, lam_final, trace = pdd_run(prob, np.array([4.0, 1.0]), lam0, cfg)
+        starts = [j for j, entry in enumerate(prob.log) if entry[0] == "unpack"]
+        assert len(starts) == len(trace.records)
+        lam = lam0
+        for rec, a, b in zip(trace.records, starts, starts[1:] + [len(prob.log)]):
+            _, duals, rho, unpacked = prob.log[a]
+            assert rho == rec.rho and np.array_equal(unpacked, lam)
+            calls = prob.log[a + 1:b]
+            assert {name for name, *_ in calls} == {"al_value", "step", "al_block_gradient"}
+            assert all(d is duals and r == rho for _, d, r, _ in calls)
+            if rec.branch != "penalty-decrease":
+                z_last = [z for name, _, _, z in calls if name == "step"][-1]
+                lam = lam + prob.constraint(z_last) / rho
+        assert np.array_equal(lam, lam_final)
+        branches = {rec.branch for rec in trace.records}
+        assert branches == ({"dual+penalty"} if mode == "ipdd"
+                            else {"dual-update", "penalty-decrease"})
 
 
 class TestTrace:

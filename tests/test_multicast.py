@@ -58,6 +58,11 @@ class TestBuildInstance:
         with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry"):
             mc.build_instance(args["channels"], [[0], [1]], args["sigma2"], args["P_BS"])
 
+    @pytest.mark.parametrize("sigma2", [[1.0, 1.0, 1.0], [], np.ones((2, 2))])
+    def test_rejects_wrong_length_sigma2(self, sigma2):
+        with pytest.raises(InvalidInputError, match="^sigma2 must be a scalar or have 2 "):
+            mc.build_instance(np.eye(2), [[0], [1]], sigma2, 1.0)
+
     def test_phase_rotation_leaves_matrices_invariant(self, inst422):
         rot = mc.build_instance(inst422.channels * np.exp(0.7j),
                                 inst422.groups, inst422.sigma2, inst422.p_bs)

@@ -36,6 +36,14 @@ class TestInstance:
         with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry"):
             rl.instance_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["sigma2", "alpha"])
+    @pytest.mark.parametrize("value", [[1.0, 1.0, 1.0], [], np.ones((2, 2))])
+    def test_rejects_wrong_length_field(self, field, value):
+        args = {"sigma2": 1.0, "alpha": None, field: value}
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a scalar or have 2 "):
+            rl.build_instance(np.eye(2), np.eye(2), 1.0, args["sigma2"], 1.0, 1.0,
+                              args["alpha"])
+
     def test_json_roundtrip(self, inst222):
         back = rl.instance_from_dict(rl.instance_to_dict(inst222))
         np.testing.assert_allclose(back.H, inst222.H)
@@ -155,9 +163,9 @@ class TestGradients:
         rng = np.random.default_rng(14)
         prob = rl.RelayProblem(inst222)
         z, _ = rand_relay_iterate(inst222, rng)
-        lam = np.zeros(rl.constraint_h(z, inst222).size)
-        g = prob.al_block_gradient(3, z, lam, 1.0)  # V block: no rate term
-        fd = fd_block_gradient(prob, 3, z, lam, 1.0)
+        duals = prob.unpack_duals(np.zeros(rl.constraint_h(z, inst222).size), 1.0)
+        g = prob.al_block_gradient(3, z, duals, 1.0)  # V block: no rate term
+        fd = fd_block_gradient(prob, 3, z, duals, 1.0)
         assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
 
 
@@ -216,38 +224,20 @@ def _same_iterate(a, b):
                for f in ("V", "F", "X", "Vb", "Fb", "Xb"))
 
 
-class TestBind:
-    """``bind`` changes no result: bound, unbound and re-bound calls agree bit for bit."""
+class TestUnpackDuals:
+    """The problem holds no per-(λ, ρ) state: a reused one equals a fresh one bit for bit."""
 
-    def _start(self, inst):
+    def test_reused_problem_equals_fresh_problem(self, inst222):
         rng = np.random.default_rng(21)
-        z, duals = rand_relay_iterate(inst, rng)
-        prob = rl.RelayProblem(inst)
-        return prob, z, prob.pack_duals(*duals)
-
-    def test_rbsum_run_rebinds_after_in_place_change(self, inst222):
-        prob, z0, lam = self._start(inst222)
+        z0, duals = rand_relay_iterate(inst222, rng)
+        prob = rl.RelayProblem(inst222)
+        lam = prob.pack_duals(*duals)
         for _ in range(2):
-            z, iters, _ = rbsum_run(prob, z0, lam, 0.7, stop="iteration-cap",
-                                    seed=5, max_inner=4)
-            z_ref, iters_ref, _ = rbsum_run(rl.RelayProblem(inst222), z0, lam.copy(), 0.7,
-                                            stop="iteration-cap", seed=5, max_inner=4)
+            z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.7), 0.7,
+                                    stop="iteration-cap", seed=5, max_inner=4)
+            fresh = rl.RelayProblem(inst222)
+            z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.7),
+                                            0.7, stop="iteration-cap", seed=5, max_inner=4)
             assert iters == iters_ref and _same_iterate(z, z_ref)
             lam *= -0.5       # in place, between the runs
             lam[0] += 1.0
-
-    def test_unbound_calls_equal_bound_calls(self, inst222):
-        prob, z, lam = self._start(inst222)
-        rho = 0.7
-        bound = prob.bind(lam, rho)
-        for i in range(prob.n_blocks):
-            assert _same_iterate(prob.step(i, z, bound, rho), prob.step(i, z, lam.copy(), rho))
-            assert (prob.al_block_gradient(i, z, bound, rho).tobytes()
-                    == prob.al_block_gradient(i, z, lam.copy(), rho).tobytes())
-        lam[3] += 2.0         # the caller's λ changes in place after binding
-        fresh = rl.RelayProblem(inst222)
-        for i in range(prob.n_blocks):
-            assert _same_iterate(prob.step(i, z, lam, rho), fresh.step(i, z, lam, rho))
-            assert (prob.al_block_gradient(i, z, lam, rho).tobytes()
-                    == fresh.al_block_gradient(i, z, lam, rho).tobytes())
-        assert not bound.flags.writeable

@@ -51,7 +51,7 @@ class TestUpdateY:
         rng = np.random.default_rng(2)
         z, P, Q = rand_volmin_iterate(inst, rng)
         z = vm.replace(z, S=np.zeros_like(z.S))
-        Y = vm.update_Y(z, P, Q, 0.7, inst)
+        Y = vm.update_Y(z, inst.A + 0.7 * P, Q, 0.7)
         np.testing.assert_allclose(Y, z.X + 0.7 * Q, atol=1e-12)
 
 
@@ -62,14 +62,14 @@ class TestUpdateS:
         rng = np.random.default_rng(4)
         z, P, _ = rand_volmin_iterate(inst, rng)
         z = vm.replace(z, Y=np.zeros_like(z.Y))
-        S = vm.update_S(z, P, 0.5, inst)
+        S = vm.update_S(z, inst.A + 0.5 * P)
         np.testing.assert_allclose(S, z.S, atol=1e-9)
 
     def test_columns_on_simplex(self, small):
         inst, _ = small
         rng = np.random.default_rng(5)
         z, P, _ = rand_volmin_iterate(inst, rng)
-        S = vm.update_S(z, P, 0.5, inst)
+        S = vm.update_S(z, inst.A + 0.5 * P)
         np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
         assert S.min() >= 0.0
 
@@ -82,7 +82,7 @@ class TestUpdateS:
             Y=rng.standard_normal((4, 2)),
         )
         for _ in range(500):
-            z = vm.replace(z, S=vm.update_S(z, np.zeros((4, 1)), 1.0, inst))
+            z = vm.replace(z, S=vm.update_S(z, inst.A))
         grid = np.linspace(0.0, 1.0, 2001)
         cand = np.vstack([grid, 1.0 - grid])
         vals = np.linalg.norm(z.Y @ cand - inst.A, axis=0) ** 2
@@ -213,40 +213,21 @@ def _same_iterate(a, b):
     return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "S", "Y"))
 
 
-class TestBind:
-    """``bind`` changes no result: bound, unbound and re-bound calls agree bit for bit."""
+class TestUnpackDuals:
+    """The problem holds no per-(λ, ρ) state: a reused one equals a fresh one bit for bit."""
 
-    def _start(self, inst):
-        rng = np.random.default_rng(22)
-        z, P, Q = rand_volmin_iterate(inst, rng)
-        return vm.VolMinProblem(inst), z, np.concatenate([P.ravel(), Q.ravel()])
-
-    def test_rbsum_run_rebinds_after_in_place_change(self, small):
+    def test_reused_problem_equals_fresh_problem(self, small):
         inst, _ = small
-        prob, z0, lam = self._start(inst)
+        rng = np.random.default_rng(22)
+        z0, P, Q = rand_volmin_iterate(inst, rng)
+        lam = np.concatenate([P.ravel(), Q.ravel()])
+        prob = vm.VolMinProblem(inst)
         for _ in range(2):
-            z, iters, _ = rbsum_run(prob, z0, lam, 0.4, stop="iteration-cap",
-                                    seed=5, max_inner=4)
-            z_ref, iters_ref, _ = rbsum_run(vm.VolMinProblem(inst), z0, lam.copy(), 0.4,
-                                            stop="iteration-cap", seed=5, max_inner=4)
+            z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.4), 0.4,
+                                    stop="iteration-cap", seed=5, max_inner=4)
+            fresh = vm.VolMinProblem(inst)
+            z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.4),
+                                            0.4, stop="iteration-cap", seed=5, max_inner=4)
             assert iters == iters_ref and _same_iterate(z, z_ref)
             lam *= -0.5       # in place, between the runs
             lam[0] += 1.0
-
-    def test_unbound_calls_equal_bound_calls(self, small):
-        inst, _ = small
-        prob, z, lam = self._start(inst)
-        rho = 0.4
-        bound = prob.bind(lam, rho)
-        fresh = vm.VolMinProblem(inst)
-        for i in range(prob.n_blocks):
-            assert _same_iterate(prob.step(i, z, bound, rho), prob.step(i, z, lam.copy(), rho))
-            assert (prob.al_block_gradient(i, z, bound, rho).tobytes()
-                    == prob.al_block_gradient(i, z, lam.copy(), rho).tobytes())
-            # the bound λ at another rho: A + rho P must not be reused
-            assert _same_iterate(prob.step(i, z, bound, 0.9), fresh.step(i, z, lam, 0.9))
-        lam[3] += 2.0         # the caller's λ changes in place after binding
-        for i in range(prob.n_blocks):
-            assert _same_iterate(prob.step(i, z, lam, rho), fresh.step(i, z, lam, rho))
-            assert (prob.al_block_gradient(i, z, lam, rho).tobytes()
-                    == fresh.al_block_gradient(i, z, lam, rho).tobytes())
