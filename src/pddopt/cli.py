@@ -299,7 +299,7 @@ def _run_app(args, overrides, inst, truth, seed, trace_path):
             return results, trace
         if args.app == "relay":
             config = rl.default_config(inst, seed=seed, **overrides)
-            res = rl.solve_detailed(inst, config, on_iteration)
+            res = rl.solve(inst, config, on_iteration)
             trace = res["trace"]
             results = {
                 "V": ioformats.complex_to_pairs(res["V"]),

@@ -13,7 +13,6 @@ so the penalty *strengthens* as rho shrinks toward zero, and the dual
 update on the AL branch is ``lam <- lam + h(z)/rho``.
 """
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -134,7 +133,6 @@ class PddConfig:
     seed: int = 0
     rho_min: float | None = None  # None: 1e-8 * rho0; 0 disables the floor
     eps_min: float = 0.0         # floor for the inner accuracy schedule
-    descent_check: bool = False  # raise if an inner sweep increases the AL
 
     def __post_init__(self):
         if self.mode not in (PDD, IPDD):
@@ -203,13 +201,6 @@ class PddTrace:
                 repr(rec.rho), repr(rec.eta), rec.branch, rec.inner_iters,
                 int(rec.inner_converged), repr(rec.time_s * 1e3)]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for rec in self.records:
-                writer.writerow(self.csv_row(rec))
-
     def to_dict(self):
         return {
             "converged": self.converged,
@@ -224,13 +215,15 @@ class PddTrace:
 
 
 def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,
-              max_inner=100, descent_check=False):
+              max_inner=100):
     """Randomized BSUM sweeps on the AL at fixed (lam, rho).
 
     Each iteration draws a lead block uniformly at random, then updates all
     blocks once, lead first and the rest in natural order. Returns
     ``(z, iters, converged)`` where ``converged`` reports whether the stop
-    rule (rather than the iteration cap) ended the loop.
+    rule (rather than the iteration cap) ended the loop. A sweep that raises
+    the AL by more than 1e-9 relative raises :class:`NumericalFailureError`:
+    every block step must be a descent step (the BSUM surrogate contract).
 
     ``seed`` may be an int or a ``numpy.random.Generator`` (the latter lets
     an outer loop thread one stream through successive inner solves).
@@ -255,7 +248,7 @@ def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-
         L = problem.al_value(z, duals, rho)
         if not np.isfinite(L):
             raise NumericalFailureError(f"AL value became non-finite at inner iteration {it}")
-        if descent_check and L > L_prev + 1e-9 * (1.0 + abs(L_prev)):
+        if L > L_prev + 1e-9 * (1.0 + abs(L_prev)):
             raise NumericalFailureError(
                 f"inner descent violated at iteration {it}: {L_prev} -> {L}"
             )
@@ -311,7 +304,6 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
                 problem, z, duals, rho,
                 stop=config.inner_stop, seed=rng,
                 eps_inner=eps, max_inner=config.max_inner,
-                descent_check=config.descent_check,
             )
         except NumericalFailureError as exc:
             raise NumericalFailureError(

@@ -69,5 +69,13 @@ def complex_to_pairs(arr):
 
 
 def pairs_to_complex(data):
+    """Inverse of :func:`complex_to_pairs`, bit for bit (signed zeros included).
+
+    Raises :class:`InvalidInputError` (a ``ValueError``) unless ``data`` is
+    nested ``[re, im]`` pairs: at least two axes, the last of length 2.
+    """
     stacked = np.asarray(data, dtype=float)
-    return stacked[..., 0] + 1j * stacked[..., 1]
+    if stacked.ndim < 2 or stacked.shape[-1] != 2:
+        raise InvalidInputError(
+            f"expected nested [re, im] pairs, got an array of shape {stacked.shape}")
+    return np.ascontiguousarray(stacked).view(complex)[..., 0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
+from . import ioformats, numerics
 from .core import BlockProblem, PddConfig
 from .core import pdd_run as _pdd_run
 from .errors import InvalidInputError
@@ -114,17 +114,23 @@ def build_instance(channels, groups, sigma2, p_bs):
     by sqrt(p_bs). For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)``
     and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
     instance keeps only the O(K N_t) channel data; the dense forms are
-    properties for reference checks. A user with an all-zero channel is
-    accepted here and rejected by :func:`initial_iterate`. A non-finite
-    channel, noise power or budget, or a ``sigma2`` that is neither a
-    scalar nor K entries, raises :class:`InvalidInputError` naming the
-    field (``channels``, ``sigma2``, ``P_BS``).
+    properties for reference checks. A non-finite channel, noise power or
+    budget, or a ``sigma2`` that is neither a scalar nor K entries, raises
+    :class:`InvalidInputError` naming the field (``channels``, ``sigma2``,
+    ``P_BS``). So does a user with an all-zero channel: its SINR is 0 for
+    every beamformer, and the w-update surrogate divides by its gain.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
         raise InvalidInputError(f"channels must be K x N_t, got shape {channels.shape}")
     K, n_t = channels.shape
     numerics.require_finite("channels", channels)
+    dead = np.flatnonzero(~np.any(channels, axis=1))
+    if dead.size:
+        raise InvalidInputError(
+            f"multicast user {int(dead[0])} has an all-zero channel; "
+            "its SINR is 0 for every beamformer"
+        )
     numerics.require_finite("P_BS", p_bs)
     if p_bs <= 0:
         raise InvalidInputError(f"power budget must be positive, got {p_bs}")
@@ -382,9 +388,10 @@ class MulticastProblem(BlockProblem):
         return numerics.real_embed_vec(g)
 
     def block_projector(self, i):
-        if i == 0:
-            return lambda v: np.maximum(v, 0.0)
-        return lambda v: v / max(np.linalg.norm(v), 1e-300)
+        # block 0 (t) is measured through its prox below, never projected
+        if i == 1:
+            return lambda v: v / max(np.linalg.norm(v), 1e-300)
+        return None
 
     def block_nonsmooth_prox(self, i):
         if i != 0:
@@ -414,20 +421,7 @@ def default_config(instance, seed=0, **overrides):
 
 
 def initial_iterate(instance, rng):
-    """Random unit beamformer with t chosen feasible (h = 0 at the start).
-
-    Raises
-    ------
-    InvalidInputError
-        If a user has an all-zero channel: its SINR is 0 for every
-        beamformer, and the w-update surrogate divides by its gain.
-    """
-    dead = np.flatnonzero(~np.any(instance.channels, axis=1))
-    if dead.size:
-        raise InvalidInputError(
-            f"multicast user {int(dead[0])} has an all-zero channel; "
-            "its SINR is 0 for every beamformer"
-        )
+    """Random unit beamformer with t chosen feasible (h = 0 at the start)."""
     n = instance.dim
     w0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w0 /= np.linalg.norm(w0)
@@ -516,15 +510,12 @@ def instance_to_dict(instance):
     return {
         "N_t": instance.n_t,
         "groups": [list(g) for g in instance.groups],
-        "channels": [[[float(c.real), float(c.imag)] for c in row]
-                     for row in instance.channels],
+        "channels": ioformats.complex_to_pairs(instance.channels),
         "sigma2": instance.sigma2.tolist(),
         "P_BS": instance.p_bs,
     }
 
 
 def instance_from_dict(data):
-    channels = np.array([[complex(re, im) for re, im in row]
-                         for row in data["channels"]])
-    return build_instance(channels, data["groups"], np.asarray(data["sigma2"]),
-                          data["P_BS"])
+    return build_instance(ioformats.pairs_to_complex(data["channels"]), data["groups"],
+                          np.asarray(data["sigma2"]), data["P_BS"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
+from . import ioformats, numerics
 from .core import BlockProblem, PddConfig
 from .core import pdd_run as _pdd_run
 from .errors import InvalidInputError
@@ -84,17 +84,6 @@ class RelayIterate:
     Xb: np.ndarray
 
 
-def _cvec(M):
-    M = np.asarray(M)
-    return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-
-def _cmat(v, shape):
-    v = np.asarray(v, dtype=float)
-    n = v.size // 2
-    return v[:n].reshape(shape) + 1j * v[n:].reshape(shape)
-
-
 def constraint_h(iterate, instance):
     """Stacked real embedding of the four equality residuals.
 
@@ -108,7 +97,7 @@ def constraint_h(iterate, instance):
         z.X - z.Xb,
         z.V - z.Vb,
     ]
-    return np.concatenate([_cvec(r) for r in res])
+    return np.concatenate([numerics.real_embed_vec(r) for r in res])
 
 
 def _received_powers(X, F, instance):
@@ -230,7 +219,7 @@ class RelayProblem(BlockProblem):
     # --- dual packing -----------------------------------------------------
 
     def pack_duals(self, Z, Zf, Zx, Zv):
-        return np.concatenate([_cvec(M) for M in (Z, Zf, Zx, Zv)])
+        return np.concatenate([numerics.real_embed_vec(M) for M in (Z, Zf, Zx, Zv)])
 
     def unpack_duals(self, lam, rho):
         """``(lam, Z, Zf, Zx, Zv)``: the flat vector, then the duals of
@@ -239,7 +228,7 @@ class RelayProblem(BlockProblem):
         pos = 0
         for shape in self._shapes:
             n = 2 * shape[0] * shape[1]
-            out.append(_cmat(lam[pos:pos + n], shape))
+            out.append(numerics.complex_from_embedding(lam[pos:pos + n]).reshape(shape))
             pos += n
         return tuple(out)
 
@@ -278,29 +267,29 @@ class RelayProblem(BlockProblem):
     def block_value(self, i, z):
         sr = self.instance.sigma_r
         if i == 0:
-            return _cvec(z.F)
+            return numerics.real_embed_vec(z.F)
         if i == 1:
-            return np.concatenate([_cvec(z.Vb), _cvec(z.Xb), _cvec(sr * z.Fb)])
+            return np.concatenate([numerics.real_embed_vec(M) for M in (z.Vb, z.Xb, sr * z.Fb)])
         if i == 2:
-            return _cvec(z.X)
-        return _cvec(z.V)
+            return numerics.real_embed_vec(z.X)
+        return numerics.real_embed_vec(z.V)
 
     def set_block_value(self, i, z, v):
-        inst = self.instance
+        unembed = numerics.complex_from_embedding
         if i == 0:
-            return replace(z, F=_cmat(v, z.F.shape))
+            return replace(z, F=unembed(v).reshape(z.F.shape))
         if i == 1:
             n_vb = 2 * z.Vb.size
             n_xb = 2 * z.Xb.size
             return replace(
                 z,
-                Vb=_cmat(v[:n_vb], z.Vb.shape),
-                Xb=_cmat(v[n_vb:n_vb + n_xb], z.Xb.shape),
-                Fb=_cmat(v[n_vb + n_xb:], z.Fb.shape) / inst.sigma_r,
+                Vb=unembed(v[:n_vb]).reshape(z.Vb.shape),
+                Xb=unembed(v[n_vb:n_vb + n_xb]).reshape(z.Xb.shape),
+                Fb=unembed(v[n_vb + n_xb:]).reshape(z.Fb.shape) / self.instance.sigma_r,
             )
         if i == 2:
-            return replace(z, X=_cmat(v, z.X.shape))
-        return replace(z, V=_cmat(v, z.V.shape))
+            return replace(z, X=unembed(v).reshape(z.X.shape))
+        return replace(z, V=unembed(v).reshape(z.V.shape))
 
     def block_projector(self, i):
         if i != 1:
@@ -330,18 +319,18 @@ class RelayProblem(BlockProblem):
             Gcol = inst.g.T
             grad_rate = 2.0 * inst.sigma_r2 * (Gcol * coef[None, :]) @ (Gcol.conj().T @ z.F)
             HV = H @ z.V
-            return _cvec(-grad_rate - M1 @ HV.conj().T + sr * M2)
+            return numerics.real_embed_vec(-grad_rate - M1 @ HV.conj().T + sr * M2)
         if i == 1:
-            return np.concatenate([_cvec(-M4), _cvec(-M3), _cvec(-M2)])
+            return np.concatenate([numerics.real_embed_vec(-M) for M in (M4, M3, M2)])
         if i == 2:
             total, own, interf = _received_powers(z.X, z.F, inst)
             Gcol = inst.g.T
             P = (Gcol * (inst.alpha / total - inst.alpha / interf)[None, :]) @ Gcol.conj().T
             diag_fix = Gcol * ((inst.alpha / interf) * own)[None, :]
             grad_rate = 2.0 * (P @ z.X + diag_fix)
-            return _cvec(-grad_rate + M1 + M3)
+            return numerics.real_embed_vec(-grad_rate + M1 + M3)
         FH = z.F @ H
-        return _cvec(-FH.conj().T @ M1 + M4)
+        return numerics.real_embed_vec(-FH.conj().T @ M1 + M4)
 
 
 def default_config(instance, seed=0, **overrides):
@@ -396,28 +385,23 @@ def repair_feasibility(V, F, instance):
 
 
 def solve(instance, config=None, on_iteration=None):
-    """Run PDD and return ``(V, F, trace)`` with (V, F) repaired to feasibility.
+    """Run PDD; return a dict with the precoders ``V`` and ``F`` repaired to
+    feasibility, the ``trace``, the ``repair_scale`` pair of
+    :func:`repair_feasibility` and the final ``sum_rate_nats``.
 
     ``on_iteration`` is passed to :func:`pddopt.core.pdd_run`.
     """
-    result = solve_detailed(instance, config, on_iteration)
-    return result["V"], result["F"], result["trace"]
-
-
-def solve_detailed(instance, config=None, on_iteration=None):
-    """Like :func:`solve` but also reports the repair scales and final rate."""
     if config is None:
         config = default_config(instance)
     rng = np.random.default_rng(config.seed)
     z0 = initial_iterate(instance, rng)
     problem = RelayProblem(instance)
     lam0 = np.zeros(constraint_h(z0, instance).size)
-    z, lam, trace = _pdd_run(problem, z0, lam0, config, on_iteration)
+    z, _, trace = _pdd_run(problem, z0, lam0, config, on_iteration)
     V, F, scales = repair_feasibility(z.V, z.F, instance)
     return {
         "V": V, "F": F, "trace": trace, "repair_scale": scales,
         "sum_rate_nats": sum_rate(V, F, instance),
-        "iterate": z, "lam": lam,
     }
 
 
@@ -443,19 +427,11 @@ def random_feasible_pair(instance, rng):
     return V, F
 
 
-def _complex_nested(M):
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(M)]
-
-
-def _nested_complex(data):
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def instance_to_dict(instance):
     return {
         "N_s": instance.n_s, "N_r": instance.n_r, "K": instance.n_users,
-        "H": _complex_nested(instance.H),
-        "g": _complex_nested(instance.g),
+        "H": ioformats.complex_to_pairs(instance.H),
+        "g": ioformats.complex_to_pairs(instance.g),
         "sigma_R2": instance.sigma_r2,
         "sigma2": instance.sigma2.tolist(),
         "P_S": instance.p_s, "P_R": instance.p_r,
@@ -465,7 +441,7 @@ def instance_to_dict(instance):
 
 def instance_from_dict(data):
     return build_instance(
-        _nested_complex(data["H"]), _nested_complex(data["g"]),
+        ioformats.pairs_to_complex(data["H"]), ioformats.pairs_to_complex(data["g"]),
         data["sigma_R2"], np.asarray(data["sigma2"]),
         data["P_S"], data["P_R"], np.asarray(data["alpha"]),
     )

@@ -45,8 +45,10 @@ def build_instance(A, rank, eps=1e-2):
     N, L = A.shape
     if not 1 <= rank <= N:
         raise InvalidInputError(f"rank must satisfy 1 <= K <= {N}, got {rank}")
-    if L < 1:
-        raise InvalidInputError("data must have at least one column")
+    if L < rank:
+        raise InvalidInputError(
+            f"need at least K data columns to seed X: K={rank}, L={L}"
+        )
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("data contains non-finite entries")
     numerics.require_finite("eps", eps)
@@ -247,19 +249,9 @@ def default_config(instance, seed=0, **overrides):
 
 
 def initial_iterate(instance, rng):
-    """Seed X with random data columns (plus jitter); S from projected least squares.
-
-    Raises
-    ------
-    InvalidInputError
-        If the data has fewer columns L than the rank K.
-    """
+    """Seed X with random data columns (plus jitter); S from projected least squares."""
     A = instance.A
     K = instance.rank
-    if instance.n_cols < K:
-        raise InvalidInputError(
-            f"need at least K data columns to seed X: K={K}, L={instance.n_cols}"
-        )
     cols = rng.choice(instance.n_cols, size=K, replace=False)
     X0 = A[:, cols] + 1e-6 * rng.standard_normal((instance.n_rows, K))
     S0, *_ = np.linalg.lstsq(X0, A, rcond=None)

@@ -70,9 +70,8 @@ def test_criterion_3_relay_4_4_4():
     for seed in range(20):
         inst = rl.gen_instance(4, 4, 4, 10.0, seed)
         t0 = time.perf_counter()
-        # descent_check raises on any AL increase beyond 1e-9 relative
-        res = rl.solve_detailed(inst, rl.default_config(inst, seed=seed,
-                                                        descent_check=True))
+        # rbsum_run raises on any AL increase beyond 1e-9 relative
+        res = rl.solve(inst, rl.default_config(inst, seed=seed))
         worst_time = max(worst_time, time.perf_counter() - t0)
         trace = res["trace"]
         if trace.records[-1].h_inf <= 1e-3 and len(trace.records) <= 30:
@@ -94,7 +93,7 @@ def test_criterion_4_relay_scalar_oracle():
     for seed in range(10):
         inst = rl.gen_instance(1, 1, 1, 10.0, seed)
         t0 = time.perf_counter()
-        res = rl.solve_detailed(inst, rl.default_config(inst, seed=seed))
+        res = rl.solve(inst, rl.default_config(inst, seed=seed))
         worst_time = max(worst_time, time.perf_counter() - t0)
         h2 = abs(inst.H[0, 0]) ** 2
         g2 = abs(inst.g[0, 0]) ** 2

@@ -48,6 +48,19 @@ class TestVminFormat:
         np.testing.assert_array_equal(
             ioformats.pairs_to_complex(ioformats.complex_to_pairs(M)), M)
 
+    def test_complex_pairs_keep_signed_zeros(self):
+        M = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0)],
+                      [complex(-0.0, -0.0), complex(-3.5, 4.0)]])
+        out = ioformats.pairs_to_complex(ioformats.complex_to_pairs(M))
+        assert out.dtype == complex and out.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("data", [[[1.0, 2.0, 3.0]], [[1.0]], 5.0, [1.0, 2.0]],
+                             ids=["three-element-leaf", "one-element-leaf", "scalar",
+                                  "bare-pair"])
+    def test_pairs_to_complex_rejects_non_pairs(self, data):
+        with pytest.raises(ValueError, match="expected nested \\[re, im\\] pairs"):
+            ioformats.pairs_to_complex(data)
+
 
 class TestGen:
     def test_deterministic_multicast(self, tmp_path):
@@ -127,6 +140,28 @@ class TestSolve:
                                 "restarts_used"}
         assert results["mse_db"] <= -25.0
         assert results["restarts_used"] == 2
+
+    def test_volmin_prescale(self, tmp_path):
+        from pddopt import cli
+        from pddopt import volmin as vm
+
+        # data scaled far down, so sigma_K sits below the smoothing floor
+        small, _ = vm.gen_data(N=6, K=2, L=30, gamma=0.8, snr_db=None, seed=4)
+        data = tmp_path / "a.vmin"
+        ioformats.write_vmin(data, 1e-3 * small.A)
+        inst = vm.build_instance(ioformats.read_vmin(data), 2)
+        scale = cli._volmin_prescale(inst)
+        assert scale > 1.0
+        outdir = tmp_path / "run"
+        code = run_cli("solve", "--app", "volmin", "--instance", data, "--k", 2,
+                       "--prescale", "--restarts", 2, "--max-outer", 4, "--seed", 3,
+                       "--out", outdir)
+        scaled = vm.build_instance(scale * inst.A, 2)
+        X, _, trace = vm.solve_restarts(
+            scaled, vm.default_config(scaled, seed=3, max_outer=4), restarts=2)
+        results = json.loads((outdir / "results.json").read_text())
+        np.testing.assert_array_equal(np.array(results["X"]), X / scale)
+        assert code == (0 if trace.converged else 1)
 
     def test_config_overrides(self, tmp_path):
         inst = tmp_path / "mc.json"
@@ -228,12 +263,11 @@ class TestVerify:
 
 class TestInvalidInputExitCode:
     def test_multicast_zero_channel_user(self, tmp_path, capsys):
-        from pddopt import multicast as mc
-
-        channels = np.array([[1.0 + 0j, 0.5j], [0.0, 0.0]])
         inst = tmp_path / "mc.json"
-        inst.write_text(json.dumps(mc.instance_to_dict(
-            mc.build_instance(channels, [[0], [1]], 1.0, 1.0))))
+        inst.write_text(json.dumps({
+            "N_t": 2, "groups": [[0], [1]], "sigma2": [1.0, 1.0], "P_BS": 1.0,
+            "channels": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]],
+        }))
         code = run_cli("solve", "--app", "multicast", "--instance", inst,
                        "--out", tmp_path / "run")
         assert code == 2
@@ -268,10 +302,12 @@ class TestBadInputExitCode:
         assert f"cannot read JSON config file {cfg}: Expecting value" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rho_0": 1}))
-        assert self._solve_relay(tmp_path, "--config", cfg) == 2
-        assert "unknown PddConfig field(s) rho_0" in capsys.readouterr().err
+        # the inner descent check has no switch: descent_check is not a field
+        for key, value in (("rho_0", 1), ("descent_check", True)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            assert self._solve_relay(tmp_path, "--config", cfg) == 2
+            assert f"unknown PddConfig field(s) {key}" in capsys.readouterr().err
 
     def test_seed_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -335,6 +371,17 @@ class TestBadInstanceFile:
                                     "sigma2": [1.0], "P_BS": 1.0}))
         assert self._solve(tmp_path, "multicast", "--instance", path) == 2
         assert f"instance file {path} holds a malformed value" in capsys.readouterr().err
+
+    def test_relay_instance_with_three_element_leaf(self, tmp_path, capsys):
+        path = tmp_path / "rel.json"
+        run_cli("gen", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2, "--seed", 0,
+                "--out", path)
+        data = json.loads(path.read_text())
+        data["H"] = [[pair + [0.0] for pair in row] for row in data["H"]]
+        path.write_text(json.dumps(data))
+        assert self._solve(tmp_path, "relay", "--instance", path) == 2
+        assert (f"instance file {path} holds a malformed value: expected nested [re, im] pairs"
+                in capsys.readouterr().err)
 
     def test_relay_instance_with_nan_channel(self, tmp_path, capsys):
         path = tmp_path / "rel.json"
@@ -415,7 +462,7 @@ class TestCliMatchesLibrary:
         run_cli("solve", "--app", "relay", "--instance", path, "--seed", seed,
                 "--out", outdir)
         inst = rl.instance_from_dict(json.loads(path.read_text()))
-        res = rl.solve_detailed(inst, rl.default_config(inst, seed=seed))
+        res = rl.solve(inst, rl.default_config(inst, seed=seed))
         results = json.loads((outdir / "results.json").read_text())
         np.testing.assert_array_equal(ioformats.pairs_to_complex(results["V"]), res["V"])
         np.testing.assert_array_equal(ioformats.pairs_to_complex(results["F"]), res["F"])

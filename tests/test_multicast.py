@@ -89,9 +89,11 @@ class TestConstraint:
         np.testing.assert_allclose(h, 0.0, atol=1e-12)
 
     def test_zero_gain_user(self):
-        # user 1 has a zero channel: A_1 = 0, so t_1 = 0 is feasible
+        # user 1 has a zero channel: A_1 = 0, so t_1 = 0 is feasible. Such an
+        # instance is rejected by build_instance, so it is assembled directly.
         channels = np.array([[1.0 + 0j, 0.5j], [0.0 + 0j, 0.0 + 0j]])
-        inst = mc.build_instance(channels, [[0], [1]], 1.0, 1.0)
+        inst = mc.MulticastInstance(n_t=2, groups=((0,), (1,)), channels=channels,
+                                    sigma2=np.ones(2), p_bs=1.0, group_of=np.array([0, 1]))
         w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         h = mc.constraint_h(w, np.array([np.sqrt(2.0) / np.sqrt(1.0), 0.0]), inst)
         assert abs(h[1]) < 1e-12
@@ -478,10 +480,7 @@ class TestNoDenseForms:
 
 
 class TestZeroChannelUser:
-    def test_initial_iterate_names_the_user(self):
+    def test_build_instance_names_the_user(self):
         channels = np.array([[1.0 + 0j, 0.5j], [0.0, 0.0], [0.3, 1.0 - 1j]])
-        inst = mc.build_instance(channels, [[0, 1], [2]], 1.0, 1.0)
-        with pytest.raises(InvalidInputError, match="user 1 "):
-            mc.initial_iterate(inst, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError, match="all-zero channel"):
-            mc.solve(inst)
+        with pytest.raises(InvalidInputError, match="^multicast user 1 has an all-zero channel"):
+            mc.build_instance(channels, [[0, 1], [2]], 1.0, 1.0)

@@ -195,7 +195,7 @@ class TestSolve:
     def test_scalar_instance_grid_oracle(self):
         for seed in range(3):
             inst = rl.gen_instance(1, 1, 1, 10.0, seed)
-            res = rl.solve_detailed(inst, rl.default_config(inst, seed=seed))
+            res = rl.solve(inst, rl.default_config(inst, seed=seed))
             h2 = abs(inst.H[0, 0]) ** 2
             g2 = abs(inst.g[0, 0]) ** 2
             best = 0.0
@@ -209,7 +209,7 @@ class TestSolve:
 
     def test_solve_returns_feasible_and_beats_random(self):
         inst = rl.gen_instance(3, 3, 3, 10.0, seed=4)
-        res = rl.solve_detailed(inst, rl.default_config(inst, seed=4))
+        res = rl.solve(inst, rl.default_config(inst, seed=4))
         V, F = res["V"], res["F"]
         assert np.linalg.norm(V) ** 2 <= inst.p_s + 1e-9
         rng = np.random.default_rng(99)

@@ -74,9 +74,11 @@ class TestUpdateS:
         assert S.min() >= 0.0
 
     def test_mm_reaches_convex_optimum_single_column(self):
-        # L = 1, K = 2: repeated MM steps solve the simplex-constrained LS
+        # L = 1, K = 2: repeated MM steps solve the simplex-constrained LS.
+        # build_instance rejects L < K (X is seeded from K data columns), and
+        # the S-step alone needs no seed, so the instance is assembled directly.
         rng = np.random.default_rng(7)
-        inst = vm.build_instance(rng.standard_normal((4, 1)), 2)
+        inst = vm.VolMinInstance(A=rng.standard_normal((4, 1)), rank=2)
         z = vm.VolMinIterate(
             X=rng.standard_normal((4, 2)), S=np.array([[0.5], [0.5]]),
             Y=rng.standard_normal((4, 2)),
@@ -200,13 +202,9 @@ class TestSolve:
             vm.build_instance(np.ones((3, 4)), rank=2, eps=eps)
 
     def test_fewer_columns_than_rank_rejected(self):
-        # build_instance accepts L < K (the S-step alone is well defined);
-        # seeding X needs K distinct data columns
-        inst = vm.build_instance(np.arange(8.0).reshape(4, 2), rank=3)
+        # seeding X needs K distinct data columns, so L < K fails at build time
         with pytest.raises(InvalidInputError, match="need at least K data columns"):
-            vm.initial_iterate(inst, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError, match="need at least K data columns"):
-            vm.solve_restarts(inst, restarts=1)
+            vm.build_instance(np.arange(8.0).reshape(4, 2), rank=3)
 
 
 def _same_iterate(a, b):
