@@ -363,6 +363,8 @@ def _parse_seeds(expr):
         raise InvalidInputError(
             f"malformed --seeds value {expr!r}: expected a comma list or a range a..b"
         ) from exc
+    if not seeds:
+        raise InvalidInputError("need at least one seed")
     for seed in seeds:
         _check_seed(seed, "--seeds")
     return seeds
@@ -371,9 +373,6 @@ def _parse_seeds(expr):
 def cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
     overrides = _config_overrides(args)
-    if not seeds:
-        print("error: need at least one seed", file=sys.stderr)
-        return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -13,7 +13,6 @@ so the penalty *strengthens* as rho shrinks toward zero, and the dual
 update on the AL branch is ``lam <- lam + h(z)/rho``.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -153,6 +152,8 @@ class PddConfig:
             raise InvalidInputError(
                 f"inner_stop must be one of {_STOP_RULES}, got {self.inner_stop!r}"
             )
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.rho_min is not None and self.rho_min < 0:
             raise InvalidInputError(f"rho_min must be >= 0, got {self.rho_min}")
         if self.eps_min < 0:
@@ -200,18 +201,6 @@ class PddTrace:
         return [rec.k, repr(rec.objective), repr(rec.al_value), repr(rec.h_inf),
                 repr(rec.rho), repr(rec.eta), rec.branch, rec.inner_iters,
                 int(rec.inner_converged), repr(rec.time_s * 1e3)]
-
-    def to_dict(self):
-        return {
-            "converged": self.converged,
-            "rho_floor_hits": self.rho_floor_hits,
-            "iterations": len(self.records),
-            "records": [vars(r) for r in self.records],
-        }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-6,

@@ -29,8 +29,7 @@ class MulticastInstance:
 
     Only the channels are stored. Every quadratic form and product of the
     per-user matrices A_k, B_k follows from the K x n_g gain matrix
-    ``h_k^H w_i``. The dense forms are properties built on demand as a
-    reference for checks; the solver never builds them.
+    ``h_k^H w_i``.
     """
 
     n_t: int                 # BS antennas
@@ -51,40 +50,6 @@ class MulticastInstance:
     @property
     def dim(self):
         return self.n_groups * self.n_t
-
-    @property
-    def A(self):
-        """Dense K x n x n ``A_k = kron(e_i e_i^T, h_k h_k^H)``, n = n_g * N_t (PSD)."""
-        return self._dense_forms(signal=True)
-
-    @property
-    def B(self):
-        """Dense K x n x n ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k/P) I`` (PD)."""
-        return self._dense_forms(signal=False)
-
-    @property
-    def A_eq(self):
-        """K x 2n x 2n real embeddings of :attr:`A`."""
-        return np.stack([numerics.real_embed_hermitian(M) for M in self.A])
-
-    @property
-    def B_eq(self):
-        """K x 2n x 2n real embeddings of :attr:`B`."""
-        return np.stack([numerics.real_embed_hermitian(M) for M in self.B])
-
-    def _dense_forms(self, signal):
-        n = self.dim
-        forms = np.empty((self.n_users, n, n), dtype=complex)
-        for k, h in enumerate(self.channels):
-            R = np.outer(h, h.conj())
-            sel = np.zeros(self.n_groups)
-            sel[self.group_of[k]] = 1.0
-            if signal:
-                forms[k] = np.kron(np.diag(sel), R)
-            else:
-                forms[k] = (np.kron(np.diag(1.0 - sel), R)
-                            + (self.sigma2[k] / self.p_bs) * np.eye(n))
-        return forms
 
 
 @dataclass(frozen=True)
@@ -113,12 +78,12 @@ def build_instance(channels, groups, sigma2, p_bs):
     equals the SINR of user k when the per-group beamformers are scaled
     by sqrt(p_bs). For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)``
     and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
-    instance keeps only the O(K N_t) channel data; the dense forms are
-    properties for reference checks. A non-finite channel, noise power or
-    budget, or a ``sigma2`` that is neither a scalar nor K entries, raises
-    :class:`InvalidInputError` naming the field (``channels``, ``sigma2``,
-    ``P_BS``). So does a user with an all-zero channel: its SINR is 0 for
-    every beamformer, and the w-update surrogate divides by its gain.
+    instance keeps only the O(K N_t) channel data. A non-finite channel,
+    noise power or budget, or a ``sigma2`` that is neither a scalar nor K
+    entries, raises :class:`InvalidInputError` naming the field
+    (``channels``, ``sigma2``, ``P_BS``). So does a user with an all-zero
+    channel: its SINR is 0 for every beamformer, and the w-update
+    surrogate divides by its gain.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:

@@ -9,8 +9,8 @@ ran before it. ``pddopt verify`` prints the records; the pytest suite runs
 the catalogue once per session and asserts on the same records, so a plain
 ``pddopt verify all`` reproduces what CI enforces.
 
-The toy problems and random-iterate helpers here are shared with the
-hand-written tests.
+The toy problems, random-iterate helpers and the dense multicast forms
+of :func:`dense_forms` are shared with the hand-written tests.
 """
 
 from dataclasses import dataclass
@@ -105,6 +105,25 @@ def rand_unit_vec(rng, n):
     """A random complex unit vector of length ``n``."""
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return w / np.linalg.norm(w)
+
+
+def dense_forms(inst):
+    """The K x n x n multicast forms ``(A, B)``, n = n_g * N_t, as a reference.
+
+    For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)`` (PSD) and
+    ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / P_BS) I`` (PD). The
+    library works from the gain matrix only; oracles compare against these.
+    """
+    n = inst.dim
+    A = np.empty((inst.n_users, n, n), dtype=complex)
+    B = np.empty_like(A)
+    for k, h in enumerate(inst.channels):
+        R = np.outer(h, h.conj())
+        sel = np.zeros(inst.n_groups)
+        sel[inst.group_of[k]] = 1.0
+        A[k] = np.kron(np.diag(sel), R)
+        B[k] = np.kron(np.diag(1.0 - sel), R) + (inst.sigma2[k] / inst.p_bs) * np.eye(n)
+    return A, B
 
 
 def rand_relay_iterate(inst, rng, scale=1.0):
@@ -461,13 +480,14 @@ def _mc_instance(rng):
 def _sinr_quadratic_form_identity(rng):
     # SINR identity of the assembled quadratic forms against the channel model
     inst = _mc_instance(rng)
+    A, B = dense_forms(inst)
     worst = 0.0
     for _ in range(20):
         w = rand_unit_vec(rng, inst.dim)
         sinr_direct = mc.sinr_values(np.sqrt(inst.p_bs) * w, inst)
         for k in range(inst.n_users):
-            qa = np.real(np.vdot(w, inst.A[k] @ w))
-            qb = np.real(np.vdot(w, inst.B[k] @ w))
+            qa = np.real(np.vdot(w, A[k] @ w))
+            qb = np.real(np.vdot(w, B[k] @ w))
             worst = max(worst, abs(qa / qb - sinr_direct[k]) / sinr_direct[k])
     return worst < 1e-10, f"worst rel dev {worst:.2e}"
 

@@ -321,6 +321,12 @@ class TestBadInputExitCode:
         assert code == 2
         assert "malformed --seeds value 'a..b'" in capsys.readouterr().err
 
+    def test_empty_seed_range(self, tmp_path, capsys):
+        code = run_cli("bench", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,
+                       "--seeds", "5..3", "--out", tmp_path / "bench")
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least one seed\n"
+
     @pytest.mark.parametrize("argv", [
         ("gen", "--app", "relay", "--out", "inst.json", "--seed", -1),
         ("solve", "--app", "relay", "--k", 1, "--out", "run", "--seed", -1),

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -51,7 +49,7 @@ class TestPddConfig:
         dict(mode="foo"), dict(rho0=0.0), dict(rho0=-1.0), dict(c=0.0),
         dict(c=1.0), dict(tau=1.5), dict(eps0=0.0), dict(tau=0.0),
         dict(max_outer=0), dict(max_inner=0), dict(inner_stop="bogus"),
-        dict(rho_min=-1.0), dict(eta0=0.0), dict(eps_min=-1e-3),
+        dict(rho_min=-1.0), dict(eta0=0.0), dict(eps_min=-1e-3), dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -289,17 +287,6 @@ class TestTrace:
         assert len(hs) == 20
         assert all(h2 <= h1 + 1e-15 for h1, h2 in zip(hs, hs[1:]))
 
-    def test_json_roundtrip(self, tmp_path):
-        cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=3,
-                        inner_stop="iteration-cap", max_inner=1, eps_outer=0.0)
-        _, _, trace = pdd_run(ToyEquality(), np.array([3.0]), np.zeros(1), cfg)
-        path = tmp_path / "trace.json"
-        trace.to_json(path)
-        data = json.loads(path.read_text())
-        assert data["iterations"] == 3
-        assert len(data["records"]) == 3
-        assert data["records"][0]["k"] == 1
-
 
 class TestInnerConverged:
     def _run(self, monkeypatch, max_inner):
@@ -327,9 +314,7 @@ class TestInnerConverged:
         assert stopped.column("inner_converged") == flags == [True] * 4
         assert stopped.column("inner_iters") == [2] * 4
 
-    def test_csv_and_json_columns(self, monkeypatch):
+    def test_csv_column(self, monkeypatch):
         trace, _ = self._run(monkeypatch, max_inner=1)
         col = trace.CSV_COLUMNS.index("inner_converged")
         assert [trace.csv_row(r)[col] for r in trace.records] == [0] * 4
-        data = trace.to_dict()
-        assert [r["inner_converged"] for r in data["records"]] == [False] * 4

@@ -5,7 +5,7 @@ import scipy.linalg
 from pddopt import multicast as mc
 from pddopt import numerics
 from pddopt.errors import InvalidInputError
-from pddopt.verify import rand_unit_vec
+from pddopt.verify import dense_forms, rand_unit_vec
 
 
 @pytest.fixture(scope="module")
@@ -15,24 +15,24 @@ def inst422():
 
 class TestBuildInstance:
     def test_scalar_case(self):
-        inst = mc.build_instance([[1.0 + 0j]], [[0]], 1.0, 1.0)
-        np.testing.assert_allclose(inst.A[0], [[1.0]])
-        np.testing.assert_allclose(inst.B[0], [[1.0]])
+        A, B = dense_forms(mc.build_instance([[1.0 + 0j]], [[0]], 1.0, 1.0))
+        np.testing.assert_allclose(A[0], [[1.0]])
+        np.testing.assert_allclose(B[0], [[1.0]])
         w = np.array([1.0 + 0j])
-        assert np.real(np.vdot(w, inst.A[0] @ w)) / np.real(np.vdot(w, inst.B[0] @ w)) \
+        assert np.real(np.vdot(w, A[0] @ w)) / np.real(np.vdot(w, B[0] @ w)) \
             == pytest.approx(1.0)
 
     def test_block_structure(self, inst422):
         n_t = inst422.n_t
+        forms, _ = dense_forms(inst422)
         for k in range(inst422.n_users):
             i = inst422.group_of[k]
-            A = inst422.A[k].copy()
+            A = forms[k].copy()
             A[i * n_t:(i + 1) * n_t, i * n_t:(i + 1) * n_t] = 0.0
             assert np.abs(A).max() == 0.0
 
     def test_matrix_properties(self, inst422):
-        for k in range(inst422.n_users):
-            A, B = inst422.A[k], inst422.B[k]
+        for k, (A, B) in enumerate(zip(*dense_forms(inst422))):
             assert np.abs(A - A.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(A).min() >= -1e-12
             min_b = np.linalg.eigvalsh(B).min()
@@ -66,8 +66,8 @@ class TestBuildInstance:
     def test_phase_rotation_leaves_matrices_invariant(self, inst422):
         rot = mc.build_instance(inst422.channels * np.exp(0.7j),
                                 inst422.groups, inst422.sigma2, inst422.p_bs)
-        np.testing.assert_allclose(rot.A, inst422.A, atol=1e-12)
-        np.testing.assert_allclose(rot.B, inst422.B, atol=1e-12)
+        for M_rot, M in zip(dense_forms(rot), dense_forms(inst422)):
+            np.testing.assert_allclose(M_rot, M, atol=1e-12)
 
     def test_amplitude_scaling_leaves_sinr_invariant(self, inst422):
         alpha = 1.7
@@ -153,7 +153,8 @@ class TestSurrogate:
         wt = rand_unit_vec(rng, inst422.dim)
         K = inst422.n_users
         C, const = mc.build_surrogate_C(wt, np.zeros(K), np.zeros(K), 0.5, inst422)
-        np.testing.assert_allclose(C, inst422.A_eq.sum(axis=0), atol=1e-10)
+        A_eq = _embedded_forms(inst422)[2]
+        np.testing.assert_allclose(C, A_eq.sum(axis=0), atol=1e-10)
         assert const == pytest.approx(0.0)
         for _ in range(20):
             w = rand_unit_vec(rng, inst422.dim)
@@ -250,8 +251,9 @@ class TestSolveAndMetrics:
         for seed in range(3):
             inst = mc.gen_instance(4, 1, 1, 10.0, seed)
             w_scaled, t, trace = mc.solve(inst, mc.default_config(inst, seed=seed))
+            A, B = dense_forms(inst)
             lam_max = np.max(np.real(
-                scipy.linalg.eigvals(scipy.linalg.solve(inst.B[0], inst.A[0]))))
+                scipy.linalg.eigvals(scipy.linalg.solve(B[0], A[0]))))
             opt = np.log2(1.0 + lam_max)
             assert mc.min_rate(w_scaled, inst) >= 0.99 * opt
             assert mc.kkt_residual(w_scaled, inst) <= 1e-3
@@ -265,8 +267,8 @@ class TestSolveAndMetrics:
 
     def test_kkt_residual_nonnegative_and_k1_oracle(self):
         inst = mc.gen_instance(4, 1, 1, 10.0, seed=7)
-        A, B = inst.A[0], inst.B[0]
-        vals, vecs = scipy.linalg.eigh(A, B)
+        A, B = dense_forms(inst)
+        vals, vecs = scipy.linalg.eigh(A[0], B[0])
         w_star = vecs[:, -1]
         w_star /= np.linalg.norm(w_star)
         assert mc.kkt_residual(w_star, inst) <= 1e-6
@@ -277,25 +279,35 @@ class TestSolveAndMetrics:
         data = mc.instance_to_dict(inst422)
         back = mc.instance_from_dict(data)
         np.testing.assert_allclose(back.channels, inst422.channels)
-        np.testing.assert_allclose(back.A, inst422.A)
+        np.testing.assert_array_equal(back.sigma2, inst422.sigma2)
+        assert back.p_bs == inst422.p_bs
+        np.testing.assert_array_equal(back.group_of, inst422.group_of)
         assert back.groups == inst422.groups
 
 
-# --- dense reference: the per-user loops over the stored forms A_k, B_k ---
+# --- dense reference: the per-user loops over the forms A_k, B_k ---
+
+def _embedded_forms(inst):
+    """``(A, B, A_eq, B_eq)``: the dense forms and their real embeddings."""
+    A, B = dense_forms(inst)
+    A_eq = np.stack([numerics.real_embed_hermitian(M) for M in A])
+    B_eq = np.stack([numerics.real_embed_hermitian(M) for M in B])
+    return A, B, A_eq, B_eq
+
 
 def _dense_quad(M, w):
     return max(float(np.real(np.vdot(w, M @ w))), 0.0)
 
 
 def dense_coupling_norms(w, inst):
-    A, B = inst.A, inst.B
+    A, B = dense_forms(inst)
     na = np.sqrt([_dense_quad(A[k], w) for k in range(inst.n_users)])
     nb = np.sqrt([_dense_quad(B[k], w) for k in range(inst.n_users)])
     return na, nb
 
 
 def dense_surrogate_C(w_tilde, t, lam, rho, inst):
-    A, B, A_eq, B_eq = inst.A, inst.B, inst.A_eq, inst.B_eq
+    A, B, A_eq, B_eq = _embedded_forms(inst)
     dim = 2 * inst.dim
     C = np.zeros((dim, dim))
     const = 0.0
@@ -328,7 +340,7 @@ def dense_surrogate_C(w_tilde, t, lam, rho, inst):
 
 
 def dense_w_gradient(z, lam, rho, inst):
-    A_eq, B_eq = inst.A_eq, inst.B_eq
+    _, _, A_eq, B_eq = _embedded_forms(inst)
     na, nb = dense_coupling_norms(z.w, inst)
     mult = lam + (na - z.t * nb) / rho
     we = numerics.real_embed_vec(z.w)
@@ -340,7 +352,7 @@ def dense_w_gradient(z, lam, rho, inst):
 
 
 def dense_rayleigh_gradients(w, inst):
-    A_eq, B_eq = inst.A_eq, inst.B_eq
+    _, _, A_eq, B_eq = _embedded_forms(inst)
     we = numerics.real_embed_vec(w)
     cols = []
     for k in range(inst.n_users):
@@ -456,18 +468,6 @@ class TestStructuredMatchesDense:
 
 
 class TestNoDenseForms:
-    def test_solver_never_builds_dense_forms(self, monkeypatch):
-        inst = mc.gen_instance(4, 2, 2, 10.0, seed=3)
-
-        def forbidden(self):
-            raise AssertionError("dense quadratic form built")
-
-        for name in ("A", "B", "A_eq", "B_eq"):
-            monkeypatch.setattr(mc.MulticastInstance, name, property(forbidden))
-        w_scaled, _, trace = mc.solve(inst, mc.default_config(inst, seed=3, max_outer=2))
-        assert len(trace.records) == 2
-        assert np.isfinite(mc.kkt_residual(w_scaled, inst))
-
     def test_large_instance_memory_and_step(self):
         inst = mc.gen_instance(32, 8, 2, 10.0, seed=0)
         held = sum(a.nbytes for a in vars(inst).values() if isinstance(a, np.ndarray))
@@ -477,6 +477,19 @@ class TestNoDenseForms:
         z = problem.step(1, z, np.zeros(inst.n_users), 0.5 * inst.n_users)
         assert z.w.shape == (inst.dim,)
         assert abs(np.linalg.norm(z.w) - 1.0) < 1e-12
+
+
+class TestFaultInjection:
+    def test_more_users_than_antennas(self):
+        # K = 4 > N_t = 1: no beamformer nulls the interference, the solve
+        # still reaches a feasible KKT point
+        inst = mc.gen_instance(1, 2, 2, 10.0, seed=0)
+        assert inst.n_users > inst.n_t
+        w_scaled, t, trace = mc.solve(inst, mc.default_config(inst, seed=0))
+        assert np.all(np.isfinite(w_scaled)) and np.all(np.isfinite(t))
+        assert trace.converged and trace.records[-1].h_inf <= 1e-4
+        assert np.linalg.norm(w_scaled) ** 2 == pytest.approx(inst.p_bs, rel=1e-12)
+        assert mc.kkt_residual(w_scaled, inst) <= 1e-6
 
 
 class TestZeroChannelUser:

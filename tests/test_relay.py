@@ -219,6 +219,24 @@ class TestSolve:
         assert res["sum_rate_nats"] > 0.0
 
 
+class TestFaultInjection:
+    @pytest.mark.parametrize("sigma_r2", [1e-12, 1e-300])
+    def test_vanishing_relay_noise(self, sigma_r2):
+        # sigma_R^2 -> 0 leaves the relay budget set only by the forwarded signal
+        base = rl.gen_instance(4, 4, 4, 10.0, seed=0)
+        inst = rl.build_instance(base.H, base.g, sigma_r2, base.sigma2,
+                                 base.p_s, base.p_r, base.alpha)
+        res = rl.solve(inst, rl.default_config(inst, seed=0))
+        V, F = res["V"], res["F"]
+        assert np.all(np.isfinite(V)) and np.all(np.isfinite(F))
+        assert np.linalg.norm(V) ** 2 <= inst.p_s + 1e-9
+        relay_power = (np.linalg.norm(F @ inst.H @ V) ** 2
+                       + inst.sigma_r2 * np.linalg.norm(F) ** 2)
+        assert relay_power <= inst.p_r + 1e-9
+        assert np.isfinite(res["trace"].records[-1].h_inf)
+        assert np.isfinite(res["sum_rate_nats"]) and res["sum_rate_nats"] > 0.0
+
+
 def _same_iterate(a, b):
     return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
                for f in ("V", "F", "X", "Vb", "Fb", "Xb"))

@@ -207,6 +207,20 @@ class TestSolve:
             vm.build_instance(np.arange(8.0).reshape(4, 2), rank=3)
 
 
+class TestFaultInjection:
+    def test_duplicate_data_columns(self):
+        # the second half of the data repeats the first, column for column
+        data, _ = vm.gen_data(10, 3, 200, 0.8, None, seed=0)
+        A = data.A.copy()
+        A[:, 100:] = A[:, :100]
+        inst = vm.build_instance(A, data.rank, data.eps)
+        X, S, trace = vm.solve(inst, vm.default_config(inst, seed=0, max_outer=5))
+        assert np.all(np.isfinite(X))
+        np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
+        assert S.min() >= 0.0
+        assert np.isfinite(trace.records[-1].h_inf)
+
+
 def _same_iterate(a, b):
     return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "S", "Y"))
 
