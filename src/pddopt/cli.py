@@ -293,11 +293,8 @@ def _run_app(args, overrides, inst, truth, seed, trace_path):
                 "w": ioformats.complex_to_pairs(w_scaled),
                 "min_rate_bits": mc.min_rate(w_scaled, inst),
                 "kkt_residual": mc.kkt_residual(w_scaled, inst),
-                "feasibility_gap": trace.records[-1].h_inf,
-                "iterations": len(trace.records),
             }
-            return results, trace
-        if args.app == "relay":
+        elif args.app == "relay":
             config = rl.default_config(inst, seed=seed, **overrides)
             res = rl.solve(inst, config, on_iteration)
             trace = res["trace"]
@@ -305,36 +302,35 @@ def _run_app(args, overrides, inst, truth, seed, trace_path):
                 "V": ioformats.complex_to_pairs(res["V"]),
                 "F": ioformats.complex_to_pairs(res["F"]),
                 "sum_rate_nats": res["sum_rate_nats"],
-                "feasibility_gap": trace.records[-1].h_inf,
                 "repair_scale": list(res["repair_scale"]),
-                "iterations": len(trace.records),
             }
-            return results, trace
-        # volmin: restarts and optional prescaling; the winning restart's
-        # records are written to the trace after all restarts have finished
-        scale = 1.0
-        if args.prescale:
-            scale = _volmin_prescale(inst)
-            if scale != 1.0:
-                inst = vm.build_instance(scale * inst.A, inst.rank, inst.eps)
-                log.info("prescaled data by %.3e", scale)
-        config = vm.default_config(inst, seed=seed, **overrides)
-        X, S, trace = vm.solve_restarts(inst, config, restarts=args.restarts)
-        for rec in trace.records:
-            on_iteration(rec)
-        X_out = X / scale
-        results = {
-            "X": X_out.tolist(),
-            "S": S.tolist(),
-            "feasibility_gap": trace.records[-1].h_inf,
-            "f_eps": vm.f_eps(X, inst.eps),
-            "restarts_used": args.restarts,
-        }
-        if truth is not None:
-            results["mse_db"] = vm.mse_metric(X_out, truth.X)
-        return results, trace
+        else:
+            # volmin: restarts and optional prescaling; the winning restart's
+            # records are written to the trace after all restarts have finished
+            scale = 1.0
+            if args.prescale:
+                scale = _volmin_prescale(inst)
+                if scale != 1.0:
+                    inst = vm.build_instance(scale * inst.A, inst.rank, inst.eps)
+                    log.info("prescaled data by %.3e", scale)
+            config = vm.default_config(inst, seed=seed, **overrides)
+            X, S, trace = vm.solve_restarts(inst, config, restarts=args.restarts)
+            for rec in trace.records:
+                on_iteration(rec)
+            X_out = X / scale
+            results = {
+                "X": X_out.tolist(),
+                "S": S.tolist(),
+                "f_eps": vm.f_eps(X, inst.eps),
+                "restarts_used": args.restarts,
+            }
+            if truth is not None:
+                results["mse_db"] = vm.mse_metric(X_out, truth.X)
     finally:
         fh.close()
+    results["feasibility_gap"] = trace.records[-1].h_inf
+    results["iterations"] = len(trace.records)
+    return results, trace
 
 
 def _volmin_prescale(inst):
@@ -380,8 +376,8 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         try:
             inst, truth = _load_instance(args, seed)
-            results, trace = _run_app(args, overrides, inst, truth, seed,
-                                      outdir / f"trace_seed{seed}.csv")
+            results, _ = _run_app(args, overrides, inst, truth, seed,
+                                  outdir / f"trace_seed{seed}.csv")
             objective = {
                 "multicast": results.get("min_rate_bits"),
                 "relay": results.get("sum_rate_nats"),
@@ -390,8 +386,7 @@ def cmd_bench(args):
             rows.append({
                 "seed": seed, "status": "ok", "objective": objective,
                 "feasibility_gap": results["feasibility_gap"],
-                "iterations": results["iterations"] if "iterations" in results
-                else len(trace.records),
+                "iterations": results["iterations"],
                 "time_s": time.perf_counter() - t0,
             })
         except Exception as exc:  # record, keep going

@@ -39,8 +39,8 @@ class BlockProblem:
     Subclasses must set :attr:`n_blocks` and implement :meth:`constraint`,
     :meth:`al_value` and :meth:`step`. ``step(i, z, duals, rho)`` returns a
     new iterate with only block ``i`` changed and must never increase the AL
-    (surrogate contract). The optional gradient/projection hooks enable the
-    stationarity-residual diagnostic.
+    (surrogate contract). The optional gradient and prox hooks enable the
+    stationarity residual.
 
     The multipliers reach the AL methods only as ``duals``, the value that
     :meth:`unpack_duals` returns for the flat vector ``lam`` and ``rho``;
@@ -99,18 +99,13 @@ class BlockProblem:
             f"{type(self).__name__} does not provide AL gradients"
         )
 
-    def block_projector(self, i):
-        """Projection onto block i's constraint set, or None if unconstrained."""
-        return None
+    def block_prox(self, i):
+        """Prox of block ``i``'s set and nonsmooth term, or None if it has neither.
 
-    def block_nonsmooth_prox(self, i):
-        """Prox operator of the block's nonsmooth term (plus set), or None.
-
-        When present, it is called as ``prox(z, v) -> y_new`` solving
-        ``argmin_y  phi_i(y) + 0.5 ||y - v||^2`` over the block's set;
-        :func:`stationarity_residuals` then measures the block by its
-        proximal-gradient fixed-point residual instead of a projected
-        gradient.
+        When present, ``prox(v)`` returns ``argmin_y phi_i(y) + 0.5 ||y - v||^2``
+        over the block's set; for a set-only block that is the projection.
+        :func:`stationarity_residuals` measures such a block by its
+        proximal-gradient residual ``x - prox(x - g)``.
         """
         return None
 
@@ -246,8 +241,7 @@ def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-
                 converged = True
                 break
         elif stop == STOP_RESIDUAL:
-            e, delta = stationarity_residuals(problem, z, duals, rho)
-            if max(_inf_norm(e), _inf_norm(delta)) <= eps_inner:
+            if _inf_norm(stationarity_residuals(problem, z, duals, rho)) <= eps_inner:
                 converged = True
                 break
         L_prev = L
@@ -342,39 +336,28 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
 
 
 def stationarity_residuals(problem, z, duals, rho):
-    """Per-block stationarity diagnostics (e, delta) of the AL at ``z``.
+    """Stationarity residual of the AL at ``z``, all blocks in one flat vector.
 
     ``duals`` is ``problem.unpack_duals(lam, rho)``, as for :func:`rbsum_run`.
-
-    Blocks that declare a nonsmooth prox contribute only to ``delta``:
-    the proximal-gradient fixed-point residual ``x_i - prox(x_i - g_i)``
-    with ``g_i`` the smooth-part gradient. All other blocks contribute the
-    projected gradient step residual ``P(x_i - g_i) - x_i`` (reducing to
-    ``-g_i`` when unconstrained) to ``e``, and ``-g_i`` to ``delta``.
-    ``max(|e|_inf, |delta|_inf)`` is the inner termination measure.
+    A block with a prox contributes its proximal-gradient step
+    ``x_i - prox(x_i - g_i)``, with ``g_i`` the smooth-part gradient; any
+    other block contributes ``-g_i``. The vector vanishes exactly at a
+    stationary point over the block sets; its inf-norm is the inner
+    termination measure.
 
     Raises :class:`UnsupportedOperationError` if the problem does not
     provide AL gradients.
     """
-    e_parts, d_parts = [], []
+    parts = []
     for i in range(problem.n_blocks):
         g = np.asarray(problem.al_block_gradient(i, z, duals, rho), dtype=float).ravel()
-        x = np.asarray(problem.block_value(i, z), dtype=float).ravel()
-        prox = problem.block_nonsmooth_prox(i)
-        if prox is not None:
-            y_new = np.asarray(prox(z, x - g), dtype=float).ravel()
-            d_parts.append(x - y_new)
-            continue
-        proj = problem.block_projector(i)
-        if proj is not None:
-            e_parts.append(np.asarray(proj(x - g), dtype=float).ravel() - x)
+        prox = problem.block_prox(i)
+        if prox is None:
+            parts.append(-g)
         else:
-            e_parts.append(-g)
-        d_parts.append(-g)
-    empty = np.zeros(0)
-    e = np.concatenate(e_parts) if e_parts else empty
-    delta = np.concatenate(d_parts) if d_parts else empty
-    return e, delta
+            x = np.asarray(problem.block_value(i, z), dtype=float).ravel()
+            parts.append(x - np.asarray(prox(x - g), dtype=float).ravel())
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _inf_norm(v):

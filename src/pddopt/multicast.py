@@ -352,22 +352,11 @@ class MulticastProblem(BlockProblem):
         g = (mult / np.maximum(na, 1e-300)) @ Aw - (mult * z.t / np.maximum(nb, 1e-300)) @ Bw
         return numerics.real_embed_vec(g)
 
-    def block_projector(self, i):
-        # block 0 (t) is measured through its prox below, never projected
-        if i == 1:
+    def block_prox(self, i):
+        if i == 1:  # w: projection onto the unit sphere
             return lambda v: v / max(np.linalg.norm(v), 1e-300)
-        return None
-
-    def block_nonsmooth_prox(self, i):
-        if i != 0:
-            return None
-
-        # prox of -min(t) over t >= 0 has the same structure as the t-step
-        def prox(z, v):
-            t_new, _ = solve_t_subproblem(np.full(v.size, 0.5), v)
-            return t_new
-
-        return prox
+        # t: prox of -min(t) over t >= 0, the t-step with every a_k = 1/2
+        return lambda v: solve_t_subproblem(np.full(v.size, 0.5), v)[0]
 
 
 def default_config(instance, seed=0, **overrides):
@@ -453,7 +442,8 @@ def kkt_residual(w, instance):
     lam = np.full(K, 1.0 / K)
     lip = 2.0 * max(float(np.linalg.eigvalsh(Q).max()), 1e-300)
     for _ in range(KKT_MAX_ITER):
-        lam_next = numerics.project_simplex(lam - 2.0 * (Q @ lam) / lip)
+        step = lam - 2.0 * (Q @ lam) / lip
+        lam_next = numerics.project_simplex_columns(step[:, None])[:, 0]
         done = np.abs(lam_next - lam).max() <= KKT_TOL
         lam = lam_next
         if done:

@@ -250,25 +250,14 @@ def project_ball(M, radius):
     return (radius / nrm) * M
 
 
-def project_simplex(v):
-    """Euclidean projection onto the probability simplex {s >= 0, sum s = 1}.
-
-    Sort-and-threshold construction: the output is ``max(v - theta, 0)``
-    for the unique theta making the result sum to one.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise InvalidInputError("cannot project an empty vector onto the simplex")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / j > 0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def project_simplex_columns(S):
-    """Column-wise simplex projection of a K x L matrix (vectorized)."""
+    """Euclidean projection of each column of a K x L matrix onto the
+    probability simplex {s >= 0, sum s = 1}.
+
+    Sort-and-threshold construction, vectorized over columns: column j maps
+    to ``max(s_j - theta_j, 0)`` for the unique theta_j making it sum to one.
+    A single vector ``v`` is projected as ``project_simplex_columns(v[:, None])[:, 0]``.
+    """
     S = np.asarray(S, dtype=float)
     K = S.shape[0]
     if K == 0:

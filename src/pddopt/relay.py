@@ -291,7 +291,7 @@ class RelayProblem(BlockProblem):
             return replace(z, X=unembed(v).reshape(z.X.shape))
         return replace(z, V=unembed(v).reshape(z.V.shape))
 
-    def block_projector(self, i):
+    def block_prox(self, i):
         if i != 1:
             return None
         inst = self.instance

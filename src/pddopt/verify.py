@@ -221,6 +221,44 @@ class Quad3(BlockProblem):
         return np.array([(self.Q @ z - self.b)[i]])
 
 
+class SphereToy(BlockProblem):
+    """min 0.5 x^T Q x over the unit sphere, one block whose exact step is the
+    eigenvector of Q's smallest eigenvalue. The eigenvalues of Q lie in
+    (0.1, 0.9), so the unit-step projected gradient fixes every eigenvector."""
+
+    n_blocks = 1
+
+    def __init__(self, Q):
+        self.Q = Q
+
+    @classmethod
+    def random(cls, rng):
+        n = int(rng.integers(2, 9))
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return cls((U * rng.uniform(0.1, 0.9, n)) @ U.T)
+
+    def constraint(self, z):
+        return np.zeros(0)
+
+    def al_value(self, z, lam, rho):
+        return float(0.5 * z @ self.Q @ z)
+
+    def step(self, i, z, lam, rho):
+        return numerics.min_eigvec_sym(self.Q)[0]
+
+    def block_value(self, i, z):
+        return z.copy()
+
+    def set_block_value(self, i, z, v):
+        return np.asarray(v, dtype=float).copy()
+
+    def al_block_gradient(self, i, z, lam, rho):
+        return self.Q @ z
+
+    def block_prox(self, i):
+        return lambda v: v / np.linalg.norm(v)
+
+
 # --------------------------------------------------------------------------
 # numerics
 # --------------------------------------------------------------------------
@@ -322,8 +360,9 @@ def _projections(rng):
         r = float(rng.uniform(0.1, 2.0))
         p1 = numerics.project_ball(x, r)
         worst_idem = max(worst_idem, np.abs(numerics.project_ball(p1, r) - p1).max())
-        s = numerics.project_simplex(x)
-        worst_idem = max(worst_idem, np.abs(numerics.project_simplex(s) - s).max())
+        s = numerics.project_simplex_columns(x[:, None])[:, 0]
+        s2 = numerics.project_simplex_columns(s[:, None])[:, 0]
+        worst_idem = max(worst_idem, np.abs(s2 - s).max())
         worst_sum = max(worst_sum, abs(s.sum() - 1.0))
         nonneg &= bool(s.min() >= 0.0)
         active = s > 0
@@ -448,8 +487,20 @@ def _rbsum_monotone_descent(rng):
 def _residual_zero_at_minimizer(rng):
     quad = Quad3.random(rng)
     z_star = np.linalg.solve(quad.Q, quad.b)
-    e, delta = stationarity_residuals(quad, z_star, np.zeros(0), 1.0)
-    return max(np.abs(e).max(), np.abs(delta).max()) < 1e-8, ""
+    r = stationarity_residuals(quad, z_star, np.zeros(0), 1.0)
+    return np.abs(r).max() < 1e-8, ""
+
+
+@_property("pdd-core", "residual-zero-on-sphere")
+def _residual_zero_on_sphere(rng):
+    # at a constrained minimizer the gradient stays nonzero, the residual does not
+    toy = SphereToy.random(rng)
+    z_star, _ = numerics.min_eigvec_sym(toy.Q)
+    grad = np.linalg.norm(toy.al_block_gradient(0, z_star, np.zeros(0), 1.0))
+    _, sweeps, converged = rbsum_run(toy, z_star, np.zeros(0), 1.0, stop="residual",
+                                     eps_inner=1e-10, max_inner=20)
+    return (sweeps == 1 and converged and grad > 0.1,
+            f"sweeps {sweeps}, converged {converged}, |g| {grad:.2e}")
 
 
 @_property("pdd-core", "fd-gradient-consistency")

@@ -221,7 +221,7 @@ class VolMinProblem(BlockProblem):
         name = ("Y", "S", "X")[i]
         return replace(z, **{name: np.asarray(v, float).reshape(getattr(z, name).shape)})
 
-    def block_projector(self, i):
+    def block_prox(self, i):
         if i != 1:
             return None
         K, L = self.instance.rank, self.instance.n_cols
@@ -286,8 +286,7 @@ def solve_restarts(instance, config=None, restarts=3):
     for r in range(restarts):
         cfg = replace(config, seed=config.seed + r)
         X, S, trace = solve(instance, cfg)
-        h_inf = trace.records[-1].h_inf if trace.records else np.inf
-        runs.append((X, S, trace, h_inf, f_eps(X, instance.eps)))
+        runs.append((X, S, trace, trace.records[-1].h_inf, f_eps(X, instance.eps)))
     feas_tol = 10.0 * config.eps_outer
     feasible = [run for run in runs if run[3] <= feas_tol]
     pool = feasible if feasible else runs

@@ -137,7 +137,10 @@ class TestSolve:
                 "--truth", truth, "--seed", 2, "--restarts", 2, "--out", outdir)
         results = json.loads((outdir / "results.json").read_text())
         assert set(results) == {"X", "S", "mse_db", "feasibility_gap", "f_eps",
-                                "restarts_used"}
+                                "restarts_used", "iterations"}
+        with open(outdir / "trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert results["iterations"] == len(rows) - 1  # the winning restart's rows
         assert results["mse_db"] <= -25.0
         assert results["restarts_used"] == 2
 

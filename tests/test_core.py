@@ -145,33 +145,32 @@ class TestRbsum:
 class TestStationarityResiduals:
     def test_unconstrained_equals_minus_gradient(self, quad3):
         z = np.array([1.0, -2.0, 0.5])
-        e, delta = stationarity_residuals(quad3, z, np.zeros(0), 1.0)
-        g = quad3.Q @ z - quad3.b
-        np.testing.assert_allclose(e, -g, atol=1e-12)
-        np.testing.assert_allclose(delta, -g, atol=1e-12)
+        r = stationarity_residuals(quad3, z, np.zeros(0), 1.0)
+        np.testing.assert_allclose(r, -(quad3.Q @ z - quad3.b), atol=1e-12)
 
     def test_projected_block_interior_zero_gradient(self):
         class BoxBlock(Quad3):
-            def block_projector(self, i):
+            def block_prox(self, i):
                 return lambda v: np.clip(v, -10.0, 10.0)
 
         rng = np.random.default_rng(5)
         M = rng.standard_normal((3, 3))
         prob = BoxBlock(M @ M.T + np.eye(3), np.zeros(3))
-        e, _ = stationarity_residuals(prob, np.zeros(3), np.zeros(0), 1.0)
-        np.testing.assert_allclose(e, 0.0, atol=1e-12)
+        r = stationarity_residuals(prob, np.zeros(3), np.zeros(0), 1.0)
+        np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
-    def test_prox_block_contributes_delta_only(self):
-        class ProxBlock(ToyEquality):
-            def block_nonsmooth_prox(self, i):
-                return lambda z, v: v  # identity prox: delta = x - (x - g) = g
+    def test_prox_block_is_prox_gradient_step(self):
+        class ClipBlock(ToyEquality):
+            def block_prox(self, i):
+                return lambda v: np.clip(v, -0.5, 0.5)
 
-        prob = ProxBlock()
-        z = np.array([2.0, 1.0])
-        e, delta = stationarity_residuals(prob, z, np.array([0.1]), 1.0)
-        assert e.size == 0
-        g = prob.al_block_gradient(0, z, np.array([0.1]), 1.0)
-        np.testing.assert_allclose(delta, g, atol=1e-12)
+        prob = ClipBlock()
+        z = np.array([2.0, 0.25])
+        duals = np.array([0.1])
+        g = prob.al_block_gradient(0, z, duals, 1.0)
+        r = stationarity_residuals(prob, z, duals, 1.0)
+        np.testing.assert_array_equal(r, z - np.clip(z - g, -0.5, 0.5))
+        assert np.abs(r).max() < np.abs(g).max()  # the set absorbs part of the gradient
 
     def test_unsupported_without_gradients(self):
         with pytest.raises(UnsupportedOperationError):
