@@ -5,6 +5,8 @@ so they are safe to call from concurrent workers. Their tolerances are
 the module constants below.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -17,6 +19,8 @@ SYLVESTER_REL = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
 SYLVESTER_ABS = 1e-12
 CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
+SORT_NETWORK_MAX_K = 3        # the simplex projection sorts K x L matrices with at most
+SORT_NETWORK_MIN_COLS = 128   # this many rows and at least this many columns by a network
 
 
 def require_finite(name, value):
@@ -158,12 +162,15 @@ def thin_svd(M):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
     V = Vh.T
-    for j in range(U.shape[1]):
-        _, sgn = fix_sign(U[:, j])
-        U[:, j] *= sgn
-        V[:, j] *= sgn
+    # fix_sign on every column of U at once. ``first`` is the first entry
+    # above SIGN_TOL in magnitude, or U[0, j] when there is none, which then
+    # cannot be below -SIGN_TOL.
+    first = U[(np.abs(U) > SIGN_TOL).argmax(axis=0), np.arange(U.shape[1])]
+    sgn = np.where(first < -SIGN_TOL, -1.0, 1.0)
+    U *= sgn
+    V *= sgn
     norm_m = max(s[0] if s.size else 0.0, 1e-300)
-    resid = np.linalg.norm(U @ np.diag(s) @ V.T - M)
+    resid = np.linalg.norm((U * s) @ V.T - M)
     orth = max(
         np.linalg.norm(U.T @ U - np.eye(U.shape[1])),
         np.linalg.norm(V.T @ V - np.eye(V.shape[1])),
@@ -262,7 +269,7 @@ def project_simplex_columns(S):
     K = S.shape[0]
     if K == 0:
         raise InvalidInputError("cannot project an empty matrix onto the simplex")
-    u = -np.sort(-S, axis=0)
+    u = _sort_columns_descending(S)
     css = np.cumsum(u, axis=0)
     j = np.arange(1, K + 1)[:, None]
     mask = u + (1.0 - css) / j > 0
@@ -271,12 +278,29 @@ def project_simplex_columns(S):
     return np.maximum(S - theta[None, :], 0.0)
 
 
+def _sort_columns_descending(S):
+    """``-np.sort(-S, axis=0)``. A wide matrix with few rows is sorted by an
+    odd-even transposition network of elementwise max/min over the rows,
+    which skips np.sort's per-column cost. Equal entries may come out in
+    another order (0.0 and -0.0), which changes no sum."""
+    K, L = S.shape
+    if K > SORT_NETWORK_MAX_K or L < SORT_NETWORK_MIN_COLS:
+        return -np.sort(-S, axis=0)
+    u = S.copy()
+    for rnd in range(K):
+        for k in range(rnd % 2, K - 1, 2):
+            hi = np.maximum(u[k], u[k + 1])
+            np.minimum(u[k], u[k + 1], out=u[k + 1])
+            u[k] = hi
+    return u
+
+
 def solve_monotone_cubic(a, b, d):
     """Nonnegative root of the strictly increasing cubic a*s^3 + b*s - d = 0.
 
     Requires a > 0, b > 0, d >= 0; the root is unique because the left side
-    is strictly increasing in s. Closed-form (Cardano) evaluation followed
-    by Newton polishing to ``CUBIC_TOL * max(1, |d|)``.
+    is strictly increasing in s. Closed-form (Cardano) evaluation on plain
+    floats followed by Newton polishing to ``CUBIC_TOL * max(1, |d|)``.
     """
     if not (a > 0 and b > 0):
         raise InvalidInputError(f"cubic requires a > 0 and b > 0, got a={a}, b={b}")
@@ -284,22 +308,25 @@ def solve_monotone_cubic(a, b, d):
         raise InvalidInputError(f"cubic requires d >= 0, got d={d}")
     if d == 0:
         return 0.0
-    p = b / a
-    q = d / a
-    disc = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    s = np.cbrt(q / 2.0 + disc) + np.cbrt(q / 2.0 - disc)
-    s = max(s, 0.0)
+    # s^3 + 3t s = 2h. Cardano's root is u - t/u with u^3 = h + sqrt(h^2 + t^3);
+    # since u^3 - (t/u)^3 = 2h, it equals 2h / (u^2 + t + (t/u)^2), which sums
+    # positive terms and so keeps full relative accuracy for a small root.
+    t = b / (3.0 * a)
+    h = d / (2.0 * a)
+    u = math.cbrt(h + math.sqrt(h * h + t * t * t))
+    v = t / u
+    s = 2.0 * h / (u * u + t + v * v)
     tol = CUBIC_TOL * max(1.0, abs(d))
     for _ in range(100):
-        r = a * s**3 + b * s - d
+        r = a * s * s * s + b * s - d
         if abs(r) <= tol:
             break
-        s -= r / (3.0 * a * s**2 + b)
+        s -= r / (3.0 * a * s * s + b)
         if s < 0.0:
             s = 0.0
     else:
+        r = a * s * s * s + b * s - d
         raise NumericalFailureError(
-            f"cubic root polish stalled at residual {a * s ** 3 + b * s - d:.3e}",
-            residual=abs(a * s**3 + b * s - d),
+            f"cubic root polish stalled at residual {r:.3e}", residual=abs(r),
         )
     return float(s)

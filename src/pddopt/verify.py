@@ -971,6 +971,28 @@ def _x_update_alignment(rng):
     return (ok_align, ""), (ok_perm, "")
 
 
+@_property("volmin", "cached-singular-values")
+def _cached_singular_values(rng):
+    # every iterate carries the singular values of its own X, bit for bit
+    inst = _volmin_instance(rng)
+    prob = vm.VolMinProblem(inst)
+    iterates = []
+    for _ in range(10):
+        z, P, Q = rand_volmin_iterate(inst, rng)
+        rho = float(rng.uniform(0.1, 2.0))
+        duals = prob.unpack_duals(np.concatenate([P.ravel(), Q.ravel()]), rho)
+        iterates.append(z)
+        for i in range(3):
+            z = prob.step(i, z, duals, rho)
+            iterates.append(z)
+            v = prob.block_value(i, z) + 0.1 * rng.standard_normal(prob.block_value(i, z).size)
+            iterates.append(prob.set_block_value(i, z, v))
+        iterates.append(vm.replace(z, X=rng.standard_normal(z.X.shape)))
+    stale = sum(z.sigma_X.tobytes() != np.linalg.svd(z.X, compute_uv=False).tobytes()
+                for z in iterates)
+    return stale == 0, f"{stale} of {len(iterates)} iterates stale"
+
+
 @_property("volmin", "mse-permutation-scale-invariance")
 def _mse_invariance(rng):
     Xt = rng.uniform(0.1, 1.0, (10, 3))

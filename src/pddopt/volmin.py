@@ -8,7 +8,8 @@ singular-value shrinkage X step.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -59,11 +60,26 @@ def build_instance(A, rank, eps=1e-2):
 
 @dataclass(frozen=True)
 class VolMinIterate:
-    """Factors and the copy Y of X."""
+    """Factors, the copy Y of X, and the singular values of X.
+
+    ``sigma_X`` is ``np.linalg.svd(X, compute_uv=False)``, computed when the
+    iterate is built. It is taken over from ``prev`` only when ``prev.X`` is
+    this iterate's X object, so ``dataclasses.replace`` with a new X never
+    carries the old values.
+    """
 
     X: np.ndarray    # N x K
     S: np.ndarray    # K x L, columns on the simplex
     Y: np.ndarray    # N x K
+    prev: InitVar["VolMinIterate | None"] = None
+    sigma_X: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, prev):
+        if prev is not None and prev.X is self.X:
+            sigma = prev.sigma_X
+        else:
+            sigma = np.linalg.svd(self.X, compute_uv=False)
+        object.__setattr__(self, "sigma_X", sigma)
 
 
 @dataclass(frozen=True)
@@ -78,28 +94,37 @@ class GroundTruth:
 
 def g_eps(x, eps):
     """Smoothed |x| surrogate and its derivative: x for |x| >= eps, else
-    quadratic ``x^2/(2 eps) + eps/2``. C^1 everywhere, bounded below by eps/2."""
+    quadratic ``x^2/(2 eps) + eps/2``. C^1 everywhere, bounded below by eps/2.
+
+    A scalar ``x`` gives two floats, computed without numpy; an array gives
+    two arrays."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if abs(x) < eps:
+            return x * x / (2.0 * eps) + eps / 2.0, x / eps
+        return x, 1.0
     x = np.asarray(x, dtype=float)
     quad = np.abs(x) < eps
-    val = np.where(quad, x**2 / (2.0 * eps) + eps / 2.0, x)
+    val = np.where(quad, x * x / (2.0 * eps) + eps / 2.0, x)
     der = np.where(quad, x / eps, 1.0)
-    if val.ndim == 0:
-        return float(val), float(der)
     return val, der
+
+
+def _log_volume(sigma, eps):
+    val, _ = g_eps(sigma**2, eps)
+    return float(np.sum(np.log(val)))
 
 
 def f_eps(X, eps):
     """Smoothed log-volume: sum_i log g_eps(sigma_i(X^T X))."""
-    s = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
-    val, _ = g_eps(s**2, eps)
-    return float(np.sum(np.log(val)))
+    return _log_volume(np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False), eps)
 
 
 def f_eps_gradient(X, eps):
     """Gradient of f_eps w.r.t. X (spectral-function chain rule)."""
     U, s, V = numerics.thin_svd(X)
     val, der = g_eps(s**2, eps)
-    return U @ np.diag(2.0 * s * der / val) @ V.T
+    return (U * (2.0 * s * der / val)) @ V.T
 
 
 def update_Y(z, AP, Q, rho):
@@ -114,7 +139,7 @@ def update_Y(z, AP, Q, rho):
 
 def default_beta(Y):
     """Curvature bound for the S-step majorizer, strictly above sigma_1(Y)^2."""
-    return 1.01 * float(np.linalg.norm(Y, ord=2)) ** 2 + 1e-12
+    return 1.01 * float(np.linalg.svd(Y, compute_uv=False)[0]) ** 2 + 1e-12
 
 
 def update_S(z, AP):
@@ -136,16 +161,19 @@ def sigma_subproblem(sigma_bar, g_tilde, rho, eps):
     Minimizes ``g_eps(sigma^2)/g_tilde + (sigma - sigma_bar)^2 / (2 rho)``
     over sigma >= 0 by comparing the two branch candidates (closed form
     above sqrt(eps), monotone cubic below); ties go to the smaller sigma.
+    The arithmetic runs on plain floats.
     """
-    sqrt_eps = np.sqrt(eps)
+    sigma_bar, g_tilde = float(sigma_bar), float(g_tilde)
+    sqrt_eps = math.sqrt(eps)
     cand1 = max(g_tilde * sigma_bar / (2.0 * rho + g_tilde), sqrt_eps)
     root = numerics.solve_monotone_cubic(2.0 / (eps * g_tilde), 1.0 / rho,
                                          sigma_bar / rho)
     cand2 = min(max(root, 0.0), sqrt_eps)
 
     def value(s):
-        gv, _ = g_eps(s**2, eps)
-        return gv / g_tilde + (s - sigma_bar) ** 2 / (2.0 * rho)
+        gv, _ = g_eps(s * s, eps)
+        dev = s - sigma_bar
+        return gv / g_tilde + dev * dev / (2.0 * rho)
 
     v1, v2 = value(cand1), value(cand2)
     if abs(v1 - v2) <= 1e-14 * (1.0 + abs(v1)):
@@ -162,15 +190,11 @@ def update_X(iterate, Q, rho, eps):
     target's singular vectors (trace-inequality alignment).
     """
     z = iterate
-    X_bar = z.Y - rho * Q
-    U, s_bar, V = numerics.thin_svd(X_bar)
-    s_tilde = np.linalg.svd(z.X, compute_uv=False)
-    g_tilde, _ = g_eps(s_tilde**2, eps)
-    s_new = np.array([
-        sigma_subproblem(s_bar[i], g_tilde[i], rho, eps)
-        for i in range(s_bar.size)
-    ])
-    return U @ np.diag(s_new) @ V.T
+    U, s_bar, V = numerics.thin_svd(z.Y - rho * Q)
+    g_tilde, _ = g_eps(z.sigma_X**2, eps)
+    s_new = [sigma_subproblem(sb, gt, rho, eps)
+             for sb, gt in zip(s_bar.tolist(), g_tilde.tolist())]
+    return (U * s_new) @ V.T
 
 
 class VolMinProblem(BlockProblem):
@@ -182,35 +206,44 @@ class VolMinProblem(BlockProblem):
         self.instance = instance
 
     def unpack_duals(self, lam, rho):
-        """``(lam, P, Q, A + rho * P)``: the flat vector, the duals of A - YS
-        and X - Y reshaped from it (views), and the Y and S steps' data term."""
+        """``(lam, P, Q, A + rho * P, h)``: the flat vector, the duals of
+        A - YS and X - Y reshaped from it (views), the Y and S steps' data
+        term, and a vector of lam's size that :meth:`al_value` overwrites
+        with the constraint residual."""
         N, L = self.instance.A.shape
         K = self.instance.rank
         lam = np.asarray(lam, dtype=float)
         P = lam[:N * L].reshape(N, L)
         Q = lam[N * L:].reshape(N, K)
-        return lam, P, Q, self.instance.A + rho * P
+        return lam, P, Q, self.instance.A + rho * P, np.empty_like(lam)
 
-    def constraint(self, z):
-        r1 = self.instance.A - z.Y @ z.S
-        r2 = z.X - z.Y
-        return np.concatenate([r1.ravel(), r2.ravel()])
+    def constraint(self, z, out=None):
+        """``(A - YS, X - Y)`` flattened, written into ``out`` when given."""
+        A = self.instance.A
+        NL = A.size
+        if out is None:
+            out = np.empty(NL + z.X.size)
+        r1 = out[:NL].reshape(A.shape)
+        np.matmul(z.Y, z.S, out=r1)
+        np.subtract(A, r1, out=r1)
+        np.subtract(z.X, z.Y, out=out[NL:].reshape(z.X.shape))
+        return out
 
     def al_value(self, z, duals, rho):
-        h = self.constraint(z)
-        return float(f_eps(z.X, self.instance.eps)
+        h = self.constraint(z, out=duals[4])
+        return float(_log_volume(z.sigma_X, self.instance.eps)
                      + np.dot(duals[0], h) + np.dot(h, h) / (2.0 * rho))
 
     def objective(self, z):
-        return f_eps(z.X, self.instance.eps)
+        return _log_volume(z.sigma_X, self.instance.eps)
 
     def step(self, i, z, duals, rho):
-        _, _, Q, AP = duals
+        _, _, Q, AP, _ = duals
         if i == 0:
-            return replace(z, Y=update_Y(z, AP, Q, rho))
+            return VolMinIterate(z.X, z.S, update_Y(z, AP, Q, rho), prev=z)
         if i == 1:
-            return replace(z, S=update_S(z, AP))
-        return replace(z, X=update_X(z, Q, rho, self.instance.eps))
+            return VolMinIterate(z.X, update_S(z, AP), z.Y, prev=z)
+        return VolMinIterate(update_X(z, Q, rho, self.instance.eps), z.S, z.Y)
 
     # --- diagnostics ------------------------------------------------------
 
@@ -228,7 +261,7 @@ class VolMinProblem(BlockProblem):
         return lambda v: numerics.project_simplex_columns(v.reshape(K, L)).ravel()
 
     def al_block_gradient(self, i, z, duals, rho):
-        _, P, Q, _ = duals
+        _, P, Q, _, _ = duals
         M1 = P + (self.instance.A - z.Y @ z.S) / rho
         M2 = Q + (z.X - z.Y) / rho
         if i == 0:

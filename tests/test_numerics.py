@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -123,6 +124,29 @@ class TestThinSvd:
         np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-12)
 
+    def test_matches_per_column_sign_fix(self):
+        # oracle: fix_sign applied column by column, and U diag(s) V^T
+        def per_column(M):
+            U, s, Vh = np.linalg.svd(M, full_matrices=False)
+            V = Vh.T
+            for j in range(U.shape[1]):
+                _, sgn = numerics.fix_sign(U[:, j])
+                U[:, j] *= sgn
+                V[:, j] *= sgn
+            return U, s, V
+
+        rng = np.random.default_rng(11)
+        mats = [rng.standard_normal((n, k)) for n, k in [(50, 3), (8, 8), (6, 1), (30, 5)]]
+        lead_zero = rng.standard_normal((9, 3))
+        lead_zero[:4] = 0.0    # U's first non-negligible entries lie below row 0
+        mats += [lead_zero, -lead_zero, np.zeros((4, 2)), np.eye(5)[:, :3]]
+        for M in mats:
+            got, want = numerics.thin_svd(M), per_column(M)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            U, s, V = got
+            assert ((U * s) @ V.T).tobytes() == (U @ np.diag(s) @ V.T).tobytes()
+
 
 class TestSylvester:
     def test_identity_coefficients(self):
@@ -207,6 +231,18 @@ def _simplex_grid(dim, steps):
         yield counts / steps
 
 
+def _project_simplex_by_sort(S):
+    """Sort-and-threshold projection with ``-np.sort(-S, axis=0)``."""
+    K = S.shape[0]
+    u = -np.sort(-S, axis=0)
+    css = np.cumsum(u, axis=0)
+    j = np.arange(1, K + 1)[:, None]
+    mask = u + (1.0 - css) / j > 0
+    rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
+    theta = (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
+    return np.maximum(S - theta[None, :], 0.0)
+
+
 def _project_simplex(v):
     return numerics.project_simplex_columns(np.asarray(v, dtype=float)[:, None])[:, 0]
 
@@ -231,6 +267,19 @@ class TestProjectSimplex:
         with pytest.raises(InvalidInputError):
             _project_simplex(np.zeros(0))
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 17])
+    @pytest.mark.parametrize("L", [1, 1000])
+    def test_bit_identical_to_sort(self, K, L):
+        rng = np.random.default_rng(100 * K + L)
+        for _ in range(5):
+            S = rng.standard_normal((K, L))
+            S[:, ::2] = np.round(S[:, ::2])            # ties, 0.0 and -0.0
+            S[:, ::3] *= -0.0
+            S[:K // 2, 1::5] = S[K // 2:2 * (K // 2), 1::5]   # repeated rows
+            S[0, ::7] = -0.0
+            got = numerics.project_simplex_columns(S)
+            assert got.tobytes() == _project_simplex_by_sort(S).tobytes()
+
 
 class TestMonotoneCubic:
     def test_zero_rhs(self):
@@ -243,3 +292,28 @@ class TestMonotoneCubic:
     def test_invalid_inputs(self, a, b, d):
         with pytest.raises(InvalidInputError):
             numerics.solve_monotone_cubic(a, b, d)
+
+    def test_non_finite_input_fails_numerically(self):
+        with pytest.raises(NumericalFailureError):
+            numerics.solve_monotone_cubic(1.0, 1.0, np.inf)
+
+    def test_cardano_closed_form_on_log_grid(self):
+        # Cardano's formula cbrt(q/2 + r) + cbrt(q/2 - r), r = sqrt((q/2)^2 + (p/3)^3),
+        # evaluated in 50-digit decimals, on a log-spaced grid of (a, b, d)
+        def cbrt(x):
+            r = Decimal(abs(float(x)) ** (1.0 / 3.0))
+            for _ in range(6):
+                r -= (r * r * r - abs(x)) / (3 * r * r)
+            return r if x >= 0 else -r
+
+        grid = np.logspace(-6.0, 6.0, 13)
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for a, b, d in itertools.product(grid, repeat=3):
+                p, q = Decimal(b) / Decimal(a), Decimal(d) / Decimal(a)
+                r = ((q / 2) ** 2 + (p / 3) ** 3).sqrt()
+                exact = cbrt(q / 2 + r) + cbrt(q / 2 - r)
+                got = Decimal(numerics.solve_monotone_cubic(float(a), float(b), float(d)))
+                worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 1e-14

@@ -44,6 +44,16 @@ class TestSmoothing:
         X = np.zeros((5, 3))
         assert np.isfinite(vm.f_eps(X, 1e-2))
 
+    def test_scalar_path_matches_array_path(self):
+        eps = 1e-2
+        xs = np.concatenate([np.linspace(-3 * eps, 3 * eps, 101), [eps, -eps, 0.0, -0.0]])
+        vals, ders = vm.g_eps(xs, eps)
+        for x, v, d in zip(xs, vals, ders):
+            got = vm.g_eps(float(x), eps)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == (v, d)
+            assert vm.g_eps(np.float64(x), eps) == got
+
 
 class TestUpdateY:
     def test_s_zero_specialization(self, small):
@@ -219,6 +229,30 @@ class TestFaultInjection:
         np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
         assert S.min() >= 0.0
         assert np.isfinite(trace.records[-1].h_inf)
+
+
+class TestIterate:
+    def test_singular_values_follow_x(self, small):
+        inst, _ = small
+        rng = np.random.default_rng(23)
+        z, _, _ = rand_volmin_iterate(inst, rng)
+        for w in (vm.replace(z, X=2.0 * z.X), vm.replace(z, Y=z.X),
+                  vm.VolMinIterate(X=z.X + 1.0, S=z.S, Y=z.Y, prev=z)):
+            assert w.sigma_X.tobytes() == np.linalg.svd(w.X, compute_uv=False).tobytes()
+        kept = vm.VolMinIterate(X=z.X, S=z.S, Y=2.0 * z.Y, prev=z)
+        assert kept.sigma_X is z.sigma_X
+
+    def test_constraint_matches_concatenation(self, small):
+        inst, _ = small
+        rng = np.random.default_rng(24)
+        prob = vm.VolMinProblem(inst)
+        for _ in range(3):
+            z, P, Q = rand_volmin_iterate(inst, rng)
+            want = np.concatenate([(inst.A - z.Y @ z.S).ravel(), (z.X - z.Y).ravel()])
+            assert prob.constraint(z).tobytes() == want.tobytes()
+            out = np.full(want.size, np.nan)
+            assert prob.constraint(z, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 def _same_iterate(a, b):
