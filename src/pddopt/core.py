@@ -56,7 +56,9 @@ class BlockProblem:
         :func:`pdd_run` calls this once per outer iteration and passes the
         result to every AL call of that iteration, the inner solve included.
         A subclass may unpack ``lam`` into matrices and compute constants
-        that depend only on ``(lam, rho)`` here. The default returns ``lam``.
+        that depend only on ``(lam, rho)`` here. It may also carry a scratch
+        buffer that AL calls overwrite, so one ``duals`` value must not be
+        shared between concurrent calls. The default returns ``lam``.
         """
         return lam
 

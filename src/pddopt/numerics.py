@@ -19,8 +19,6 @@ SYLVESTER_REL = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
 SYLVESTER_ABS = 1e-12
 CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
-SORT_NETWORK_MAX_K = 3        # the simplex projection sorts K x L matrices with at most
-SORT_NETWORK_MIN_COLS = 128   # this many rows and at least this many columns by a network
 
 
 def require_finite(name, value):
@@ -269,30 +267,13 @@ def project_simplex_columns(S):
     K = S.shape[0]
     if K == 0:
         raise InvalidInputError("cannot project an empty matrix onto the simplex")
-    u = _sort_columns_descending(S)
+    u = -np.sort(-S, axis=0)
     css = np.cumsum(u, axis=0)
     j = np.arange(1, K + 1)[:, None]
     mask = u + (1.0 - css) / j > 0
     rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
     theta = (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
     return np.maximum(S - theta[None, :], 0.0)
-
-
-def _sort_columns_descending(S):
-    """``-np.sort(-S, axis=0)``. A wide matrix with few rows is sorted by an
-    odd-even transposition network of elementwise max/min over the rows,
-    which skips np.sort's per-column cost. Equal entries may come out in
-    another order (0.0 and -0.0), which changes no sum."""
-    K, L = S.shape
-    if K > SORT_NETWORK_MAX_K or L < SORT_NETWORK_MIN_COLS:
-        return -np.sort(-S, axis=0)
-    u = S.copy()
-    for rnd in range(K):
-        for k in range(rnd % 2, K - 1, 2):
-            hi = np.maximum(u[k], u[k + 1])
-            np.minimum(u[k], u[k + 1], out=u[k + 1])
-            u[k] = hi
-    return u
 
 
 def solve_monotone_cubic(a, b, d):
@@ -313,9 +294,14 @@ def solve_monotone_cubic(a, b, d):
     # positive terms and so keeps full relative accuracy for a small root.
     t = b / (3.0 * a)
     h = d / (2.0 * a)
-    u = math.cbrt(h + math.sqrt(h * h + t * t * t))
-    v = t / u
-    s = 2.0 * h / (u * u + t + v * v)
+    # The cube root's argument is positive unless h and t^3 both underflow;
+    # then Newton starts from 0.
+    u = (h + math.sqrt(h * h + t * t * t)) ** (1.0 / 3.0)
+    if u > 0.0:
+        v = t / u
+        s = 2.0 * h / (u * u + t + v * v)
+    else:
+        s = 0.0
     tol = CUBIC_TOL * max(1.0, abs(d))
     for _ in range(100):
         r = a * s * s * s + b * s - d

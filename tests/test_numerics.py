@@ -231,18 +231,6 @@ def _simplex_grid(dim, steps):
         yield counts / steps
 
 
-def _project_simplex_by_sort(S):
-    """Sort-and-threshold projection with ``-np.sort(-S, axis=0)``."""
-    K = S.shape[0]
-    u = -np.sort(-S, axis=0)
-    css = np.cumsum(u, axis=0)
-    j = np.arange(1, K + 1)[:, None]
-    mask = u + (1.0 - css) / j > 0
-    rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
-    theta = (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
-    return np.maximum(S - theta[None, :], 0.0)
-
-
 def _project_simplex(v):
     return numerics.project_simplex_columns(np.asarray(v, dtype=float)[:, None])[:, 0]
 
@@ -267,19 +255,6 @@ class TestProjectSimplex:
         with pytest.raises(InvalidInputError):
             _project_simplex(np.zeros(0))
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 8, 17])
-    @pytest.mark.parametrize("L", [1, 1000])
-    def test_bit_identical_to_sort(self, K, L):
-        rng = np.random.default_rng(100 * K + L)
-        for _ in range(5):
-            S = rng.standard_normal((K, L))
-            S[:, ::2] = np.round(S[:, ::2])            # ties, 0.0 and -0.0
-            S[:, ::3] *= -0.0
-            S[:K // 2, 1::5] = S[K // 2:2 * (K // 2), 1::5]   # repeated rows
-            S[0, ::7] = -0.0
-            got = numerics.project_simplex_columns(S)
-            assert got.tobytes() == _project_simplex_by_sort(S).tobytes()
-
 
 class TestMonotoneCubic:
     def test_zero_rhs(self):
@@ -296,6 +271,10 @@ class TestMonotoneCubic:
     def test_non_finite_input_fails_numerically(self):
         with pytest.raises(NumericalFailureError):
             numerics.solve_monotone_cubic(1.0, 1.0, np.inf)
+
+    def test_underflowing_closed_form_falls_back_to_newton(self):
+        # d/(2a) and (b/(3a))^3 both underflow to 0, so the cube root is 0
+        assert numerics.solve_monotone_cubic(1e100, 1e-10, 1e-300) == 0.0
 
     def test_cardano_closed_form_on_log_grid(self):
         # Cardano's formula cbrt(q/2 + r) + cbrt(q/2 - r), r = sqrt((q/2)^2 + (p/3)^3),
