@@ -142,7 +142,10 @@ def _add_config_flags(p):
 
 
 def _config_overrides(args):
-    """CLI flags > config file (app defaults fill the rest)."""
+    """CLI flags > config file (app defaults fill the rest).
+
+    Each value is checked here, before any instance is built or solved, so
+    ``bench`` rejects a bad value once rather than failing every seed."""
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(_read_config_file(args.config))
@@ -150,6 +153,7 @@ def _config_overrides(args):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
+    PddConfig(**overrides)
     return overrides
 
 
@@ -259,8 +263,8 @@ def _truth_from_dict(data):
 
 def cmd_solve(args):
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     overrides = _config_overrides(args)
+    outdir.mkdir(parents=True, exist_ok=True)
     inst, truth = _load_instance(args, args.seed)
     results, trace = _run_app(args, overrides, inst, truth, args.seed,
                               outdir / "trace.csv")

@@ -13,8 +13,9 @@ so the penalty *strengthens* as rho shrinks toward zero, and the dual
 update on the AL branch is ``lam <- lam + h(z)/rho``.
 """
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,12 +26,14 @@ IPDD = "ipdd"
 
 STOP_OBJECTIVE = "objective-progress"
 STOP_RESIDUAL = "residual"
-STOP_ITERATION_CAP = "iteration-cap"
-_STOP_RULES = (STOP_OBJECTIVE, STOP_RESIDUAL, STOP_ITERATION_CAP)
+_STOP_RULES = (STOP_OBJECTIVE, STOP_RESIDUAL)
 
 BRANCH_DUAL = "dual-update"
 BRANCH_PENALTY = "penalty-decrease"
 BRANCH_BOTH = "dual+penalty"  # IPDD performs both updates every iteration
+
+# what a PddConfig field annotated float or int accepts (bool excluded)
+_NUMBER_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer")}
 
 
 class BlockProblem:
@@ -114,23 +117,30 @@ class BlockProblem:
 
 @dataclass
 class PddConfig:
-    """Schedules and stopping rules for the PDD/IPDD outer loop."""
+    """Schedules and stopping rules for the PDD/IPDD outer loop.
+
+    A value of the wrong type or range raises :class:`InvalidInputError`
+    naming the field.
+    """
 
     mode: str = PDD
     rho0: float = 1.0            # initial penalty parameter
     c: float = 0.6               # penalty shrink on the penalty branch; eps shrink always
     tau: float = 0.9             # constraint-violation threshold shrink
-    eta0: float | None = None    # None: max(1, ||h(z0)||_inf)
     eps0: float = 1e-3           # initial inner accuracy
     max_outer: int = 50
     max_inner: int = 100
     eps_outer: float = 1e-4      # outer feasibility tolerance on ||h||_inf
     inner_stop: str = STOP_OBJECTIVE
     seed: int = 0
-    rho_min: float | None = None  # None: 1e-8 * rho0; 0 disables the floor
     eps_min: float = 0.0         # floor for the inner accuracy schedule
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, noun = _NUMBER_KINDS.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise InvalidInputError(f"{f.name} must be {noun}, got {value!r}")
         if self.mode not in (PDD, IPDD):
             raise InvalidInputError(f"mode must be '{PDD}' or '{IPDD}', got {self.mode!r}")
         if not self.rho0 > 0:
@@ -139,25 +149,21 @@ class PddConfig:
             raise InvalidInputError(f"c must lie in (0, 1), got {self.c}")
         if not 0 < self.tau < 1:
             raise InvalidInputError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.eta0 is not None and not self.eta0 > 0:
-            raise InvalidInputError(f"eta0 must be positive, got {self.eta0}")
         if not self.eps0 > 0:
             raise InvalidInputError(f"eps0 must be positive, got {self.eps0}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise InvalidInputError("max_outer and max_inner must be >= 1")
+        for name in ("max_outer", "max_inner"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.eps_outer >= 0:
+            raise InvalidInputError(f"eps_outer must be >= 0, got {self.eps_outer}")
         if self.inner_stop not in _STOP_RULES:
             raise InvalidInputError(
                 f"inner_stop must be one of {_STOP_RULES}, got {self.inner_stop!r}"
             )
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.rho_min is not None and self.rho_min < 0:
-            raise InvalidInputError(f"rho_min must be >= 0, got {self.rho_min}")
-        if self.eps_min < 0:
+        if not self.eps_min >= 0:
             raise InvalidInputError(f"eps_min must be >= 0, got {self.eps_min}")
-
-    def resolved_rho_min(self):
-        return 1e-8 * self.rho0 if self.rho_min is None else self.rho_min
 
 
 @dataclass
@@ -239,17 +245,13 @@ def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-
                 f"inner descent violated at iteration {it}: {L_prev} -> {L}"
             )
         if stop == STOP_OBJECTIVE:
-            if abs(L - L_prev) <= eps_inner * (1.0 + abs(L_prev)):
-                converged = True
-                break
-        elif stop == STOP_RESIDUAL:
-            if _inf_norm(stationarity_residuals(problem, z, duals, rho)) <= eps_inner:
-                converged = True
-                break
+            converged = abs(L - L_prev) <= eps_inner * (1.0 + abs(L_prev))
+        else:
+            converged = _inf_norm(stationarity_residuals(problem, z, duals, rho)) <= eps_inner
+        if converged:
+            break
         L_prev = L
-    if stop == STOP_ITERATION_CAP:
-        converged = True
-    return z, it, converged
+    return z, it, bool(converged)
 
 
 def pdd_run(problem, z0, lam0, config, on_iteration=None):
@@ -257,9 +259,11 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
 
     Returns ``(z, lam, trace)``. In PDD mode each outer iteration either
     updates the duals (when ``||h||_inf <= eta_k``) or shrinks the penalty;
-    IPDD does both every iteration. Terminates when ``||h||_inf`` falls
-    below ``config.eps_outer`` with the inner stop satisfied, or at
-    ``config.max_outer``.
+    IPDD does both every iteration. The threshold starts at
+    ``eta_1 = max(1, ||h(z0)||_inf)``, and the penalty never falls below
+    ``1e-8 * config.rho0`` (each clamp counts in ``trace.rho_floor_hits``).
+    Terminates when ``||h||_inf`` falls below ``config.eps_outer`` with the
+    inner stop satisfied, or at ``config.max_outer``.
 
     Each outer iteration calls ``problem.unpack_duals(lam, rho)`` once and
     passes the result to the inner solve and to the iteration's AL value.
@@ -276,9 +280,9 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
         )
     z = z0
     rho = config.rho0
-    eta = config.eta0 if config.eta0 is not None else max(1.0, _inf_norm(h0))
+    eta = max(1.0, _inf_norm(h0))
     eps = config.eps0
-    rho_min = config.resolved_rho_min()
+    rho_floor = 1e-8 * config.rho0
     trace = PddTrace()
 
     for k in range(1, config.max_outer + 1):
@@ -312,8 +316,8 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
             lam = lam + h / rho
         if branch != BRANCH_DUAL:
             rho = config.c * rho
-            if rho < rho_min:
-                rho = rho_min
+            if rho < rho_floor:
+                rho = rho_floor
                 trace.rho_floor_hits += 1
 
         rec = PddRecord(

@@ -78,17 +78,20 @@ def build_instance(channels, groups, sigma2, p_bs):
     equals the SINR of user k when the per-group beamformers are scaled
     by sqrt(p_bs). For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)``
     and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
-    instance keeps only the O(K N_t) channel data. A non-finite channel,
-    noise power or budget, or a ``sigma2`` that is neither a scalar nor K
-    entries, raises :class:`InvalidInputError` naming the field
-    (``channels``, ``sigma2``, ``P_BS``). So does a user with an all-zero
-    channel: its SINR is 0 for every beamformer, and the w-update
-    surrogate divides by its gain.
+    instance keeps only the O(K N_t) channel data. A zero dimension
+    (``N_t``, ``n_groups``, ``K``), a non-finite channel, noise power or
+    budget, or a ``sigma2`` that is neither a scalar nor K entries, raises
+    :class:`InvalidInputError` naming the dimension or field (``channels``,
+    ``sigma2``, ``P_BS``). So does a user with an all-zero channel: its SINR
+    is 0 for every beamformer, and the w-update surrogate divides by its
+    gain.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
         raise InvalidInputError(f"channels must be K x N_t, got shape {channels.shape}")
     K, n_t = channels.shape
+    groups = tuple(tuple(int(u) for u in g) for g in groups)
+    numerics.require_dims("multicast", N_t=n_t, n_groups=len(groups), K=K)
     numerics.require_finite("channels", channels)
     dead = np.flatnonzero(~np.any(channels, axis=1))
     if dead.size:
@@ -99,7 +102,6 @@ def build_instance(channels, groups, sigma2, p_bs):
     numerics.require_finite("P_BS", p_bs)
     if p_bs <= 0:
         raise InvalidInputError(f"power budget must be positive, got {p_bs}")
-    groups = tuple(tuple(int(u) for u in g) for g in groups)
     if any(len(g) == 0 for g in groups):
         raise InvalidInputError("every group needs at least one user")
     seen = [u for g in groups for u in g]
@@ -365,11 +367,8 @@ def default_config(instance, seed=0, **overrides):
     The inner loop stops on the stationarity residual (the accuracy the
     eps schedule refers to); gradients are cheap for this problem.
     """
-    cfg = dict(
-        mode="pdd", rho0=0.5 * instance.n_users, c=0.6, tau=0.9,
-        eps0=1e-3, eps_outer=1e-4, eps_min=1e-5,
-        max_outer=50, max_inner=100, seed=seed, inner_stop="residual",
-    )
+    cfg = dict(rho0=0.5 * instance.n_users, inner_stop="residual", eps_min=1e-5,
+               seed=seed)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -453,6 +452,8 @@ def kkt_residual(w, instance):
 
 def gen_instance(n_t, n_groups, users_per_group, p_bs, seed, sigma2=1.0):
     """Random network with i.i.d. CN(0, 1) channels and equal group sizes."""
+    numerics.require_dims("multicast", N_t=n_t, n_groups=n_groups,
+                          users_per_group=users_per_group)
     rng = np.random.default_rng(seed)
     K = n_groups * users_per_group
     channels = (rng.standard_normal((K, n_t)) + 1j * rng.standard_normal((K, n_t))) / np.sqrt(2.0)

@@ -28,6 +28,14 @@ def require_finite(name, value):
         raise InvalidInputError(f"{name} has a non-finite entry")
 
 
+def require_dims(app, **dims):
+    """Raise :class:`InvalidInputError` naming the first of ``dims``
+    (dimension name to size) of the ``app`` instance that is below 1."""
+    for name, n in dims.items():
+        if n < 1:
+            raise InvalidInputError(f"{app} dimension {name} must be at least 1, got {n}")
+
+
 def per_user(name, value, n):
     """``value``, a scalar or ``n`` entries, as a new float vector of length ``n``.
 

@@ -43,9 +43,10 @@ class RelayInstance:
 def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
     """Validate and store one relay network.
 
-    Every value must be finite, and ``sigma2`` and ``alpha`` each a scalar
-    or K entries; an :class:`InvalidInputError` names the first field (by
-    its :func:`instance_to_dict` key) that is not.
+    Each dimension (N_s, N_r, K) must be at least 1, every value finite,
+    and ``sigma2`` and ``alpha`` each a scalar or K entries; an
+    :class:`InvalidInputError` names the first dimension or field (by its
+    :func:`instance_to_dict` key) that is not.
     """
     H = np.asarray(H, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -53,6 +54,7 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
     if g.ndim != 2 or g.shape[1] != n_r:
         raise InvalidInputError(f"relay-user channels must be K x {n_r}, got {g.shape}")
     K = g.shape[0]
+    numerics.require_dims("relay", N_s=n_s, N_r=n_r, K=K)
     sigma2 = numerics.per_user("sigma2", sigma2, K)
     alpha = np.ones(K) if alpha is None else numerics.per_user("alpha", alpha, K)
     for name, value in (("H", H), ("g", g), ("sigma_R2", sigma_r2), ("sigma2", sigma2),
@@ -336,18 +338,16 @@ class RelayProblem(BlockProblem):
 def default_config(instance, seed=0, **overrides):
     """Penalty schedule with the size-scaled initial value used in experiments.
 
-    The shrink factor 0.6 moves the penalty out of its ineffective large
-    range quickly enough for the dual updates to engage well inside the
-    iteration budget; the slow threshold decay (tau = 0.99) then keeps the
-    dual branch active once the violation starts contracting.
+    The default shrink factor c = 0.6 moves the penalty out of its
+    ineffective large range quickly enough for the dual updates to engage
+    well inside the iteration budget; the slow threshold decay
+    (tau = 0.99) then keeps the dual branch active once the violation
+    starts contracting.
     """
     K, n_r, n_s = instance.n_users, instance.n_r, instance.n_s
     rho0 = 500.0 * K / (2.0 * K * n_r + n_s**2 + K * n_s)
-    cfg = dict(
-        mode="pdd", rho0=rho0, c=0.6, tau=0.99,
-        eps0=1e-3, eps_outer=1e-3, eps_min=1e-5,
-        max_outer=30, max_inner=100, seed=seed,
-    )
+    cfg = dict(rho0=rho0, tau=0.99, max_outer=30, eps_outer=1e-3, eps_min=1e-5,
+               seed=seed)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -407,6 +407,7 @@ def solve(instance, config=None, on_iteration=None):
 
 def gen_instance(n_s, n_r, n_users, snr_db, seed, sigma_r2=1.0, sigma2=1.0):
     """Random network: unit-variance CN channels, P_S = P_R = 10^(snr/10)."""
+    numerics.require_dims("relay", N_s=n_s, N_r=n_r, K=n_users)
     rng = np.random.default_rng(seed)
     p = 10.0 ** (snr_db / 10.0)
     H = (rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))) / np.sqrt(2.0)

@@ -407,8 +407,7 @@ def _pdd_branch_identities(rng):
     # the PDD branch identities, replayed from a trace
     toy = ToyEquality()
     cfg = PddConfig(mode="pdd", rho0=1.0, c=0.7, tau=0.9, eps0=1e-2,
-                    max_outer=25, inner_stop="iteration-cap", max_inner=1,
-                    eps_outer=1e-12)
+                    max_outer=25, max_inner=1, eps_outer=1e-12)
     z0 = np.array([4.0, 1.0])
     _, lam_final, trace = pdd_run(toy, z0, np.zeros(1), cfg)
     ok_pen, ok_eta = True, True
@@ -435,7 +434,7 @@ def _pdd_branch_identities(rng):
 def _ipdd_toy(rng):
     toy = ToyEquality()
     cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=50,
-                    inner_stop="iteration-cap", max_inner=1, eps_outer=1e-7)
+                    max_inner=1, eps_outer=1e-7)
     z0 = np.array([5.0, 3.0, -2.0])
     z, lam_final, trace = pdd_run(toy, z0, np.zeros(1), cfg)
     lam = np.zeros(1)

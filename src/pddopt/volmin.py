@@ -93,7 +93,7 @@ class GroundTruth:
 
 
 def g_eps(x, eps):
-    """Smoothed |x| surrogate and its derivative: x for |x| >= eps, else
+    """Smoothed |x| surrogate and its derivative: |x| for |x| >= eps, else
     quadratic ``x^2/(2 eps) + eps/2``. C^1 everywhere, bounded below by eps/2.
 
     A scalar ``x`` gives two floats, computed without numpy; an array gives
@@ -102,11 +102,12 @@ def g_eps(x, eps):
         x = float(x)
         if abs(x) < eps:
             return x * x / (2.0 * eps) + eps / 2.0, x / eps
-        return x, 1.0
+        return abs(x), math.copysign(1.0, x)
     x = np.asarray(x, dtype=float)
-    quad = np.abs(x) < eps
-    val = np.where(quad, x * x / (2.0 * eps) + eps / 2.0, x)
-    der = np.where(quad, x / eps, 1.0)
+    ax = np.abs(x)
+    quad = ax < eps
+    val = np.where(quad, x * x / (2.0 * eps) + eps / 2.0, ax)
+    der = np.where(quad, x / eps, np.sign(x))
     return val, der
 
 
@@ -272,11 +273,7 @@ class VolMinProblem(BlockProblem):
 
 
 def default_config(instance, seed=0, **overrides):
-    cfg = dict(
-        mode="pdd", rho0=instance.n_cols / 100.0, c=0.6, tau=0.9,
-        eps0=1e-3, eps_outer=1e-4,
-        max_outer=30, max_inner=100, seed=seed,
-    )
+    cfg = dict(rho0=instance.n_cols / 100.0, max_outer=30, seed=seed)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -371,8 +368,10 @@ def gen_data(N, K, L, gamma, snr_db, seed):
     must exceed 1/K for the rejection sampler to terminate. ``snr_db`` of
     ``inf``/None gives noiseless data; otherwise white Gaussian noise is
     scaled so the average per-column signal-to-noise power ratio matches.
-    Returns (instance, ground_truth).
+    Returns (instance, ground_truth). A dimension N, K or L below 1 raises
+    :class:`InvalidInputError` naming it.
     """
+    numerics.require_dims("volmin", N=N, K=K, L=L)
     if not 1.0 / K < gamma <= 1.0:
         raise InvalidInputError(f"gamma must lie in (1/K, 1], got {gamma}")
     rng = np.random.default_rng(seed)

@@ -305,12 +305,51 @@ class TestBadInputExitCode:
         assert f"cannot read JSON config file {cfg}: Expecting value" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        # the inner descent check has no switch: descent_check is not a field
-        for key, value in (("rho_0", 1), ("descent_check", True)):
+        # the inner descent check has no switch, pdd_run sets eta_1 and the rho
+        # floor itself, and the iteration cap is not a stop rule
+        for data, message in (
+            ({"rho_0": 1}, "unknown PddConfig field(s) rho_0"),
+            ({"descent_check": True}, "unknown PddConfig field(s) descent_check"),
+            ({"eta0": 1.0}, "unknown PddConfig field(s) eta0"),
+            ({"rho_min": 0.0}, "unknown PddConfig field(s) rho_min"),
+            ({"inner_stop": "iteration-cap"}, "error: inner_stop must be one of"),
+        ):
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({key: value}))
+            cfg.write_text(json.dumps(data))
             assert self._solve_relay(tmp_path, "--config", cfg) == 2
-            assert f"unknown PddConfig field(s) {key}" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"max_outer": "abc"}, {"rho0": None}, {"c": [0.5]}, {"tau": "0.9"},
+        {"max_inner": 2.5}, {"eps_outer": -1},
+    ], ids=["max_outer-str", "rho0-null", "c-list", "tau-str", "max_inner-float",
+            "eps_outer-negative"])
+    def test_malformed_config_value(self, tmp_path, capsys, data):
+        (name,) = data
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert self._solve_relay(tmp_path, "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must ")
+
+    def test_bench_rejects_bad_config_before_solving(self, tmp_path, capsys):
+        code = run_cli("bench", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,
+                       "--seeds", "0,1", "--rho0", -1, "--out", tmp_path / "bench")
+        assert code == 2
+        assert capsys.readouterr().err == "error: rho0 must be positive, got -1.0\n"
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--app", "relay", "--k", 0), "relay dimension K "),
+        (("--app", "relay", "--ns", 0), "relay dimension N_s "),
+        (("--app", "multicast", "--groups", 0), "multicast dimension n_groups "),
+        (("--app", "multicast", "--nt", 0), "multicast dimension N_t "),
+        (("--app", "volmin", "--k", 0), "volmin dimension K "),
+        (("--app", "volmin", "--n", 0), "volmin dimension N "),
+    ], ids=["relay-k", "relay-ns", "multicast-groups", "multicast-nt", "volmin-k",
+            "volmin-n"])
+    def test_empty_dimension(self, tmp_path, capsys, argv, name):
+        assert run_cli("solve", *argv, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == f"error: {name}must be at least 1, got 0\n"
 
     def test_seed_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -477,4 +516,22 @@ class TestCliMatchesLibrary:
         np.testing.assert_array_equal(ioformats.pairs_to_complex(results["F"]), res["F"])
         assert results["sum_rate_nats"] == res["sum_rate_nats"]
         assert results["iterations"] == len(res["trace"].records)
+        assert _trace_rows_without_time(outdir / "trace.csv") == _expected_rows(res["trace"])
+
+    def test_relay_config_flags(self, tmp_path):
+        from pddopt import relay as rl
+
+        path, outdir, seed = tmp_path / "rel.json", tmp_path / "run", 2
+        run_cli("gen", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2,
+                "--snr-db", 10, "--seed", seed, "--out", path)
+        run_cli("solve", "--app", "relay", "--instance", path, "--seed", seed,
+                "--rho0", 5.0, "--c", 0.5, "--tau", 0.8, "--eps0", 1e-2,
+                "--max-inner", 20, "--max-outer", 12, "--mode", "ipdd", "--out", outdir)
+        inst = rl.instance_from_dict(json.loads(path.read_text()))
+        config = rl.default_config(inst, seed=seed, rho0=5.0, c=0.5, tau=0.8, eps0=1e-2,
+                                   max_inner=20, max_outer=12, mode="ipdd")
+        res = rl.solve(inst, config)
+        assert {rec.branch for rec in res["trace"].records} == {"dual+penalty"}
+        results = json.loads((outdir / "results.json").read_text())
+        np.testing.assert_array_equal(ioformats.pairs_to_complex(results["V"]), res["V"])
         assert _trace_rows_without_time(outdir / "trace.csv") == _expected_rows(res["trace"])

@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
@@ -49,16 +51,57 @@ class TestPddConfig:
         dict(mode="foo"), dict(rho0=0.0), dict(rho0=-1.0), dict(c=0.0),
         dict(c=1.0), dict(tau=1.5), dict(eps0=0.0), dict(tau=0.0),
         dict(max_outer=0), dict(max_inner=0), dict(inner_stop="bogus"),
-        dict(rho_min=-1.0), dict(eta0=0.0), dict(eps_min=-1e-3), dict(seed=-1),
+        dict(inner_stop="iteration-cap"), dict(eps_outer=-1.0), dict(eps_min=-1e-3),
+        dict(seed=-1),
+        dict(max_outer="abc"), dict(rho0=None), dict(c=[0.5]), dict(tau="0.9"),
+        dict(max_inner=2.5), dict(max_outer=3.0), dict(max_inner=True),
+        dict(rho0=True), dict(seed=1.0), dict(eps_outer=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInputError):
+        (name,) = kwargs
+        with pytest.raises(InvalidInputError, match=f"^{name} must"):
             PddConfig(**kwargs)
 
-    def test_resolved_defaults(self):
-        cfg = PddConfig(rho0=2.0, c=0.5)
-        assert cfg.resolved_rho_min() == pytest.approx(2e-8)
-        assert PddConfig(rho_min=0.0).resolved_rho_min() == 0.0
+    def test_fields(self):
+        assert [f.name for f in fields(PddConfig)] == [
+            "mode", "rho0", "c", "tau", "eps0", "max_outer", "max_inner",
+            "eps_outer", "inner_stop", "seed", "eps_min"]
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = PddConfig(rho0=2, eps0=1, eps_outer=0, eps_min=0)
+        assert (cfg.rho0, cfg.eps0, cfg.eps_outer, cfg.eps_min) == (2, 1, 0, 0)
+        PddConfig(max_outer=np.int64(3), rho0=np.float64(0.5))
+
+
+class TestAppDefaultConfigs:
+    """Each app's ``default_config`` on one fixed instance, field by field."""
+
+    def test_multicast(self):
+        from pddopt import multicast as mc
+
+        inst = mc.gen_instance(8, 4, 2, 10.0, seed=0)
+        assert asdict(mc.default_config(inst, seed=3)) == dict(
+            mode="pdd", rho0=4.0, c=0.6, tau=0.9, eps0=1e-3, max_outer=50,
+            max_inner=100, eps_outer=1e-4, inner_stop="residual", seed=3,
+            eps_min=1e-5)
+
+    def test_relay(self):
+        from pddopt import relay as rl
+
+        inst = rl.gen_instance(4, 4, 4, 10.0, seed=0)
+        assert asdict(rl.default_config(inst, seed=3)) == dict(
+            mode="pdd", rho0=31.25, c=0.6, tau=0.99, eps0=1e-3, max_outer=30,
+            max_inner=100, eps_outer=1e-3, inner_stop="objective-progress", seed=3,
+            eps_min=1e-5)
+
+    def test_volmin(self):
+        from pddopt import volmin as vm
+
+        inst, _ = vm.gen_data(10, 3, 200, 0.8, None, seed=0)
+        assert asdict(vm.default_config(inst, seed=3)) == dict(
+            mode="pdd", rho0=2.0, c=0.6, tau=0.9, eps0=1e-3, max_outer=30,
+            max_inner=100, eps_outer=1e-4, inner_stop="objective-progress", seed=3,
+            eps_min=0.0)
 
 
 class TestBranchLogic:
@@ -66,11 +109,12 @@ class TestBranchLogic:
         # h values chosen to force dual (<= eta), then penalty, then dual
         h_script = [0.5, 2.0, 0.1]
         prob = ScriptedConstraint(h_script)
-        cfg = PddConfig(mode="pdd", rho0=2.0, c=0.5, tau=0.9, eta0=1.0,
-                        eps0=1e-3, max_outer=3, inner_stop="iteration-cap",
-                        max_inner=1, eps_outer=0.0)
+        cfg = PddConfig(mode="pdd", rho0=2.0, c=0.5, tau=0.9, eps0=1e-3,
+                        max_outer=3, max_inner=1, eps_outer=0.0)
         z, lam, trace = pdd_run(prob, 0.0, np.zeros(1), cfg)
         recs = trace.records
+        # eta_1 = max(1, |h(z0)|) = 1 at z0 = 0
+        assert recs[0].eta == 1.0
         # k=1: h=0.5 <= eta=1.0 -> dual branch: lam jumps by h/rho, rho kept
         assert recs[0].branch == "dual-update"
         lam1 = 0.0 + 0.5 / 2.0
@@ -84,20 +128,22 @@ class TestBranchLogic:
         assert lam[0] == lam1 + 0.1 / 1.0  # float-exact dual update identity
 
     def test_rho_monotone_and_floor(self):
-        prob = ScriptedConstraint([10.0] * 8)
-        cfg = PddConfig(mode="pdd", rho0=1.0, c=0.5, eta0=0.5, eps0=1e-3,
-                        max_outer=8, inner_stop="iteration-cap", max_inner=1,
-                        eps_outer=0.0, rho_min=0.05)
+        # h = 10 > eta every time: 30 penalty steps; 2 * 0.5**27 is the first
+        # below the 1e-8 * rho0 floor, so steps 27..30 are clamped
+        prob = ScriptedConstraint([10.0] * 30)
+        cfg = PddConfig(mode="pdd", rho0=2.0, c=0.5, eps0=1e-3, max_outer=30,
+                        max_inner=1, eps_outer=0.0)
         _, _, trace = pdd_run(prob, 0.0, np.zeros(1), cfg)
         rhos = trace.column("rho")
         assert all(r2 <= r1 for r1, r2 in zip(rhos, rhos[1:]))
-        assert min(rhos) >= 0.05 - 1e-15
-        assert trace.rho_floor_hits > 0
+        assert rhos[:27] == [2.0 * 0.5**k for k in range(27)]
+        assert rhos[27:] == [1e-8 * 2.0] * 3
+        assert trace.rho_floor_hits == 4
 
     def test_ipdd_updates_both_every_iteration(self):
         prob = ScriptedConstraint([1.0, 1.0, 1.0])
         cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.5, eps0=1e-3, max_outer=3,
-                        inner_stop="iteration-cap", max_inner=1, eps_outer=0.0)
+                        max_inner=1, eps_outer=0.0)
         _, lam, trace = pdd_run(prob, 0.0, np.zeros(1), cfg)
         assert [r.branch for r in trace.records] == ["dual+penalty"] * 3
         assert trace.column("rho") == [1.0, 0.5, 0.25]
@@ -112,7 +158,7 @@ class TestRbsum:
         z = np.array([4.0, 1.0])
         vals = []
         for _ in range(5):
-            z, _, _ = rbsum_run(prob, z, lam, rho, stop="iteration-cap", max_inner=1)
+            z, _, _ = rbsum_run(prob, z, lam, rho, max_inner=1)
             vals.append(prob.al_value(z, lam, rho))
         assert vals[1:] == [vals[0]] * 4
 
@@ -130,8 +176,7 @@ class TestRbsum:
                 return z + 1.0
 
         with pytest.raises(NumericalFailureError):
-            rbsum_run(Ascending(), 0.0, np.zeros(0), 1.0, stop="iteration-cap",
-                      max_inner=3)
+            rbsum_run(Ascending(), 0.0, np.zeros(0), 1.0, max_inner=3)
 
     def test_nan_al_raises(self):
         class NanProblem(ToyEquality):
@@ -181,8 +226,7 @@ class TestPddRunSchedules:
     def test_eta_and_eps_schedules(self):
         prob = ScriptedConstraint(list(np.linspace(2.0, 0.1, 10)))
         cfg = PddConfig(mode="pdd", rho0=1.0, c=0.7, tau=0.9, eps0=1e-2,
-                        max_outer=10, inner_stop="iteration-cap", max_inner=1,
-                        eps_outer=0.0)
+                        max_outer=10, max_inner=1, eps_outer=0.0)
         _, _, trace = pdd_run(prob, 0.0, np.zeros(1), cfg)
         etas = trace.column("eta")
         hs = trace.column("h_inf")
@@ -202,8 +246,7 @@ class TestPddRunSchedules:
         monkeypatch.setattr(core, "rbsum_run", recording)
         prob = ScriptedConstraint([1.0] * 6)
         cfg = PddConfig(rho0=1.0, c=0.5, eps0=1e-2, eps_min=4e-3, max_outer=6,
-                        inner_stop="iteration-cap", max_inner=1, eps_outer=0.0,
-                        eta0=10.0)
+                        max_inner=1, eps_outer=0.0)
         pdd_run(prob, 0.0, np.zeros(1), cfg)
         # eps shrinks by c: 1e-2, 5e-3, then the 4e-3 floor
         assert eps == [1e-2, 5e-3, 4e-3, 4e-3, 4e-3, 4e-3]
@@ -215,7 +258,7 @@ class TestPddRunSchedules:
     def test_termination_needs_inner_accuracy(self):
         # feasible from the start, but eps_k must fall below eps_outer first
         cfg = PddConfig(mode="pdd", rho0=1.0, c=0.5, eps0=1.0, eps_outer=1e-1,
-                        max_outer=20, inner_stop="iteration-cap", max_inner=3)
+                        max_outer=20, max_inner=3)
         _, _, trace = pdd_run(ToyEquality(), np.array([1.0, 0.0, 0.0]),
                               np.array([-2.0]), cfg)
         assert trace.converged
@@ -252,7 +295,9 @@ class TestDualsContract:
     @pytest.mark.parametrize("mode", ["pdd", "ipdd"])
     def test_unpacked_once_per_outer_iteration(self, mode):
         prob = RecordingToy()
-        cfg = PddConfig(mode=mode, rho0=1.0, c=0.5, eta0=0.05, eps0=1e-2, max_outer=8,
+        # a weak initial penalty leaves |h| above eta_k after the first dual
+        # step, so PDD takes both branches
+        cfg = PddConfig(mode=mode, rho0=100.0, c=0.5, eps0=1e-2, max_outer=8,
                         inner_stop="residual", max_inner=3, eps_outer=0.0)
         lam0 = np.array([0.3])
         _, lam_final, trace = pdd_run(prob, np.array([4.0, 1.0]), lam0, cfg)
@@ -279,7 +324,7 @@ class TestTrace:
         # toy run with dual updates every iteration: the recorded h_inf
         # must be non-increasing along the dual-branch subsequence
         cfg = PddConfig(mode="ipdd", rho0=1.0, c=0.8, eps0=1e-3, max_outer=20,
-                        inner_stop="iteration-cap", max_inner=1, eps_outer=0.0)
+                        max_inner=1, eps_outer=0.0)
         _, _, trace = pdd_run(ToyEquality(), np.array([4.0, 2.0]), np.zeros(1), cfg)
         hs = [h for h, branch in zip(trace.column("h_inf"), trace.column("branch"))
               if "dual" in branch]

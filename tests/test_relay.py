@@ -252,10 +252,10 @@ class TestUnpackDuals:
         lam = prob.pack_duals(*duals)
         for _ in range(2):
             z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.7), 0.7,
-                                    stop="iteration-cap", seed=5, max_inner=4)
+                                    seed=5, max_inner=4)
             fresh = rl.RelayProblem(inst222)
             z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.7),
-                                            0.7, stop="iteration-cap", seed=5, max_inner=4)
+                                            0.7, seed=5, max_inner=4)
             assert iters == iters_ref and _same_iterate(z, z_ref)
             lam *= -0.5       # in place, between the runs
             lam[0] += 1.0

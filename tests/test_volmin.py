@@ -54,6 +54,17 @@ class TestSmoothing:
             assert got == (v, d)
             assert vm.g_eps(np.float64(x), eps) == got
 
+    def test_negative_argument_mirrors_positive(self):
+        eps = 1e-2
+        assert vm.g_eps(-1.0, eps) == (1.0, -1.0)
+        xs = np.array([eps, 2 * eps, 1.0, 0.5 * eps, 0.0])
+        vals, ders = vm.g_eps(xs, eps)
+        vals_neg, ders_neg = vm.g_eps(-xs, eps)
+        np.testing.assert_array_equal(vals_neg, vals)
+        np.testing.assert_array_equal(ders_neg, -ders)
+        for x, v, d in zip(-xs, vals_neg, ders_neg):
+            assert vm.g_eps(float(x), eps) == (v, d)
+
 
 class TestUpdateY:
     def test_s_zero_specialization(self, small):
@@ -270,10 +281,10 @@ class TestUnpackDuals:
         prob = vm.VolMinProblem(inst)
         for _ in range(2):
             z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.4), 0.4,
-                                    stop="iteration-cap", seed=5, max_inner=4)
+                                    seed=5, max_inner=4)
             fresh = vm.VolMinProblem(inst)
             z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.4),
-                                            0.4, stop="iteration-cap", seed=5, max_inner=4)
+                                            0.4, seed=5, max_inner=4)
             assert iters == iters_ref and _same_iterate(z, z_ref)
             lam *= -0.5       # in place, between the runs
             lam[0] += 1.0
