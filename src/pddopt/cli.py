@@ -373,13 +373,17 @@ def _parse_seeds(expr):
 def cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
     overrides = _config_overrides(args)
+    if args.app == "volmin" and args.restarts < 1:  # once, not once per seed
+        raise InvalidInputError(f"--restarts must be at least 1, got {args.restarts}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in seeds:
         t0 = time.perf_counter()
+        # outside the per-seed catch: a malformed instance or dimension is
+        # the same for every seed, so the first seed ends the run (exit 2)
+        inst, truth = _load_instance(args, seed)
         try:
-            inst, truth = _load_instance(args, seed)
             results, _ = _run_app(args, overrides, inst, truth, seed,
                                   outdir / f"trace_seed{seed}.csv")
             objective = {

@@ -8,7 +8,7 @@ while the inner BSUM alternates an exact t-update with an eigenvector
 w-update on a locally tight homogeneous quadratic upper bound.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class MulticastInstance:
 
     Only the channels are stored. Every quadratic form and product of the
     per-user matrices A_k, B_k follows from the K x n_g gain matrix
-    ``h_k^H w_i``.
+    ``h_k^H w_i``. ``own_group``, the K x n_g mask of each user's own group,
+    is derived from ``group_of`` when the instance is built.
     """
 
     n_t: int                 # BS antennas
@@ -38,6 +39,11 @@ class MulticastInstance:
     sigma2: np.ndarray       # K noise powers
     p_bs: float              # BS power budget
     group_of: np.ndarray     # K, group index of each user
+    own_group: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "own_group",
+                           self.group_of[:, None] == np.arange(len(self.groups)))
 
     @property
     def n_groups(self):
@@ -54,10 +60,36 @@ class MulticastInstance:
 
 @dataclass(frozen=True)
 class MulticastIterate:
-    """Inner iterate: unit-norm stacked beamformer and user levels t >= 0."""
+    """Inner iterate: unit-norm stacked beamformer and user levels t >= 0.
+
+    The values that depend on w alone are computed once, when the iterate is
+    built on ``instance``: the K x n_g gain matrix ``G``, the coupling norms
+    ``na``, ``nb`` of :func:`coupling_norms`, and the user products ``Aw``,
+    ``Bw`` (rows ``A_k w`` and ``B_k w``, K x n complex). They are taken
+    over from ``prev`` only when ``prev.w`` is this iterate's w object, so an
+    iterate with a new w never carries the old values.
+    """
 
     w: np.ndarray   # complex, n_g * N_t, ||w|| = 1
     t: np.ndarray   # K, nonnegative
+    instance: InitVar[MulticastInstance]
+    prev: InitVar["MulticastIterate | None"] = None
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+    na: np.ndarray = field(init=False, repr=False, compare=False)
+    nb: np.ndarray = field(init=False, repr=False, compare=False)
+    Aw: np.ndarray = field(init=False, repr=False, compare=False)
+    Bw: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, instance, prev):
+        if prev is not None and prev.w is self.w:
+            derived = prev.G, prev.na, prev.nb, prev.Aw, prev.Bw
+        else:
+            G = _gains(self.w, instance)
+            qa, qb = _quad_forms(G, np.vdot(self.w, self.w).real, instance)
+            Aw, Bw = _user_products(G, group_beamformers(self.w, instance), instance)
+            derived = G, np.sqrt(qa), np.sqrt(qb), Aw, Bw
+        for name, value in zip(("G", "na", "nb", "Aw", "Bw"), derived):
+            object.__setattr__(self, name, value)
 
 
 def build_instance(channels, groups, sigma2, p_bs):
@@ -127,15 +159,10 @@ def _gains(w, instance):
     return instance.channels.conj() @ group_beamformers(w, instance).T
 
 
-def _own_group(instance):
-    """K x n_g mask of each user's own group."""
-    return instance.group_of[:, None] == np.arange(instance.n_groups)
-
-
 def _signal_interference(G, instance):
     """Received power of each user from its own group and from all others."""
     power = np.abs(G) ** 2
-    own = _own_group(instance)
+    own = instance.own_group
     return power[own], np.where(own, 0.0, power).sum(axis=1)
 
 
@@ -154,7 +181,7 @@ def _user_products(G, W, instance):
     ``W`` holds the point of each user as group rows, K x n_g x N_t, or
     n_g x N_t when all users share one point.
     """
-    own = _own_group(instance)[:, :, None]
+    own = instance.own_group[:, :, None]
     HW = G[:, :, None] * instance.channels[:, None, :]  # h_k h_k^H w_i in block i
     Aw = np.where(own, HW, 0.0)
     Bw = np.where(own, 0.0, HW) + (instance.sigma2 / instance.p_bs)[:, None, None] * W
@@ -193,9 +220,9 @@ def solve_t_subproblem(a, b):
 
     Reduces to a 1-D search over the common floor s: the optimum has
     ``t_k = max(b_k, s)`` with s from a finite candidate list obtained by
-    sorting b descending and assuming the tail set {k : t_k = s}. All
-    candidates are evaluated on the exact objective and the best is kept
-    (robust to ties in b).
+    sorting b descending and assuming the tail set {k : t_k = s}. All K
+    candidates are evaluated on the exact objective in one K x K array step,
+    and the first best is kept (robust to ties in b).
 
     Returns (t, s).
     """
@@ -210,15 +237,12 @@ def solve_t_subproblem(a, b):
     # suffix sums of a and a*b over the sorted tail {k > kbar}
     suf_a = np.cumsum(a_s[::-1])[::-1]
     suf_ab = np.cumsum((a_s * b_s)[::-1])[::-1]
-    best_obj, best_t = -np.inf, None
-    for kbar in range(a.size):
-        s_c = max((1.0 + 2.0 * suf_ab[kbar]) / (2.0 * suf_a[kbar]), 0.0)
-        t_c = np.maximum(b, s_c)
-        obj = t_c.min() - float(np.dot(a, (t_c - b) ** 2))
-        if obj > best_obj:
-            best_obj, best_t = obj, t_c
+    s = np.maximum((1.0 + 2.0 * suf_ab) / (2.0 * suf_a), 0.0)
+    T = np.maximum(b, s[:, None])  # row j: the levels of candidate floor s_j
+    floors = T.min(axis=1)
+    best = int(np.argmax(floors - ((T - b) ** 2) @ a))
     # min(t) is the attained floor: t = max(b, min(t)) holds in every branch
-    return best_t, float(best_t.min())
+    return T[best], float(floors[best])
 
 
 def theta_value(w, t, lam, rho, instance):
@@ -227,11 +251,14 @@ def theta_value(w, t, lam, rho, instance):
     return float(np.sum((na - np.asarray(t) * nb + rho * np.asarray(lam)) ** 2))
 
 
-def build_surrogate_C(w_tilde, t, lam, rho, instance):
-    """Quadratic upper bound matrix for the w-subproblem, expanded at w_tilde.
+def build_surrogate_C(z, lam, rho, instance):
+    """Quadratic upper bound matrix for the w-subproblem, expanded at w~ = ``z.w``.
+
+    ``z`` is a :class:`MulticastIterate` on ``instance``; its levels ``z.t``
+    enter the bound, and its gains and user products are used as they are.
 
     Returns (C, const) with ``theta(w) <= w_eq^T C w_eq + const`` for all
-    unit-norm w, with equality at w = w_tilde. The cross terms follow the
+    unit-norm w, with equality at w = w~. The cross terms follow the
     Cauchy-Schwarz linearization; the sign of each multiplier selects which
     norm factor absorbs the ``||w|| = 1`` identity so the bound stays valid.
 
@@ -240,26 +267,29 @@ def build_surrogate_C(w_tilde, t, lam, rho, instance):
     the per-user rank-2 terms summed by one matrix product. It is exactly
     symmetric.
 
-    If ``||A_k^(1/2) w_tilde||`` is degenerate (below 1e-10), that user's
+    If ``||A_k^(1/2) w~||`` is degenerate (below 1e-10), that user's
     expansion point is nudged by a small deterministic isotropic
     perturbation and renormalized, which keeps the bound valid while
-    avoiding the division.
+    avoiding the division; such a user gets its own gains and products.
     """
-    w_tilde = np.asarray(w_tilde, dtype=complex).ravel()
-    t = np.asarray(t, dtype=float)
+    w_tilde = np.asarray(z.w, dtype=complex).ravel()
+    t = np.asarray(z.t, dtype=float)
     lam = np.asarray(lam, dtype=float)
     K, n_g, n_t, n = instance.n_users, instance.n_groups, instance.n_t, instance.dim
     H = instance.channels
     # expansion point of each user, as group rows; only degenerate users move
     W = np.broadcast_to(w_tilde.reshape(n_g, n_t), (K, n_g, n_t)).copy()
-    G = _gains(w_tilde, instance)
-    degenerate = np.flatnonzero(np.abs(G[_own_group(instance)]) < DEGENERATE_NORM_TOL)
-    jitter_rng = np.random.default_rng(0) if degenerate.size else None
-    for k in degenerate:
-        noise = jitter_rng.standard_normal(n) + 1j * jitter_rng.standard_normal(n)
-        wt = w_tilde + JITTER_SCALE * noise
-        W[k] = (wt / np.linalg.norm(wt)).reshape(n_g, n_t)
-        G[k] = H[k].conj() @ W[k].T
+    G, Aw, Bw = z.G, z.Aw, z.Bw
+    degenerate = np.flatnonzero(np.abs(G[instance.own_group]) < DEGENERATE_NORM_TOL)
+    if degenerate.size:
+        G = G.copy()
+        jitter_rng = np.random.default_rng(0)
+        for k in degenerate:
+            noise = jitter_rng.standard_normal(n) + 1j * jitter_rng.standard_normal(n)
+            wt = w_tilde + JITTER_SCALE * noise
+            W[k] = (wt / np.linalg.norm(wt)).reshape(n_g, n_t)
+            G[k] = H[k].conj() @ W[k].T
+        Aw, Bw = _user_products(G, W, instance)
     nw = np.linalg.norm(W.reshape(K, n), axis=1)
     qa, qb = _quad_forms(G, nw**2, instance)
     na, nb = np.sqrt(qa), np.sqrt(qb)
@@ -277,7 +307,7 @@ def build_surrogate_C(w_tilde, t, lam, rho, instance):
 
     # sum_k a_k A_k + b_k B_k: group-block-diagonal part plus a scaled identity;
     # block i is sum_k c_ik h_k h_k^H with c_ik = a_k in the own group, else b_k
-    c = np.where(_own_group(instance).T, a, b)
+    c = np.where(instance.own_group.T, a, b)
     blocks = (c[:, :, None] * H[None]).transpose(0, 2, 1) @ H.conj()
     blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))  # so that C == C.T exactly
     C = np.zeros((2 * n, 2 * n))
@@ -289,7 +319,6 @@ def build_surrogate_C(w_tilde, t, lam, rho, instance):
     C[np.diag_indices(2 * n)] += float(np.dot(b, instance.sigma2)) / instance.p_bs
 
     # rank-2 corrections: P + P^T with P = L^T R over stacked user rows
-    Aw, Bw = _user_products(G, W, instance)
     Awe, Bwe, we = _embed_rows(Aw), _embed_rows(Bw), _embed_rows(W.reshape(K, n))
     L = np.concatenate([-cross[:, None] * Awe - d[:, None] * we, e[:, None] * we])
     P = L.T @ np.concatenate([Bwe, Awe])
@@ -306,7 +335,7 @@ class MulticastProblem(BlockProblem):
         self.instance = instance
 
     def constraint(self, z):
-        return constraint_h(z.w, z.t, self.instance)[:-1]
+        return z.na - np.asarray(z.t, dtype=float) * z.nb
 
     def al_value(self, z, lam, rho):
         h = self.constraint(z)
@@ -319,15 +348,14 @@ class MulticastProblem(BlockProblem):
     def step(self, i, z, lam, rho):
         inst = self.instance
         if i == 0:
-            na, nb = coupling_norms(z.w, inst)
-            a = nb**2 / (2.0 * rho)
-            b = (na + rho * np.asarray(lam)) / nb
+            a = z.nb**2 / (2.0 * rho)
+            b = (z.na + rho * np.asarray(lam)) / z.nb
             t_new, _ = solve_t_subproblem(a, b)
-            return replace(z, t=t_new)
-        C, _ = build_surrogate_C(z.w, z.t, lam, rho, inst)
+            return MulticastIterate(z.w, t_new, inst, prev=z)
+        C, _ = build_surrogate_C(z, lam, rho, inst)
         v, _ = numerics.min_eigvec_sym(C)
         w_new = numerics.complex_from_embedding(v)
-        return replace(z, w=w_new / np.linalg.norm(w_new))
+        return MulticastIterate(w_new / np.linalg.norm(w_new), z.t, inst)
 
     # --- diagnostics ------------------------------------------------------
 
@@ -336,22 +364,19 @@ class MulticastProblem(BlockProblem):
 
     def set_block_value(self, i, z, v):
         if i == 0:
-            return replace(z, t=np.asarray(v, dtype=float).copy())
-        return replace(z, w=numerics.complex_from_embedding(v))
+            return MulticastIterate(z.w, np.asarray(v, dtype=float).copy(), self.instance,
+                                    prev=z)
+        return MulticastIterate(numerics.complex_from_embedding(v), z.t, self.instance)
 
     def al_block_gradient(self, i, z, lam, rho):
         """Smooth-part AL gradient; the -min(t) term is carried by the t prox."""
-        inst = self.instance
-        G = _gains(z.w, inst)
-        qa, qb = _quad_forms(G, np.vdot(z.w, z.w).real, inst)
-        na, nb = np.sqrt(qa), np.sqrt(qb)
-        h = na - z.t * nb
-        mult = lam + h / rho
+        na, nb = z.na, z.nb
+        mult = lam + (na - z.t * nb) / rho
         if i == 0:
             return -mult * nb
         # sum_k mult_k (A_k w / ||A_k^.5 w|| - t_k B_k w / ||B_k^.5 w||), embedded
-        Aw, Bw = _user_products(G, group_beamformers(z.w, inst), inst)
-        g = (mult / np.maximum(na, 1e-300)) @ Aw - (mult * z.t / np.maximum(nb, 1e-300)) @ Bw
+        g = ((mult / np.maximum(na, 1e-300)) @ z.Aw
+             - (mult * z.t / np.maximum(nb, 1e-300)) @ z.Bw)
         return numerics.real_embed_vec(g)
 
     def block_prox(self, i):
@@ -379,7 +404,7 @@ def initial_iterate(instance, rng):
     w0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w0 /= np.linalg.norm(w0)
     na, nb = coupling_norms(w0, instance)
-    return MulticastIterate(w=w0, t=na / nb)
+    return MulticastIterate(w0, na / nb, instance)
 
 
 def solve(instance, config=None, on_iteration=None):

@@ -1,14 +1,16 @@
 """Dense linear-algebra kernels and convex projections shared by the solvers.
 
-All functions are pure: they never mutate their inputs and hold no state,
-so they are safe to call from concurrent workers. Their tolerances are
-the module constants below.
+All functions are pure: they never mutate their inputs and hold no state
+beyond a cache of LAPACK work-array sizes per matrix order, so they are safe
+to call from concurrent workers. Their tolerances are the module constants
+below.
 """
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -19,6 +21,8 @@ SYLVESTER_REL = 1e-8       # ||AF + FB - C|| <= rel*(||A||+||B||)*||F|| + abs
 SYLVESTER_ABS = 1e-12
 CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
+
+_SYEVR, _SYEVR_LWORK = lapack.get_lapack_funcs(("syevr", "syevr_lwork"))
 
 
 def require_finite(name, value):
@@ -110,12 +114,22 @@ def real_embed_hermitian(M):
     return np.block([[re, -im], [im, re]])
 
 
+@functools.lru_cache(maxsize=64)
+def _syevr_work_sizes(n):
+    """``(lwork, liwork)`` of ``syevr`` on an n x n matrix, lower triangle."""
+    work, iwork, info = _SYEVR_LWORK(n, lower=1)
+    if info != 0:
+        raise NumericalFailureError(f"syevr work-size query failed: info={info}")
+    return int(work), int(iwork)
+
+
 def min_eigvec_sym(C):
     """Smallest eigenpair of a real symmetric matrix.
 
     C must be symmetric: only its lower triangle is read. Only the smallest
-    eigenpair is computed (LAPACK ``syevr`` with an index range of one),
-    not the full spectrum.
+    eigenpair is computed: LAPACK ``syevr`` is called directly with an index
+    range of one, the routine and arguments ``scipy.linalg.eigh(C,
+    subset_by_index=[0, 0], driver="evr")`` uses, without its wrapper cost.
 
     Returns (v, lam) with ``v`` unit norm, sign-normalized so its first
     non-negligible component is positive.
@@ -123,19 +137,22 @@ def min_eigvec_sym(C):
     Raises
     ------
     NumericalFailureError
-        If C has a non-finite entry, the eigensolver does not converge, or
-        the residual ``||Cv - lam*v||`` exceeds ``EIG_RESIDUAL_REL``
-        times ``max(|lam|, largest column norm of C)``, a lower bound of
-        ``||C||_2``.
+        If C is not a nonempty square matrix or has a non-finite entry, the
+        eigensolver reports an error, or the residual ``||Cv - lam*v||``
+        exceeds ``EIG_RESIDUAL_REL`` times ``max(|lam|, largest column norm
+        of C)``, a lower bound of ``||C||_2``.
     """
     C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
+        raise NumericalFailureError(
+            f"eigensolver failed: expected a nonempty square matrix, got shape {C.shape}")
     if not np.isfinite(C).all():
         raise NumericalFailureError("eigensolver input has a non-finite entry")
-    try:
-        vals, vecs = scipy.linalg.eigh(C, subset_by_index=[0, 0], driver="evr",
-                                       check_finite=False)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    lwork, liwork = _syevr_work_sizes(C.shape[0])
+    vals, vecs, _, _, info = _SYEVR(C, compute_v=1, range="I", lower=1, il=1, iu=1,
+                                    lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise NumericalFailureError(f"eigensolver failed: syevr info={info}")
     lam = vals[0]
     v = vecs[:, 0]
     norm_c = max(np.abs(lam), np.linalg.norm(C, axis=0).max())

@@ -553,7 +553,7 @@ def _surrogate_bounds(rng):
         t = np.abs(rng.standard_normal(K)) * 2.0
         lam = rng.standard_normal(K)
         rho = float(rng.uniform(0.05, 2.0))
-        C, const = mc.build_surrogate_C(wt, t, lam, rho, inst)
+        C, const = mc.build_surrogate_C(mc.MulticastIterate(wt, t, inst), lam, rho, inst)
         we = numerics.real_embed_vec(wt)
         worst_tight = max(worst_tight,
                           abs(we @ C @ we + const - mc.theta_value(wt, t, lam, rho, inst)))
@@ -593,7 +593,8 @@ def _mc_inner_al_monotone(rng):
     ok = True
     for _ in range(100):
         z = mc.MulticastIterate(w=rand_unit_vec(rng, inst.dim),
-                                t=np.abs(rng.standard_normal(inst.n_users)) * 3.0)
+                                t=np.abs(rng.standard_normal(inst.n_users)) * 3.0,
+                                instance=inst)
         lam = rng.standard_normal(inst.n_users)
         ok &= _al_sweeps(prob, z, lam, float(rng.uniform(0.1, 2.0)))[0]
     return ok, ""
@@ -607,7 +608,7 @@ def _mc_fd_al_gradient(rng):
     worst = 0.0
     for _ in range(5):
         z = mc.MulticastIterate(w=rand_unit_vec(rng, inst.dim),
-                                t=rng.uniform(0.5, 3.0, inst.n_users))
+                                t=rng.uniform(0.5, 3.0, inst.n_users), instance=inst)
         lam = rng.standard_normal(inst.n_users)
         rho = 0.7
         g_w = prob.al_block_gradient(1, z, lam, rho)

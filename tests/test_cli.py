@@ -351,6 +351,18 @@ class TestBadInputExitCode:
         assert run_cli("solve", *argv, "--out", tmp_path / "run") == 2
         assert capsys.readouterr().err == f"error: {name}must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--app", "volmin", "--n", 4, "--k", 2, "--l", 10, "--restarts", 0),
+         "--restarts must be at least 1, got 0"),
+        (("--app", "relay", "--k", 0), "relay dimension K must be at least 1, got 0"),
+    ], ids=["volmin-restarts", "relay-k"])
+    def test_bench_seed_independent_error_exits_once(self, tmp_path, capsys, caplog,
+                                                    argv, message):
+        code = run_cli("bench", *argv, "--seeds", "0,1", "--out", tmp_path / "bench")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert "seed 0 failed" not in caplog.text
+
     def test_seed_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 4}))

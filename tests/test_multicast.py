@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -145,6 +147,34 @@ class TestTSubproblem:
         with pytest.raises(InvalidInputError):
             mc.solve_t_subproblem([0.0], [1.0])
 
+    def test_matches_candidate_loop_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for case in range(1000):
+            K = int(rng.integers(1, 17))
+            a = rng.uniform(0.01, 5.0, K) * 10.0 ** rng.uniform(-3.0, 3.0)
+            b = rng.uniform(-3.0, 5.0, K)
+            if case % 3 == 0:  # ties in b
+                b = rng.choice(b[:max(1, K // 3)], K)
+            t, s = mc.solve_t_subproblem(a, b)
+            t_ref, s_ref = _t_subproblem_loop(a, b)
+            assert t.tobytes() == t_ref.tobytes() and s == s_ref
+
+
+def _t_subproblem_loop(a, b):
+    """Reference t-step: one candidate floor at a time, the first best kept."""
+    order = np.argsort(-b)
+    a_s, b_s = a[order], b[order]
+    suf_a = np.cumsum(a_s[::-1])[::-1]
+    suf_ab = np.cumsum((a_s * b_s)[::-1])[::-1]
+    best_obj, best_t = -np.inf, None
+    for kbar in range(a.size):
+        s_c = max((1.0 + 2.0 * suf_ab[kbar]) / (2.0 * suf_a[kbar]), 0.0)
+        t_c = np.maximum(b, s_c)
+        obj = t_c.min() - float(np.dot(a, (t_c - b) ** 2))
+        if obj > best_obj:
+            best_obj, best_t = obj, t_c
+    return best_t, float(best_t.min())
+
 
 class TestSurrogate:
     def test_quadratic_case_exact(self, inst422):
@@ -152,7 +182,8 @@ class TestSurrogate:
         rng = np.random.default_rng(7)
         wt = rand_unit_vec(rng, inst422.dim)
         K = inst422.n_users
-        C, const = mc.build_surrogate_C(wt, np.zeros(K), np.zeros(K), 0.5, inst422)
+        C, const = mc.build_surrogate_C(mc.MulticastIterate(wt, np.zeros(K), inst422),
+                                        np.zeros(K), 0.5, inst422)
         A_eq = _embedded_forms(inst422)[2]
         np.testing.assert_allclose(C, A_eq.sum(axis=0), atol=1e-10)
         assert const == pytest.approx(0.0)
@@ -172,7 +203,8 @@ class TestSurrogate:
         points.append(TestStructuredMatchesDense._guard_point())
         for inst, w in points:
             K = inst.n_users
-            C, _ = mc.build_surrogate_C(w, rng.uniform(0.0, 3.0, K), rng.standard_normal(K),
+            z = mc.MulticastIterate(w, rng.uniform(0.0, 3.0, K), inst)
+            C, _ = mc.build_surrogate_C(z, rng.standard_normal(K),
                                         float(rng.uniform(0.05, 2.0)), inst)
             assert np.array_equal(C, C.T)
 
@@ -186,7 +218,8 @@ class TestSurrogate:
         na, _ = mc.coupling_norms(w, inst)
         assert na[0] < 1e-10
         lam = np.array([0.5, -0.5])
-        C, const = mc.build_surrogate_C(w, np.ones(2), lam, 0.5, inst)
+        C, const = mc.build_surrogate_C(mc.MulticastIterate(w, np.ones(2), inst), lam, 0.5,
+                                        inst)
         assert np.all(np.isfinite(C)) and np.isfinite(const)
         # bound must remain valid even with the jittered expansion point
         rng = np.random.default_rng(11)
@@ -224,6 +257,77 @@ class TestInnerStep:
             assert abs(np.linalg.norm(z.w) - 1.0) < 1e-10
 
 
+class TestIterateCache:
+    """The w-derived values an iterate carries match a fresh computation."""
+
+    @staticmethod
+    def _assert_fresh(z, inst):
+        G = mc._gains(z.w, inst)
+        na, nb = mc.coupling_norms(z.w, inst)
+        Aw, Bw = mc._user_products(G, mc.group_beamformers(z.w, inst), inst)
+        for name, fresh in (("G", G), ("na", na), ("nb", nb), ("Aw", Aw), ("Bw", Bw)):
+            cached = getattr(z, name)
+            assert cached.shape == fresh.shape and cached.tobytes() == fresh.tobytes(), name
+
+    def _check_path(self, inst, z):
+        rng = np.random.default_rng(31)
+        prob = mc.MulticastProblem(inst)
+        lam, rho = rng.standard_normal(inst.n_users), 0.6
+        zw = prob.step(1, z, lam, rho)
+        self._assert_fresh(zw, inst)
+        self._assert_fresh(z, inst)  # the surrogate left z's values as they were
+        zt = prob.step(0, zw, lam, rho)
+        self._assert_fresh(zt, inst)
+        assert zt.G is zw.G  # a t-step passes the values on
+        z0 = prob.set_block_value(0, zt, rng.uniform(0.5, 2.0, inst.n_users))
+        self._assert_fresh(z0, inst)
+        z1 = prob.set_block_value(1, zt, numerics.real_embed_vec(rand_unit_vec(rng, inst.dim)))
+        self._assert_fresh(z1, inst)
+        with pytest.raises(ValueError):
+            dataclasses.replace(zt, w=z1.w)  # no path keeps the old w's values
+
+    def test_inst422(self, inst422):
+        z = mc.initial_iterate(inst422, np.random.default_rng(32))
+        self._assert_fresh(z, inst422)
+        self._check_path(inst422, z)
+
+    def test_jittered_instance(self):
+        inst, w = TestStructuredMatchesDense._guard_point()
+        self._assert_fresh(mc.initial_iterate(inst, np.random.default_rng(33)), inst)
+        z = mc.MulticastIterate(w, np.ones(inst.n_users), inst)
+        assert np.abs(z.G[inst.own_group]).min() < mc.DEGENERATE_NORM_TOL
+        self._assert_fresh(z, inst)
+        self._check_path(inst, z)
+
+
+class TestSweepCountsPinned:
+    """Seeded solves take exactly the inner sweeps and branches they took
+    before the per-iterate caching of the gains (literals from that code)."""
+
+    CASES = {
+        (8, 0): ([100, 100, 100, 36, 27, 27, 24, 25, 22, 22, 19, 17, 16, 14, 11, 9, 8],
+                 8.393177093424242e-05),
+        (8, 1): ([100, 100, 100, 55, 44, 36, 30, 22, 28, 29, 23, 19, 14, 12, 10, 9, 7],
+                 8.151166585046443e-05),
+        (8, 2): ([100, 100, 100, 86, 66, 73, 65, 62, 59, 57, 47, 38, 31, 24, 19, 16, 13,
+                  11, 10, 8, 7, 6, 5], 7.554850788826784e-05),
+        (16, 0): ([100, 100, 100, 49, 26, 24, 22, 20, 18, 16, 12, 8], 5.610236416320191e-05),
+    }
+
+    @pytest.mark.parametrize("n_t, seed", list(CASES), ids=["8-4-2-s0", "8-4-2-s1",
+                                                           "8-4-2-s2", "16-4-2-s0"])
+    def test_counts(self, n_t, seed):
+        inner_iters, h_inf = self.CASES[n_t, seed]
+        inst = mc.gen_instance(n_t, 4, 2, 10.0, seed)
+        _, _, trace = mc.solve(inst, mc.default_config(inst, seed=seed))
+        assert trace.column("inner_iters") == inner_iters
+        # two penalty decreases, then a dual update at every outer iteration
+        branches = ["penalty-decrease"] * 2 + ["dual-update"] * (len(inner_iters) - 2)
+        assert trace.column("branch") == branches
+        assert trace.converged
+        assert trace.records[-1].h_inf == pytest.approx(h_inf, rel=1e-12, abs=0.0)
+
+
 class TestGradients:
     def test_half_h_squared_gradient(self, inst422):
         # with lam = 0, rho = 1 the penalty part of the AL is 0.5 ||h||^2
@@ -231,7 +335,7 @@ class TestGradients:
         prob = mc.MulticastProblem(inst422)
         K = inst422.n_users
         z = mc.MulticastIterate(w=rand_unit_vec(rng, inst422.dim),
-                                t=rng.uniform(0.5, 3.0, K))
+                                t=rng.uniform(0.5, 3.0, K), instance=inst422)
         g = prob.al_block_gradient(1, z, np.zeros(K), 1.0)
         we = numerics.real_embed_vec(z.w)
         step = 1e-5
@@ -379,14 +483,14 @@ class TestStructuredMatchesDense:
         h_dense = np.append(na_d - t * nb_d, np.linalg.norm(w) ** 2 - 1.0)
         assert _rel_err(mc.constraint_h(w, t, inst), h_dense) <= self.RTOL
         prob = mc.MulticastProblem(inst)
-        z = mc.MulticastIterate(w=w, t=t)
+        z = mc.MulticastIterate(w=w, t=t, instance=inst)
         mult = lam + (na_d - t * nb_d) / rho
         assert _rel_err(prob.al_block_gradient(0, z, lam, rho), -mult * nb_d) <= self.RTOL
         if w_gradient:
             assert _rel_err(prob.al_block_gradient(1, z, lam, rho),
                             dense_w_gradient(z, lam, rho, inst)) <= self.RTOL
         if surrogate:
-            C, const = mc.build_surrogate_C(w, t, lam, rho, inst)
+            C, const = mc.build_surrogate_C(z, lam, rho, inst)
             C_d, const_d = dense_surrogate_C(w, t, lam, rho, inst)
             assert _rel_err(C, C_d) <= self.RTOL
             assert _rel_err(const, const_d) <= self.RTOL
@@ -460,7 +564,7 @@ class TestStructuredMatchesDense:
         na0 = mc.coupling_norms(wt, inst)[0][0]
         # the O(1) terms cancel down to ~1e-8: condition number ~1e8
         assert abs(na0**2 - qa_exact) <= 1e-6 * qa_exact
-        _, const = mc.build_surrogate_C(w, t, lam, rho, inst)
+        _, const = mc.build_surrogate_C(mc.MulticastIterate(w, t, inst), lam, rho, inst)
         nb1 = mc.coupling_norms(w, inst)[1][1]
         rl = rho * lam
         expect = rl[0] ** 2 + rl[0] * na0 + rl[1] ** 2 - rl[1] * t[1] * nb1

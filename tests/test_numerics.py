@@ -3,7 +3,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from pddopt import multicast as mc
 from pddopt import numerics
@@ -99,18 +98,34 @@ class TestMinEigvec:
         rng = np.random.default_rng(6)
         C = rng.standard_normal((16, 16))
         C = C + C.T
-        eigh = scipy.linalg.eigh
+        syevr = numerics._SYEVR
 
         def perturbed(*args, **kwargs):
-            vals, vecs = eigh(*args, **kwargs)
+            vals, vecs, *rest = syevr(*args, **kwargs)
             vecs = vecs + 1e-6 * rng.standard_normal(vecs.shape)
-            return vals, vecs / np.linalg.norm(vecs, axis=0)
+            return vals, vecs / np.linalg.norm(vecs, axis=0), *rest
 
         numerics.min_eigvec_sym(C)
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        monkeypatch.setattr(numerics, "_SYEVR", perturbed)
         with pytest.raises(NumericalFailureError, match="residual") as info:
             numerics.min_eigvec_sym(C)
         assert info.value.residual > 1e-9 * np.abs(np.linalg.eigvalsh(C)).max()
+
+    def test_lapack_error_raises(self, monkeypatch):
+        syevr = numerics._SYEVR
+
+        def failing(*args, **kwargs):
+            *out, _ = syevr(*args, **kwargs)
+            return *out, 3
+
+        monkeypatch.setattr(numerics, "_SYEVR", failing)
+        with pytest.raises(NumericalFailureError, match="syevr info=3"):
+            numerics.min_eigvec_sym(np.eye(4))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 0), (4,)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(NumericalFailureError, match="nonempty square"):
+            numerics.min_eigvec_sym(np.ones(shape))
 
 
 class TestThinSvd:
