@@ -5,12 +5,14 @@ power constraint. Splitting variables (X = FHV plus barred copies that own
 the power constraints) turns the couplings into equality constraints that
 PDD dualizes; the inner loop is a four-block BSUM whose rate surrogate
 comes from the MMSE reformulation with receive scalars u and weights w,
-recomputed from (X, F) by the two blocks that read them.
+recomputed from (X, F) by the two blocks that read them. An iterate carries
+F H, F H V and the received powers of its (X, F), so a sweep computes each
+of them only when a block it depends on has changed.
 
 All rates are natural-log.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -22,7 +24,12 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class RelayInstance:
-    """Immutable problem data for one relay broadcast network."""
+    """Immutable problem data for one relay broadcast network.
+
+    Computed once, for the block updates: ``sigma_r``, ``g_conj = g.conj()``
+    (rows g_k^H) and the read-only identities ``eye_r`` and ``eye_s`` of
+    orders N_r and N_s.
+    """
 
     n_s: int              # source antennas
     n_r: int              # relay antennas
@@ -35,9 +42,17 @@ class RelayInstance:
     p_r: float            # relay power budget
     alpha: np.ndarray     # K positive rate weights
 
-    @property
-    def sigma_r(self):
-        return float(np.sqrt(self.sigma_r2))
+    sigma_r: float = field(init=False, repr=False, compare=False)
+    g_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    eye_r: np.ndarray = field(init=False, repr=False, compare=False)
+    eye_s: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma_r", float(np.sqrt(self.sigma_r2)))
+        arrays = {"g_conj": self.g.conj(), "eye_r": np.eye(self.n_r), "eye_s": np.eye(self.n_s)}
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
@@ -76,7 +91,14 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
 
 @dataclass(frozen=True)
 class RelayIterate:
-    """Primal blocks and their barred copies."""
+    """Primal blocks and their barred copies.
+
+    The values built from (F, X, V) are computed once, when the iterate is
+    built on ``instance``: ``FH = F @ H``, ``FHV = FH @ V`` and ``powers``,
+    the :func:`_received_powers` triple of (X, F). Each is taken over from
+    ``prev`` only when ``prev`` holds the very arrays it depends on (F; F and
+    V; F and X), so an iterate never carries the values of another point.
+    """
 
     V: np.ndarray    # N_s x K
     F: np.ndarray    # N_r x N_r
@@ -84,6 +106,21 @@ class RelayIterate:
     Vb: np.ndarray
     Fb: np.ndarray
     Xb: np.ndarray
+    instance: InitVar[RelayInstance]
+    prev: InitVar["RelayIterate | None"] = None
+    FH: np.ndarray = field(init=False, repr=False, compare=False)
+    FHV: np.ndarray = field(init=False, repr=False, compare=False)
+    powers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, instance, prev):
+        same_f = prev is not None and prev.F is self.F
+        FH = prev.FH if same_f else self.F @ instance.H
+        FHV = prev.FHV if same_f and prev.V is self.V else FH @ self.V
+        powers = prev.powers if same_f and prev.X is self.X \
+            else _received_powers(self.X, self.F, instance)
+        object.__setattr__(self, "FH", FH)
+        object.__setattr__(self, "FHV", FHV)
+        object.__setattr__(self, "powers", powers)
 
 
 def constraint_h(iterate, instance):
@@ -94,7 +131,7 @@ def constraint_h(iterate, instance):
     """
     z = iterate
     res = [
-        z.X - z.F @ instance.H @ z.V,
+        z.X - z.FHV,
         instance.sigma_r * (z.F - z.Fb),
         z.X - z.Xb,
         z.V - z.Vb,
@@ -104,19 +141,23 @@ def constraint_h(iterate, instance):
 
 def _received_powers(X, F, instance):
     """Per-user total power T_k, own-signal c_k, and interference+noise I_k."""
-    M = instance.g.conj() @ X                        # M[k, j] = g_k^H x_j
-    gf = instance.g.conj() @ F                       # rows g_k^H F
+    M = instance.g_conj @ X                          # M[k, j] = g_k^H x_j
+    gf = instance.g_conj @ F                         # rows g_k^H F
     total = (np.abs(M) ** 2).sum(axis=1) + instance.sigma_r2 * (np.abs(gf) ** 2).sum(axis=1) \
         + instance.sigma2
-    own = np.diag(M).copy()
+    own = M.diagonal().copy()
     interf = total - np.abs(own) ** 2
     return total, own, interf
 
 
+def _rate(powers, instance):
+    total, _, interf = powers
+    return float(np.dot(instance.alpha, np.log(total / interf)))
+
+
 def rate_value(X, F, instance):
     """Weighted sum rate (nats) as a function of the split variables."""
-    total, _, interf = _received_powers(X, F, instance)
-    return float(np.dot(instance.alpha, np.log(total / interf)))
+    return _rate(_received_powers(X, F, instance), instance)
 
 
 def sum_rate(V, F, instance):
@@ -129,17 +170,19 @@ def wmmse_weights(X, F, instance):
 
     ``w_k = 1 + SINR_k`` holds exactly, so ``log(w)`` recovers the user rates.
     """
-    total, own, interf = _received_powers(X, F, instance)
-    u = own / total
-    w = total / interf
-    return u, w
+    return _weights(_received_powers(X, F, instance))
+
+
+def _weights(powers):
+    total, own, interf = powers
+    return own / total, total / interf
 
 
 def mse_matrices(u, w, instance):
     """Quadratic-form matrix G_w and diagonal D_w of the weighted MSE."""
     coef = w * instance.alpha * np.abs(u) ** 2
     Gcol = instance.g.T                              # columns g_k
-    G_w = (Gcol * coef[None, :]) @ Gcol.conj().T
+    G_w = (Gcol * coef[None, :]) @ instance.g_conj
     D_w = w * instance.alpha * u
     return G_w, D_w
 
@@ -154,7 +197,7 @@ def update_F(iterate, weights, duals, rho, instance):
     G_w, _ = mse_matrices(*weights, instance)
     sr = instance.sigma_r
     HV = instance.H @ z.V
-    A = instance.sigma_r2 * (2.0 * rho * G_w + np.eye(instance.n_r))
+    A = instance.sigma_r2 * (2.0 * rho * G_w + instance.eye_r)
     B = HV @ HV.conj().T
     C = sr * (sr * z.Fb - rho * Zf) + (z.X + rho * Z) @ HV.conj().T
     return numerics.solve_sylvester(A, B, C)
@@ -180,28 +223,27 @@ def update_X(iterate, weights, duals, rho, instance):
     Z, _, Zx, _ = duals
     G_w, D_w = mse_matrices(*weights, instance)
     Gcol = instance.g.T
-    rhs = 2.0 * rho * (Gcol * D_w[None, :]) \
-        + (z.F @ instance.H @ z.V - rho * Z) + (z.Xb - rho * Zx)
-    return 0.5 * np.linalg.solve(rho * G_w + np.eye(instance.n_r), rhs)
+    rhs = 2.0 * rho * (Gcol * D_w[None, :]) + (z.FHV - rho * Z) + (z.Xb - rho * Zx)
+    return 0.5 * numerics.solve_linear(rho * G_w + instance.eye_r, rhs)
 
 
 def update_V(iterate, duals, rho, instance):
     """Source-precoder block: unconstrained quadratic minimum."""
     z = iterate
     Z, _, _, Zv = duals
-    FH = z.F @ instance.H
-    lhs = np.eye(instance.n_s) + FH.conj().T @ FH
+    FH = z.FH
+    lhs = instance.eye_s + FH.conj().T @ FH
     rhs = (z.Vb - rho * Zv) + FH.conj().T @ (z.X + rho * Z)
-    return np.linalg.solve(lhs, rhs)
+    return numerics.solve_linear(lhs, rhs)
 
 
 class RelayProblem(BlockProblem):
     """Four-block AL problem: F, barred copies, X, V.
 
-    The F and X steps compute (u, w) at the current point before their
-    block update, which makes each individual step a tight surrogate
-    minimization of the AL and keeps the descent property under any block
-    visit order.
+    The F and X steps take (u, w) at the current point, from the powers
+    the iterate carries, before their block update, which makes each
+    individual step a tight surrogate minimization of the AL and keeps the
+    descent property under any block visit order.
     The duals live only in the outer loop's flat vector ``lam``;
     :meth:`unpack_duals` turns it into the ``duals`` the AL methods take.
     """
@@ -241,7 +283,7 @@ class RelayProblem(BlockProblem):
 
     def al_value(self, z, duals, rho):
         h = self.constraint(z)
-        return float(-rate_value(z.X, z.F, self.instance)
+        return float(-_rate(z.powers, self.instance)
                      + np.dot(duals[0], h) + np.dot(h, h) / (2.0 * rho))
 
     def objective(self, z):
@@ -252,15 +294,16 @@ class RelayProblem(BlockProblem):
         inst = self.instance
         duals = duals[1:]
         if i == 0:
-            weights = wmmse_weights(z.X, z.F, inst)
-            return replace(z, F=update_F(z, weights, duals, rho, inst))
+            F = update_F(z, _weights(z.powers), duals, rho, inst)
+            return RelayIterate(z.V, F, z.X, z.Vb, z.Fb, z.Xb, inst, z)
         if i == 1:
             Vb, Xb, Fb = update_bars(z, duals, rho, inst)
-            return replace(z, Vb=Vb, Xb=Xb, Fb=Fb)
+            return RelayIterate(z.V, z.F, z.X, Vb, Fb, Xb, inst, z)
         if i == 2:
-            weights = wmmse_weights(z.X, z.F, inst)
-            return replace(z, X=update_X(z, weights, duals, rho, inst))
-        return replace(z, V=update_V(z, duals, rho, inst))
+            X = update_X(z, _weights(z.powers), duals, rho, inst)
+            return RelayIterate(z.V, z.F, X, z.Vb, z.Fb, z.Xb, inst, z)
+        V = update_V(z, duals, rho, inst)
+        return RelayIterate(V, z.F, z.X, z.Vb, z.Fb, z.Xb, inst, z)
 
     # --- diagnostics --------------------------------------------------------
     # The barred block uses (Vb, Xb, sigma_R * Fb) coordinates so that both
@@ -278,20 +321,19 @@ class RelayProblem(BlockProblem):
 
     def set_block_value(self, i, z, v):
         unembed = numerics.complex_from_embedding
-        if i == 0:
-            return replace(z, F=unembed(v).reshape(z.F.shape))
+        blocks = dict(V=z.V, F=z.F, X=z.X, Vb=z.Vb, Fb=z.Fb, Xb=z.Xb)
         if i == 1:
             n_vb = 2 * z.Vb.size
             n_xb = 2 * z.Xb.size
-            return replace(
-                z,
+            blocks.update(
                 Vb=unembed(v[:n_vb]).reshape(z.Vb.shape),
                 Xb=unembed(v[n_vb:n_vb + n_xb]).reshape(z.Xb.shape),
                 Fb=unembed(v[n_vb + n_xb:]).reshape(z.Fb.shape) / self.instance.sigma_r,
             )
-        if i == 2:
-            return replace(z, X=unembed(v).reshape(z.X.shape))
-        return replace(z, V=unembed(v).reshape(z.V.shape))
+        else:
+            name = {0: "F", 2: "X", 3: "V"}[i]
+            blocks[name] = unembed(v).reshape(blocks[name].shape)
+        return RelayIterate(**blocks, instance=self.instance, prev=z)
 
     def block_prox(self, i):
         if i != 1:
@@ -309,30 +351,28 @@ class RelayProblem(BlockProblem):
     def al_block_gradient(self, i, z, duals, rho):
         inst = self.instance
         _, Z, Zf, Zx, Zv = duals
-        H = inst.H
         sr = inst.sigma_r
-        M1 = Z + (z.X - z.F @ H @ z.V) / rho
+        M1 = Z + (z.X - z.FHV) / rho
         M2 = Zf + sr * (z.F - z.Fb) / rho
         M3 = Zx + (z.X - z.Xb) / rho
         M4 = Zv + (z.V - z.Vb) / rho
         if i == 0:
-            total, _, interf = _received_powers(z.X, z.F, inst)
+            total, _, interf = z.powers
             coef = inst.alpha * (1.0 / total - 1.0 / interf)
             Gcol = inst.g.T
             grad_rate = 2.0 * inst.sigma_r2 * (Gcol * coef[None, :]) @ (Gcol.conj().T @ z.F)
-            HV = H @ z.V
+            HV = inst.H @ z.V
             return numerics.real_embed_vec(-grad_rate - M1 @ HV.conj().T + sr * M2)
         if i == 1:
             return np.concatenate([numerics.real_embed_vec(-M) for M in (M4, M3, M2)])
         if i == 2:
-            total, own, interf = _received_powers(z.X, z.F, inst)
+            total, own, interf = z.powers
             Gcol = inst.g.T
             P = (Gcol * (inst.alpha / total - inst.alpha / interf)[None, :]) @ Gcol.conj().T
             diag_fix = Gcol * ((inst.alpha / interf) * own)[None, :]
             grad_rate = 2.0 * (P @ z.X + diag_fix)
             return numerics.real_embed_vec(-grad_rate + M1 + M3)
-        FH = z.F @ H
-        return numerics.real_embed_vec(-FH.conj().T @ M1 + M4)
+        return numerics.real_embed_vec(-z.FH.conj().T @ M1 + M4)
 
 
 def default_config(instance, seed=0, **overrides):
@@ -366,7 +406,8 @@ def initial_iterate(instance, rng):
                                + inst.sigma_r2 * inst.n_r))
     F0 = beta * np.eye(inst.n_r, dtype=complex)
     X0 = F0 @ inst.H @ V0
-    return RelayIterate(V=V0, F=F0, X=X0, Vb=V0.copy(), Fb=F0.copy(), Xb=X0.copy())
+    return RelayIterate(V=V0, F=F0, X=X0, Vb=V0.copy(), Fb=F0.copy(), Xb=X0.copy(),
+                        instance=inst)
 
 
 def repair_feasibility(V, F, instance):

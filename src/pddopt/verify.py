@@ -133,7 +133,7 @@ def rand_relay_iterate(inst, rng, scale=1.0):
     z = rl.RelayIterate(
         V=cm((inst.n_s, inst.n_users)), F=cm((inst.n_r, inst.n_r)),
         X=cm((inst.n_r, inst.n_users)), Vb=cm((inst.n_s, inst.n_users)),
-        Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)),
+        Fb=cm((inst.n_r, inst.n_r)), Xb=cm((inst.n_r, inst.n_users)), instance=inst,
     )
     duals = (cm((inst.n_r, inst.n_users)), cm((inst.n_r, inst.n_r)),
              cm((inst.n_r, inst.n_users)), cm((inst.n_s, inst.n_users)))
@@ -750,13 +750,16 @@ def _block_updates_zero_gradient(rng):
         z, duals = rand_relay_iterate(inst, rng)
         rho = float(rng.uniform(0.1, 2.0))
         weights = rl.wmmse_weights(z.X, z.F, inst)
-        zF = rl.replace(z, F=rl.update_F(z, weights, duals, rho, inst))
+        F = rl.update_F(z, weights, duals, rho, inst)
+        zF = rl.RelayIterate(z.V, F, z.X, z.Vb, z.Fb, z.Xb, inst, z)
         g_F, _, _ = _surrogate_block_gradients(zF, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_F).max())
-        zX = rl.replace(z, X=rl.update_X(z, weights, duals, rho, inst))
+        X = rl.update_X(z, weights, duals, rho, inst)
+        zX = rl.RelayIterate(z.V, z.F, X, z.Vb, z.Fb, z.Xb, inst, z)
         _, g_X, _ = _surrogate_block_gradients(zX, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_X).max())
-        zV = rl.replace(z, V=rl.update_V(z, duals, rho, inst))
+        V = rl.update_V(z, duals, rho, inst)
+        zV = rl.RelayIterate(V, z.F, z.X, z.Vb, z.Fb, z.Xb, inst, z)
         _, _, g_V = _surrogate_block_gradients(zV, weights, duals, rho, inst)
         worst = max(worst, np.abs(g_V).max())
     return worst <= 1e-7, f"worst grad entry {worst:.2e}"

@@ -285,6 +285,26 @@ class TestInvalidInputExitCode:
         assert "need at least K data columns" in capsys.readouterr().err
 
 
+class TestNumericalFailureExitCode:
+    def test_relay_singular_linear_solve(self, tmp_path, capsys, monkeypatch):
+        # gesv reports an exactly singular factor (info > 0) in the X or V step
+        from pddopt import numerics
+
+        dtype = np.dtype(complex)
+        gesv = numerics._GESV[dtype]
+
+        def singular(*args, **kwargs):
+            *out, _ = gesv(*args, **kwargs)
+            return *out, 1
+
+        monkeypatch.setitem(numerics._GESV, dtype, singular)
+        code = run_cli("solve", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2,
+                       "--out", tmp_path / "run")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gesv info=1" in err
+
+
 class TestBadInputExitCode:
     def _solve_relay(self, tmp_path, *extra):
         return run_cli("solve", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ class TestConstraint:
         inst = rl.gen_instance(1, 1, 1, 0.0, seed=2)
         one = np.ones((1, 1), dtype=complex)
         zero = np.zeros((1, 1), dtype=complex)
-        z = rl.RelayIterate(V=zero, F=zero, X=one, Vb=zero, Fb=zero, Xb=one)
+        z = rl.RelayIterate(V=zero, F=zero, X=one, Vb=zero, Fb=zero, Xb=one, instance=inst)
         h = rl.constraint_h(z, inst)
         # only X - FHV = 1 is nonzero
         assert np.abs(h).max() == pytest.approx(1.0)
@@ -91,7 +93,7 @@ class TestBlockUpdates:
     def test_update_f_decoupled_when_v_zero(self, inst222):
         rng = np.random.default_rng(4)
         z, duals = rand_relay_iterate(inst222, rng)
-        z = rl.replace(z, V=np.zeros_like(z.V))
+        z = rl.RelayIterate(np.zeros_like(z.V), z.F, z.X, z.Vb, z.Fb, z.Xb, inst222)
         rho = 0.8
         weights = rl.wmmse_weights(z.X, z.F, inst222)
         F = rl.update_F(z, weights, duals, rho, inst222)
@@ -114,7 +116,7 @@ class TestBlockUpdates:
     def test_update_v_specialization(self, inst222):
         rng = np.random.default_rng(6)
         z, duals = rand_relay_iterate(inst222, rng)
-        z = rl.replace(z, F=np.zeros_like(z.F))
+        z = rl.RelayIterate(z.V, np.zeros_like(z.F), z.X, z.Vb, z.Fb, z.Xb, inst222)
         V = rl.update_V(z, duals, 0.9, inst222)
         np.testing.assert_allclose(V, z.Vb - 0.9 * duals[3], atol=1e-12)
 
@@ -132,7 +134,7 @@ class TestBlockUpdates:
         z, (Z, Zf, Zx, Zv) = rand_relay_iterate(inst222, rng)
         V_pre = z.V + 1.0 * Zv
         V_pre *= 2.0 * np.sqrt(inst222.p_s) / np.linalg.norm(V_pre)
-        z = rl.replace(z, V=V_pre)
+        z = rl.RelayIterate(V_pre, z.F, z.X, z.Vb, z.Fb, z.Xb, inst222)
         Vb, _, _ = rl.update_bars(z, (Z, Zf, Zx, np.zeros_like(Zv)), 1.0, inst222)
         np.testing.assert_allclose(Vb, V_pre / 2.0, atol=1e-10)
 
@@ -155,6 +157,74 @@ class TestInnerSweep:
                        + inst222.sigma_r2 * np.linalg.norm(z.F) ** 2)
         assert relay_power == pytest.approx(inst222.p_r)
         assert np.abs(rl.constraint_h(z, inst222)).max() == 0.0
+
+
+class TestIterateCache:
+    """The values a relay iterate carries match a fresh computation, and a
+    step passes on those whose blocks it leaves alone."""
+
+    @staticmethod
+    def _assert_fresh(z, inst):
+        FH = z.F @ inst.H
+        fresh = {"FH": FH, "FHV": FH @ z.V}
+        fresh.update(zip(("total", "own", "interf"), rl._received_powers(z.X, z.F, inst)))
+        cached = {"FH": z.FH, "FHV": z.FHV}
+        cached.update(zip(("total", "own", "interf"), z.powers))
+        for name, value in fresh.items():
+            assert cached[name].shape == value.shape, name
+            assert cached[name].tobytes() == value.tobytes(), name
+
+    def test_steps_and_block_values(self):
+        inst = rl.gen_instance(3, 4, 2, 10.0, seed=5)   # N_s, N_r and K all differ
+        rng = np.random.default_rng(41)
+        prob = rl.RelayProblem(inst)
+        z = rl.initial_iterate(inst, rng)
+        self._assert_fresh(z, inst)
+        _, duals = rand_relay_iterate(inst, rng)
+        duals = prob.unpack_duals(prob.pack_duals(*duals), 0.7)
+        # (value, blocks it depends on) for F, bars, X, V: what each step may reuse
+        kept = {0: (), 1: ("FH", "FHV", "powers"), 2: ("FH", "FHV"), 3: ("FH", "powers")}
+        for i in (0, 1, 2, 3):
+            z_new = prob.step(i, z, duals, 0.7)
+            self._assert_fresh(z_new, inst)
+            self._assert_fresh(z, inst)      # the old iterate is left as it was
+            for name in kept[i]:
+                assert getattr(z_new, name) is getattr(z, name), (i, name)
+            z = z_new
+        for i in range(4):
+            v = rng.standard_normal(prob.block_value(i, z).size)
+            self._assert_fresh(prob.set_block_value(i, z, v), inst)
+
+    def test_replace_raises(self, inst222):
+        z = rl.initial_iterate(inst222, np.random.default_rng(42))
+        with pytest.raises(ValueError):
+            dataclasses.replace(z, F=2.0 * z.F)  # no path keeps the old F's values
+
+
+class TestSweepCountsPinned:
+    """Seeded (4,4,4) solves take exactly the inner sweeps and branches they
+    took before the iterate carried F H, F H V and its received powers
+    (literals from that code; p = penalty decrease, d = dual update)."""
+
+    CASES = {
+        0: ([35, 7, 21, 24, 22, 18, 36, 100, 100, 100, 100, 100, 100, 100, 100, 54, 7, 3, 2],
+            "ppppppdpddpdpdddddd", 3.469721070641775e-04),
+        1: ([33, 6, 20, 23, 20, 16, 12, 100, 100, 100, 100, 100, 100, 100, 29, 14, 5, 2],
+            "ppppppddpddpppdddd", 2.9990894993243283e-04),
+        2: ([19, 8, 16, 26, 45, 19, 100, 100, 100, 100, 100, 100, 7, 3, 2, 1, 1, 1, 1],
+            "pppppddppddddddpppd", 8.663719643673407e-04),
+    }
+
+    @pytest.mark.parametrize("seed", list(CASES))
+    def test_counts(self, seed):
+        inner_iters, branches, h_inf = self.CASES[seed]
+        inst = rl.gen_instance(4, 4, 4, 10.0, seed)
+        trace = rl.solve(inst, rl.default_config(inst, seed=seed))["trace"]
+        assert trace.column("inner_iters") == inner_iters
+        names = {"p": "penalty-decrease", "d": "dual-update"}
+        assert trace.column("branch") == [names[b] for b in branches]
+        assert trace.converged
+        assert trace.records[-1].h_inf == pytest.approx(h_inf, rel=1e-12, abs=0.0)
 
 
 class TestGradients:
