@@ -47,7 +47,12 @@ class BlockProblem:
 
     The multipliers reach the AL methods only as ``duals``, the value that
     :meth:`unpack_duals` returns for the flat vector ``lam`` and ``rho``;
-    a problem keeps no per-(lam, rho) state of its own.
+    a problem keeps no per-(lam, rho) state of its own. An iterate may carry
+    values built from its blocks (``init=False`` fields): each equals a fresh
+    constructor call's, building an iterate never changes another, ``step``
+    and ``set_block_value`` pass ``prev=z`` to keep as the same object each
+    value whose source blocks are the same objects, and ``dataclasses.replace``
+    raises or recomputes. ``pddopt verify`` checks both rules per app suite.
     """
 
     n_blocks = 1
@@ -219,9 +224,7 @@ def rbsum_run(problem, z, duals, rho, stop=STOP_OBJECTIVE, seed=0, eps_inner=1e-
 
     ``seed`` may be an int or a ``numpy.random.Generator`` (the latter lets
     an outer loop thread one stream through successive inner solves).
-
-    ``duals`` is ``problem.unpack_duals(lam, rho)``, passed as is to every
-    AL call of the solve (for the default hook, the flat ``lam`` itself).
+    ``duals`` is ``problem.unpack_duals(lam, rho)``.
     """
     if stop not in _STOP_RULES:
         raise InvalidInputError(f"unknown inner stop rule {stop!r}")
@@ -264,9 +267,6 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     ``1e-8 * config.rho0`` (each clamp counts in ``trace.rho_floor_hits``).
     Terminates when ``||h||_inf`` falls below ``config.eps_outer`` with the
     inner stop satisfied, or at ``config.max_outer``.
-
-    Each outer iteration calls ``problem.unpack_duals(lam, rho)`` once and
-    passes the result to the inner solve and to the iteration's AL value.
 
     ``on_iteration``, when given, receives each :class:`PddRecord` as soon
     as it is complete (used for crash-safe trace streaming).

@@ -1,11 +1,12 @@
 """File formats for instances and results.
 
 Dense real matrices travel either as CSV or as a compact binary:
-little-endian float64 entries in row-major order behind an 8-byte header
+little-endian float64 entries in row-major order behind a 12-byte header
 (magic ``VMIN``, u32 rows, u32 cols). Complex arrays in JSON are nested
 ``[re, im]`` pairs.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -34,10 +35,11 @@ def read_vmin(path):
         if len(header) != 8:
             raise InvalidInputError(f"{path}: truncated header ({4 + len(header)} of 12 bytes)")
         n, l = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(8 * n * l), dtype="<f8")
-        if data.size != n * l:
-            raise InvalidInputError(f"{path}: truncated payload ({data.size} of {n * l} values)")
-    return data.reshape(n, l).copy()
+        size = os.fstat(fh.fileno()).st_size - 12
+        if size != 8 * n * l:
+            raise InvalidInputError(f"{path}: a {n} x {l} header needs {8 * n * l} payload "
+                                    f"bytes, the file holds {size}")
+        return np.frombuffer(fh.read(size), dtype="<f8").reshape(n, l).copy()
 
 
 def write_matrix_csv(path, A):

@@ -8,6 +8,7 @@ while the inner BSUM alternates an exact t-update with an eigenvector
 w-update on a locally tight homogeneous quadratic upper bound.
 """
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -62,12 +63,9 @@ class MulticastInstance:
 class MulticastIterate:
     """Inner iterate: unit-norm stacked beamformer and user levels t >= 0.
 
-    The values that depend on w alone are computed once, when the iterate is
-    built on ``instance``: the K x n_g gain matrix ``G``, the coupling norms
-    ``na``, ``nb`` of :func:`coupling_norms`, and the user products ``Aw``,
-    ``Bw`` (rows ``A_k w`` and ``B_k w``, K x n complex). They are taken
-    over from ``prev`` only when ``prev.w`` is this iterate's w object, so an
-    iterate with a new w never carries the old values.
+    It carries, from w, the K x n_g gain matrix ``G``, the coupling norms
+    ``na``, ``nb`` of :func:`coupling_norms` and the user products ``Aw``,
+    ``Bw`` (rows ``A_k w`` and ``B_k w``), by the rule in ``core.BlockProblem``.
     """
 
     w: np.ndarray   # complex, n_g * N_t, ||w|| = 1
@@ -114,14 +112,18 @@ def build_instance(channels, groups, sigma2, p_bs):
     (``N_t``, ``n_groups``, ``K``), a non-finite channel, noise power or
     budget, or a ``sigma2`` that is neither a scalar nor K entries, raises
     :class:`InvalidInputError` naming the dimension or field (``channels``,
-    ``sigma2``, ``P_BS``). So does a user with an all-zero channel: its SINR
-    is 0 for every beamformer, and the w-update surrogate divides by its
-    gain.
+    ``sigma2``, ``P_BS``). So does a group member that is not an integer, and
+    a user with an all-zero channel: its SINR is 0 for every beamformer, and
+    the w-update surrogate divides by its gain.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2:
         raise InvalidInputError(f"channels must be K x N_t, got shape {channels.shape}")
     K, n_t = channels.shape
+    groups = tuple(tuple(g) for g in groups)
+    for u in (u for g in groups for u in g):
+        if isinstance(u, bool) or not isinstance(u, numbers.Integral):
+            raise InvalidInputError(f"group members must be integer user indices, got {u!r}")
     groups = tuple(tuple(int(u) for u in g) for g in groups)
     numerics.require_dims("multicast", N_t=n_t, n_groups=len(groups), K=K)
     numerics.require_finite("channels", channels)

@@ -5,9 +5,7 @@ power constraint. Splitting variables (X = FHV plus barred copies that own
 the power constraints) turns the couplings into equality constraints that
 PDD dualizes; the inner loop is a four-block BSUM whose rate surrogate
 comes from the MMSE reformulation with receive scalars u and weights w,
-recomputed from (X, F) by the two blocks that read them. An iterate carries
-F H, F H V and the received powers of its (X, F), so a sweep computes each
-of them only when a block it depends on has changed.
+recomputed from (X, F) by the two blocks that read them.
 
 All rates are natural-log.
 """
@@ -93,11 +91,8 @@ def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
 class RelayIterate:
     """Primal blocks and their barred copies.
 
-    The values built from (F, X, V) are computed once, when the iterate is
-    built on ``instance``: ``FH = F @ H``, ``FHV = FH @ V`` and ``powers``,
-    the :func:`_received_powers` triple of (X, F). Each is taken over from
-    ``prev`` only when ``prev`` holds the very arrays it depends on (F; F and
-    V; F and X), so an iterate never carries the values of another point.
+    It carries ``FH = F @ H``, ``FHV = FH @ V`` and ``powers``, the
+    :func:`_received_powers` triple of (X, F), by the rule in ``core.BlockProblem``.
     """
 
     V: np.ndarray    # N_s x K
@@ -244,8 +239,6 @@ class RelayProblem(BlockProblem):
     the iterate carries, before their block update, which makes each
     individual step a tight surrogate minimization of the AL and keeps the
     descent property under any block visit order.
-    The duals live only in the outer loop's flat vector ``lam``;
-    :meth:`unpack_duals` turns it into the ``duals`` the AL methods take.
     """
 
     n_blocks = 4

@@ -13,7 +13,8 @@ The toy problems, random-iterate helpers and the dense multicast forms
 of :func:`dense_forms` are shared with the hand-written tests.
 """
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from . import numerics
 from . import relay as rl
 from . import volmin as vm
 from .core import BlockProblem, PddConfig, pdd_run, rbsum_run, stationarity_residuals
+from .errors import NumericalFailureError
 
 
 @dataclass
@@ -35,7 +37,8 @@ class CheckResult:
 @dataclass(frozen=True)
 class Property:
     """A catalogue entry: ``check(rng)`` returns a ``(passed, detail)`` pair,
-    or one pair per name when the entry has several names."""
+    or one pair per name when the entry has several names. A check that
+    raises fails each of its names, and the other entries still run."""
 
     suite: str
     names: tuple
@@ -43,9 +46,12 @@ class Property:
 
     def run(self, seed=0):
         rng = np.random.default_rng([seed, *f"{self.suite}/{self.names[0]}".encode()])
-        outcomes = self.check(rng)
-        if len(self.names) == 1:
-            outcomes = [outcomes]
+        try:
+            outcomes = self.check(rng)
+            if len(self.names) == 1:
+                outcomes = [outcomes]
+        except Exception as exc:
+            outcomes = [(False, f"raised {type(exc).__name__}: {exc}")] * len(self.names)
         return [CheckResult(self.suite, name, bool(passed), detail)
                 for name, (passed, detail) in zip(self.names, outcomes, strict=True)]
 
@@ -519,6 +525,69 @@ def _fd_gradient_consistency(rng):
 
 
 # --------------------------------------------------------------------------
+# BlockProblem contracts, one check each, run by every app's suite
+# --------------------------------------------------------------------------
+
+def check_carried_values(problem, starts, new_iterate, sources, rng):
+    """The carried-values rule of :class:`~pddopt.core.BlockProblem`. From
+    each start ``(z, lam, rho)``, two sweeps in random block order take every
+    ``step``, each followed by a ``set_block_value`` of that block.
+    ``new_iterate(z)`` is a fresh constructor call on z's blocks, and
+    ``sources[name]`` the blocks that carried value ``name`` is built from."""
+    faults = dict.fromkeys(("stale", "altered", "not reused", "stale after replace"), 0)
+
+    def carried(z):   # each init=False field as bytes, a tuple entry by entry
+        values = {f.name: getattr(z, f.name) for f in fields(z) if not f.init}
+        return {name: [(a.dtype.str, a.shape, a.tobytes())
+                       for a in map(np.asarray, v if isinstance(v, tuple) else (v,))]
+                for name, v in values.items()}
+
+    def follow(make, i, z, *args):
+        before, new = carried(z), make(i, z, *args)
+        faults["stale"] += carried(new) != carried(new_iterate(new))
+        faults["altered"] += carried(z) != before
+        faults["not reused"] += sum(
+            getattr(new, name) is not getattr(z, name) for name in before
+            if all(getattr(new, b) is getattr(z, b) for b in sources[name]))
+        return new
+
+    for z, lam, rho in starts:
+        faults["stale"] += carried(z) != carried(new_iterate(z))
+        for name in (f.name for f in fields(z) if f.init):
+            with contextlib.suppress(ValueError):   # replace may raise instead
+                new = replace(z, **{name: getattr(z, name) + 1.0})
+                faults["stale after replace"] += carried(new) != carried(new_iterate(new))
+        duals = problem.unpack_duals(lam, rho)
+        for i in np.concatenate([rng.permutation(problem.n_blocks) for _ in range(2)]).tolist():
+            z = follow(problem.step, i, z, duals, rho)
+            v = problem.block_value(i, z)
+            follow(problem.set_block_value, i, z, v + 0.1 * rng.standard_normal(v.size))
+    return not any(faults.values()), ", ".join(f"{n} {kind}" for kind, n in faults.items())
+
+
+def check_stateless_problem(new_problem, starts):
+    """The stateless rule of :class:`~pddopt.core.BlockProblem`: from each
+    start, one problem reused for two ``rbsum_run`` calls, with ``lam``
+    changed in place between them, ends each where a fresh one does."""
+    reused, ends = new_problem(), []
+    for z0, lam, rho in starts:
+        lam = lam.copy()
+        for _ in range(2):
+            for prob, lam_k in ((reused, lam), (new_problem(), lam.copy())):
+                try:
+                    z, sweeps, _ = rbsum_run(prob, z0, prob.unpack_duals(lam_k, rho), rho,
+                                             seed=5, max_inner=4)
+                    ends.append([sweeps] + [prob.block_value(i, z).tobytes()
+                                            for i in range(prob.n_blocks)])
+                except NumericalFailureError as exc:   # stale duals can break descent
+                    ends.append(repr(exc))
+            lam *= -0.5       # in place, between the runs
+            lam[0] += 1.0
+    differ = sum(a != b for a, b in zip(ends[::2], ends[1::2]))
+    return differ == 0, f"{differ} of {len(ends) // 2} solves differ from a fresh problem's"
+
+
+# --------------------------------------------------------------------------
 # multicast
 # --------------------------------------------------------------------------
 
@@ -617,6 +686,21 @@ def _mc_fd_al_gradient(rng):
         g_t[int(np.argmin(z.t))] -= 1.0   # -min(t) subgradient at a unique argmin
         worst = max(worst, _rel_err(fd_block_gradient(prob, 0, z, lam, rho), g_t))
     return worst <= 1e-4, f"worst rel {worst:.2e}"
+
+
+@_property("multicast", "carried-values", "stateless-problem")
+def _mc_contracts(rng):
+    inst = _mc_instance(rng)
+    K = inst.n_users
+    # group 0's own gains are 0 at w_dead, so the surrogate takes its jitter path
+    w_dead = np.concatenate([np.zeros(inst.n_t), rand_unit_vec(rng, inst.dim - inst.n_t)])
+    zs = [mc.initial_iterate(inst, rng)] + [mc.MulticastIterate(w, rng.uniform(0.0, 3.0, K), inst)
+                                           for w in (rand_unit_vec(rng, inst.dim), w_dead)]
+    starts = [(z, rng.standard_normal(K), 0.7) for z in zs]
+    sources = dict.fromkeys(("G", "na", "nb", "Aw", "Bw"), ("w",))
+    return (check_carried_values(mc.MulticastProblem(inst), starts,
+                                 lambda z: mc.MulticastIterate(z.w, z.t, inst), sources, rng),
+            check_stateless_problem(lambda: mc.MulticastProblem(inst), starts))
 
 
 @_property("multicast", "kkt-grid-oracle")
@@ -826,6 +910,18 @@ def _relay_fd_al_gradient(rng):
     return worst <= 1e-4, f"worst rel {worst:.2e}"
 
 
+@_property("relay", "carried-values", "stateless-problem")
+def _relay_contracts(rng):
+    inst = rl.gen_instance(3, 4, 2, 10.0, seed=int(rng.integers(1 << 16)))  # N_s, N_r, K differ
+    prob = rl.RelayProblem(inst)
+    starts = [(z if k else rl.initial_iterate(inst, rng), prob.pack_duals(*duals), 0.7)
+              for k, (z, duals) in enumerate(rand_relay_iterate(inst, rng) for _ in range(3))]
+    sources = {"FH": ("F",), "FHV": ("F", "V"), "powers": ("F", "X")}
+    return (check_carried_values(prob, starts, lambda z: rl.RelayIterate(
+                z.V, z.F, z.X, z.Vb, z.Fb, z.Xb, inst), sources, rng),
+            check_stateless_problem(lambda: rl.RelayProblem(inst), starts))
+
+
 # --------------------------------------------------------------------------
 # volmin
 # --------------------------------------------------------------------------
@@ -974,26 +1070,15 @@ def _x_update_alignment(rng):
     return (ok_align, ""), (ok_perm, "")
 
 
-@_property("volmin", "cached-singular-values")
-def _cached_singular_values(rng):
-    # every iterate carries the singular values of its own X, bit for bit
+@_property("volmin", "carried-values", "stateless-problem")
+def _volmin_contracts(rng):
     inst = _volmin_instance(rng)
-    prob = vm.VolMinProblem(inst)
-    iterates = []
-    for _ in range(10):
-        z, P, Q = rand_volmin_iterate(inst, rng)
-        rho = float(rng.uniform(0.1, 2.0))
-        duals = prob.unpack_duals(np.concatenate([P.ravel(), Q.ravel()]), rho)
-        iterates.append(z)
-        for i in range(3):
-            z = prob.step(i, z, duals, rho)
-            iterates.append(z)
-            v = prob.block_value(i, z) + 0.1 * rng.standard_normal(prob.block_value(i, z).size)
-            iterates.append(prob.set_block_value(i, z, v))
-        iterates.append(vm.replace(z, X=rng.standard_normal(z.X.shape)))
-    stale = sum(z.sigma_X.tobytes() != np.linalg.svd(z.X, compute_uv=False).tobytes()
-                for z in iterates)
-    return stale == 0, f"{stale} of {len(iterates)} iterates stale"
+    starts = [(z, np.concatenate([P.ravel(), Q.ravel()]), 0.7)
+              for z, P, Q in (rand_volmin_iterate(inst, rng) for _ in range(3))]
+    sources = {"sigma_X": ("X",)}
+    return (check_carried_values(vm.VolMinProblem(inst), starts,
+                                 lambda z: vm.VolMinIterate(z.X, z.S, z.Y), sources, rng),
+            check_stateless_problem(lambda: vm.VolMinProblem(inst), starts))
 
 
 @_property("volmin", "mse-permutation-scale-invariance")

@@ -62,10 +62,8 @@ def build_instance(A, rank, eps=1e-2):
 class VolMinIterate:
     """Factors, the copy Y of X, and the singular values of X.
 
-    ``sigma_X`` is ``np.linalg.svd(X, compute_uv=False)``, computed when the
-    iterate is built. It is taken over from ``prev`` only when ``prev.X`` is
-    this iterate's X object, so ``dataclasses.replace`` with a new X never
-    carries the old values.
+    It carries ``sigma_X = np.linalg.svd(X, compute_uv=False)``, by the rule
+    in ``core.BlockProblem``.
     """
 
     X: np.ndarray    # N x K
@@ -252,8 +250,9 @@ class VolMinProblem(BlockProblem):
         return (z.Y, z.S, z.X)[i].ravel().copy()
 
     def set_block_value(self, i, z, v):
-        name = ("Y", "S", "X")[i]
-        return replace(z, **{name: np.asarray(v, float).reshape(getattr(z, name).shape)})
+        blocks = [z.Y, z.S, z.X]
+        blocks[i] = np.asarray(v, float).reshape(blocks[i].shape)
+        return VolMinIterate(X=blocks[2], S=blocks[1], Y=blocks[0], prev=z)
 
     def block_prox(self, i):
         if i != 1:

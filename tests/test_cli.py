@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -473,6 +474,24 @@ class TestBadInstanceFile:
         assert self._solve(tmp_path, "relay", "--instance", path) == 2
         assert (f"instance file {path} holds a malformed value: H has a non-finite entry"
                 in capsys.readouterr().err)
+
+    def test_multicast_instance_with_fractional_group_member(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"channels": [[[1.0, 0.0]], [[0.0, 1.0]]],
+                                    "groups": [[0.9], [1.2]], "sigma2": [1.0, 1.0], "P_BS": 1.0}))
+        assert self._solve(tmp_path, "multicast", "--instance", path) == 2
+        assert "integer user indices, got 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, cols, extra", [(2**32 - 1, 2**32 - 1, 0), (2, 2, 8)],
+                             ids=["oversized-header", "trailing-bytes"])
+    def test_vmin_payload_size_mismatch(self, tmp_path, capsys, rows, cols, extra):
+        path = tmp_path / "a.vmin"
+        path.write_bytes(b"VMIN" + struct.pack("<II", rows, cols) + bytes(32 + extra))
+        message = f"needs {8 * rows * cols} payload bytes, the file holds {32 + extra}"
+        with pytest.raises(InvalidInputError, match=f"{rows} x {cols} header {message}$"):
+            ioformats.read_vmin(path)
+        assert self._solve(tmp_path, "volmin", "--instance", path, "--k", 1) == 2
+        assert capsys.readouterr().err.endswith(f"{message}\n")
 
     def test_volmin_csv_with_non_numeric_cell(self, tmp_path, capsys):
         path = tmp_path / "a.csv"

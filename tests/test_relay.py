@@ -1,10 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from pddopt import relay as rl
-from pddopt.core import rbsum_run
 from pddopt.errors import InvalidInputError
 from pddopt.verify import fd_block_gradient, rand_relay_iterate
 
@@ -159,48 +156,6 @@ class TestInnerSweep:
         assert np.abs(rl.constraint_h(z, inst222)).max() == 0.0
 
 
-class TestIterateCache:
-    """The values a relay iterate carries match a fresh computation, and a
-    step passes on those whose blocks it leaves alone."""
-
-    @staticmethod
-    def _assert_fresh(z, inst):
-        FH = z.F @ inst.H
-        fresh = {"FH": FH, "FHV": FH @ z.V}
-        fresh.update(zip(("total", "own", "interf"), rl._received_powers(z.X, z.F, inst)))
-        cached = {"FH": z.FH, "FHV": z.FHV}
-        cached.update(zip(("total", "own", "interf"), z.powers))
-        for name, value in fresh.items():
-            assert cached[name].shape == value.shape, name
-            assert cached[name].tobytes() == value.tobytes(), name
-
-    def test_steps_and_block_values(self):
-        inst = rl.gen_instance(3, 4, 2, 10.0, seed=5)   # N_s, N_r and K all differ
-        rng = np.random.default_rng(41)
-        prob = rl.RelayProblem(inst)
-        z = rl.initial_iterate(inst, rng)
-        self._assert_fresh(z, inst)
-        _, duals = rand_relay_iterate(inst, rng)
-        duals = prob.unpack_duals(prob.pack_duals(*duals), 0.7)
-        # (value, blocks it depends on) for F, bars, X, V: what each step may reuse
-        kept = {0: (), 1: ("FH", "FHV", "powers"), 2: ("FH", "FHV"), 3: ("FH", "powers")}
-        for i in (0, 1, 2, 3):
-            z_new = prob.step(i, z, duals, 0.7)
-            self._assert_fresh(z_new, inst)
-            self._assert_fresh(z, inst)      # the old iterate is left as it was
-            for name in kept[i]:
-                assert getattr(z_new, name) is getattr(z, name), (i, name)
-            z = z_new
-        for i in range(4):
-            v = rng.standard_normal(prob.block_value(i, z).size)
-            self._assert_fresh(prob.set_block_value(i, z, v), inst)
-
-    def test_replace_raises(self, inst222):
-        z = rl.initial_iterate(inst222, np.random.default_rng(42))
-        with pytest.raises(ValueError):
-            dataclasses.replace(z, F=2.0 * z.F)  # no path keeps the old F's values
-
-
 class TestSweepCountsPinned:
     """Seeded (4,4,4) solves take exactly the inner sweeps and branches they
     took before the iterate carried F H, F H V and its received powers
@@ -305,27 +260,3 @@ class TestFaultInjection:
         assert relay_power <= inst.p_r + 1e-9
         assert np.isfinite(res["trace"].records[-1].h_inf)
         assert np.isfinite(res["sum_rate_nats"]) and res["sum_rate_nats"] > 0.0
-
-
-def _same_iterate(a, b):
-    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
-               for f in ("V", "F", "X", "Vb", "Fb", "Xb"))
-
-
-class TestUnpackDuals:
-    """The problem holds no per-(λ, ρ) state: a reused one equals a fresh one bit for bit."""
-
-    def test_reused_problem_equals_fresh_problem(self, inst222):
-        rng = np.random.default_rng(21)
-        z0, duals = rand_relay_iterate(inst222, rng)
-        prob = rl.RelayProblem(inst222)
-        lam = prob.pack_duals(*duals)
-        for _ in range(2):
-            z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.7), 0.7,
-                                    seed=5, max_inner=4)
-            fresh = rl.RelayProblem(inst222)
-            z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.7),
-                                            0.7, seed=5, max_inner=4)
-            assert iters == iters_ref and _same_iterate(z, z_ref)
-            lam *= -0.5       # in place, between the runs
-            lam[0] += 1.0

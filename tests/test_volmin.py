@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pddopt import volmin as vm
-from pddopt.core import rbsum_run
 from pddopt.errors import InvalidInputError
 from pddopt.verify import rand_volmin_iterate
 
@@ -243,16 +242,6 @@ class TestFaultInjection:
 
 
 class TestIterate:
-    def test_singular_values_follow_x(self, small):
-        inst, _ = small
-        rng = np.random.default_rng(23)
-        z, _, _ = rand_volmin_iterate(inst, rng)
-        for w in (vm.replace(z, X=2.0 * z.X), vm.replace(z, Y=z.X),
-                  vm.VolMinIterate(X=z.X + 1.0, S=z.S, Y=z.Y, prev=z)):
-            assert w.sigma_X.tobytes() == np.linalg.svd(w.X, compute_uv=False).tobytes()
-        kept = vm.VolMinIterate(X=z.X, S=z.S, Y=2.0 * z.Y, prev=z)
-        assert kept.sigma_X is z.sigma_X
-
     def test_constraint_matches_concatenation(self, small):
         inst, _ = small
         rng = np.random.default_rng(24)
@@ -264,27 +253,3 @@ class TestIterate:
             out = np.full(want.size, np.nan)
             assert prob.constraint(z, out=out) is out
             assert out.tobytes() == want.tobytes()
-
-
-def _same_iterate(a, b):
-    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("X", "S", "Y"))
-
-
-class TestUnpackDuals:
-    """The problem holds no per-(λ, ρ) state: a reused one equals a fresh one bit for bit."""
-
-    def test_reused_problem_equals_fresh_problem(self, small):
-        inst, _ = small
-        rng = np.random.default_rng(22)
-        z0, P, Q = rand_volmin_iterate(inst, rng)
-        lam = np.concatenate([P.ravel(), Q.ravel()])
-        prob = vm.VolMinProblem(inst)
-        for _ in range(2):
-            z, iters, _ = rbsum_run(prob, z0, prob.unpack_duals(lam, 0.4), 0.4,
-                                    seed=5, max_inner=4)
-            fresh = vm.VolMinProblem(inst)
-            z_ref, iters_ref, _ = rbsum_run(fresh, z0, fresh.unpack_duals(lam.copy(), 0.4),
-                                            0.4, seed=5, max_inner=4)
-            assert iters == iters_ref and _same_iterate(z, z_ref)
-            lam *= -0.5       # in place, between the runs
-            lam[0] += 1.0
