@@ -60,11 +60,15 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pddopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a random instance file")
+    # no abbreviations: gen would read --truth, a solve flag, as --truth-out
+    p_gen = sub.add_parser("gen", help="generate a random instance file", allow_abbrev=False)
     _add_app_flag(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="instance file to write")
-    _add_generator_flags(p_gen)
+    g = _add_generator_flags(p_gen)
+    g.add_argument("--format", choices=["vmin", "csv"], default="vmin",
+                   help="volmin instance format")
+    g.add_argument("--truth-out", help="volmin: ground-truth JSON to write")
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
@@ -118,14 +122,7 @@ def _add_generator_flags(p):
     g.add_argument("--n", type=int, default=10, help="volmin: data rows")
     g.add_argument("--l", type=int, default=200, help="volmin: data columns")
     g.add_argument("--gamma", type=float, default=0.8, help="volmin: simplex cap")
-    g.add_argument("--format", choices=["vmin", "csv"], default="vmin",
-                   help="volmin instance format")
-    g.add_argument("--truth-out", help="volmin: ground-truth JSON to write")
-    g.add_argument("--truth", help="volmin: ground-truth JSON for MSE evaluation")
-    g.add_argument("--eps-smooth", type=float, default=1e-2,
-                   help="volmin: volume smoothing parameter")
-    g.add_argument("--prescale", action="store_true",
-                   help="volmin: rescale data so the rank-K spectrum clears the smoothing floor")
+    return g
 
 
 def _add_config_flags(p):
@@ -139,6 +136,11 @@ def _add_config_flags(p):
     g.add_argument("--max-inner", type=int, dest="max_inner")
     g.add_argument("--mode", choices=["pdd", "ipdd"])
     g.add_argument("--restarts", type=int, default=3, help="volmin random restarts")
+    g.add_argument("--truth", help="volmin: ground-truth JSON for MSE evaluation")
+    g.add_argument("--eps-smooth", type=float, default=1e-2,
+                   help="volmin: volume smoothing parameter")
+    g.add_argument("--prescale", action="store_true",
+                   help="volmin: rescale data so the rank-K spectrum clears the smoothing floor")
 
 
 def _config_overrides(args):
@@ -233,9 +235,17 @@ def cmd_gen(args):
 
 
 def _load_instance(args, seed):
-    path = getattr(args, "instance", None)
+    """The instance read from ``--instance`` or generated from ``seed``, and the
+    volmin ground truth (else None); volmin data is built with ``--eps-smooth``."""
+    path = args.instance
     if not path:
-        return _generate_instance(args, seed)
+        if args.truth:
+            raise InvalidInputError(
+                "--truth needs --instance: generated data carries its own ground truth")
+        inst, truth = _generate_instance(args, seed)
+        if args.app == "volmin":
+            inst = vm.build_instance(inst.A, args.k, args.eps_smooth)
+        return inst, truth
     if args.app == "multicast":
         return _from_json_file(path, "instance", mc.instance_from_dict), None
     if args.app == "relay":
@@ -244,15 +254,23 @@ def _load_instance(args, seed):
         A = ioformats.read_dense_matrix(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot read data matrix file {path}: {exc}") from exc
+    inst = vm.build_instance(A, args.k, args.eps_smooth)
     truth = None
-    if getattr(args, "truth", None):
-        truth = _from_json_file(args.truth, "truth", _truth_from_dict)
-    return vm.build_instance(A, args.k, args.eps_smooth), truth
+    if args.truth:  # checked here, so a truth that cannot be scored stops no solve
+        if inst.rank > vm.MSE_MAX_RANK:
+            raise InvalidInputError(f"--truth {args.truth}: MSE evaluation supports "
+                                    f"K <= {vm.MSE_MAX_RANK}, got --k {inst.rank}")
+        truth = _from_json_file(args.truth, "truth", lambda data: _truth_from_dict(data, inst))
+    return inst, truth
 
 
-def _truth_from_dict(data):
+def _truth_from_dict(data, inst):
+    X = np.asarray(data["X"])
+    if X.shape != (inst.n_rows, inst.rank):
+        raise ValueError(f"X has shape {X.shape}, the data and --k need "
+                         f"{(inst.n_rows, inst.rank)}")
     return vm.GroundTruth(
-        X=np.asarray(data["X"]), S=np.asarray(data["S"]), gamma=data["gamma"],
+        X=X, S=np.asarray(data["S"]), gamma=data["gamma"],
         snr_db=np.inf if data["snr_db"] is None else data["snr_db"],
     )
 

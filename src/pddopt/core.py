@@ -198,9 +198,6 @@ class PddTrace:
     CSV_COLUMNS = ("k", "objective", "al_value", "h_inf", "rho", "eta",
                    "branch", "inner_iters", "inner_converged", "time_ms")
 
-    def append(self, rec):
-        self.records.append(rec)
-
     def column(self, name):
         return [getattr(r, name) for r in self.records]
 
@@ -326,7 +323,7 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
             inner_iters=inner_iters, inner_converged=bool(inner_ok),
             time_s=time.perf_counter() - t_start,
         )
-        trace.append(rec)
+        trace.records.append(rec)
         if on_iteration is not None:
             on_iteration(rec)
 

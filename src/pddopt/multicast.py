@@ -388,14 +388,13 @@ class MulticastProblem(BlockProblem):
         return lambda v: solve_t_subproblem(np.full(v.size, 0.5), v)[0]
 
 
-def default_config(instance, seed=0, **overrides):
+def default_config(instance, **overrides):
     """Penalty and tolerance schedule used by the reference experiments.
 
     The inner loop stops on the stationarity residual (the accuracy the
     eps schedule refers to); gradients are cheap for this problem.
     """
-    cfg = dict(rho0=0.5 * instance.n_users, inner_stop="residual", eps_min=1e-5,
-               seed=seed)
+    cfg = dict(rho0=0.5 * instance.n_users, inner_stop="residual", eps_min=1e-5)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -477,8 +476,8 @@ def kkt_residual(w, instance):
     return float(np.sqrt(max(lam @ Q @ lam, 0.0)))
 
 
-def gen_instance(n_t, n_groups, users_per_group, p_bs, seed, sigma2=1.0):
-    """Random network with i.i.d. CN(0, 1) channels and equal group sizes."""
+def gen_instance(n_t, n_groups, users_per_group, p_bs, seed):
+    """Random network: i.i.d. CN(0, 1) channels, equal group sizes, unit noise."""
     numerics.require_dims("multicast", N_t=n_t, n_groups=n_groups,
                           users_per_group=users_per_group)
     rng = np.random.default_rng(seed)
@@ -486,7 +485,7 @@ def gen_instance(n_t, n_groups, users_per_group, p_bs, seed, sigma2=1.0):
     channels = (rng.standard_normal((K, n_t)) + 1j * rng.standard_normal((K, n_t))) / np.sqrt(2.0)
     groups = [list(range(i * users_per_group, (i + 1) * users_per_group))
               for i in range(n_groups)]
-    return build_instance(channels, groups, sigma2, p_bs)
+    return build_instance(channels, groups, 1.0, p_bs)
 
 
 def instance_to_dict(instance):

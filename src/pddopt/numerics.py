@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels and convex projections shared by the solvers.
 
 All functions are pure: they never mutate their inputs and hold no state
-beyond a cache of LAPACK work-array sizes per matrix order and dtype, so they
+beyond a cache of LAPACK work-array sizes per matrix order, so they
 are safe to call from concurrent workers. Their tolerances are the module
 constants below.
 """
@@ -23,19 +23,10 @@ CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
 
 _SYEVR, _SYEVR_LWORK = lapack.get_lapack_funcs(("syevr", "syevr_lwork"))
-_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
-
-
-def _per_dtype(real_name, complex_name):
-    return {_REAL: lapack.get_lapack_funcs(real_name, dtype=_REAL),
-            _COMPLEX: lapack.get_lapack_funcs(complex_name, dtype=_COMPLEX)}
-
-
-# The routines np.linalg.eigh and np.linalg.solve call, per computation dtype
-# (LAPACK names the real Hermitian eigensolver syevd).
-_HEEVD = _per_dtype("syevd", "heevd")
-_HEEVD_LWORK = _per_dtype("syevd_lwork", "heevd_lwork")
-_GESV = _per_dtype("gesv", "gesv")
+# The complex routines np.linalg.eigh and np.linalg.solve call. Their f2py
+# wrappers cast a real argument to complex.
+_HEEVD, _HEEVD_LWORK, _GESV = lapack.get_lapack_funcs(
+    ("heevd", "heevd_lwork", "gesv"), dtype=np.complex128)
 
 
 def require_finite(name, value):
@@ -220,7 +211,7 @@ def thin_svd(M):
 
 
 def solve_sylvester(A, B, C):
-    """Solve A F + F B = C for Hermitian A and B (real or complex).
+    """Solve A F + F B = C for Hermitian A and B in complex arithmetic.
 
     Contract: A (n x n) and B (m x m) are Hermitian and every sum
     ``lambda_i(A) + mu_j(B)`` of their eigenvalues is positive, e.g. A
@@ -229,7 +220,7 @@ def solve_sylvester(A, B, C):
     :func:`min_eigvec_sym`; an A or B that is not Hermitian is caught by
     the residual check. With ``A = U_A diag(lambda) U_A^H`` and
     ``B = U_B diag(mu) U_B^H`` (two Hermitian eigendecompositions, each
-    by LAPACK ``heevd``, ``syevd`` for a real matrix, called directly),
+    by LAPACK ``zheevd``, called directly; F is complex),
 
         F = U_A [(U_A^H C U_B) / (lambda_i + mu_j)] U_B^H,
 
@@ -274,11 +265,11 @@ def solve_sylvester(A, B, C):
 
 
 @functools.lru_cache(maxsize=64)
-def _heevd_work_sizes(dtype, n):
-    """Work-array sizes of ``syevd`` (lwork, liwork) or ``heevd`` (lwork,
-    liwork, lrwork) on an n x n matrix of ``dtype``, lower triangle, in the
-    order the routine takes them after ``compute_v`` and ``lower``."""
-    *sizes, info = _HEEVD_LWORK[dtype](n, lower=1)
+def _heevd_work_sizes(n):
+    """Work-array sizes (lwork, liwork, lrwork) of ``zheevd`` on an n x n
+    matrix, lower triangle, in the order the routine takes them after
+    ``compute_v`` and ``lower``."""
+    *sizes, info = _HEEVD_LWORK(n, lower=1)
     if info != 0:
         raise NumericalFailureError(f"heevd work-size query failed: info={info}")
     return tuple(int(x.real) for x in sizes)
@@ -286,34 +277,30 @@ def _heevd_work_sizes(dtype, n):
 
 def _eigh_lower(M):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix from its
-    lower triangle: LAPACK ``syevd``/``heevd`` called directly with the
-    arguments ``np.linalg.eigh(M)`` passes, without its wrapper cost. The
-    eigenvectors come back in C order, as from ``np.linalg.eigh``, so the
+    lower triangle: LAPACK ``zheevd`` called directly with the arguments
+    ``np.linalg.eigh(M)`` passes for a complex M, without its wrapper cost.
+    The eigenvectors come back in C order, as from ``np.linalg.eigh``, so the
     products formed from them take the same BLAS path."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NumericalFailureError(
             f"Sylvester eigendecomposition failed: expected a square matrix, got shape {M.shape}")
-    dtype = _COMPLEX if np.iscomplexobj(M) else _REAL
     # positional arguments (compute_v=1, lower=1, then the work sizes) skip
     # the keyword parsing of the f2py wrapper
-    lam, U, info = _HEEVD[dtype](M, 1, 1, *_heevd_work_sizes(dtype, M.shape[0]))
+    lam, U, info = _HEEVD(M, 1, 1, *_heevd_work_sizes(M.shape[0]))
     if info != 0:
         raise NumericalFailureError(f"Sylvester eigendecomposition failed: heevd info={info}")
     return lam, np.ascontiguousarray(U)
 
 
 def solve_linear(A, B):
-    """Solve A X = B for a square nonsingular A and a matrix B.
+    """Solve A X = B in complex arithmetic for a square nonsingular A.
 
-    LAPACK ``gesv`` (LU with partial pivoting) is called directly, the
-    routine and arguments ``np.linalg.solve(A, B)`` uses, without its
-    wrapper cost. A complex A or B gives a complex solve. X is returned in
-    C order, as ``np.linalg.solve`` returns it, so reductions over it (a
-    norm, a sum) add in the same order. numpy and scipy may link different
-    LAPACK builds, so the last bits can differ from ``np.linalg.solve``:
-    with numpy 2.4 and scipy 1.17 the complex solve matches it and the real
-    solve does not from n = 6 on.
+    LAPACK ``zgesv`` (LU with partial pivoting) is called directly, the
+    routine and arguments ``np.linalg.solve(A, B)`` uses for complex A and B,
+    without its wrapper cost. A real A or B is promoted to complex, and X is
+    complex. X is returned in C order, as ``np.linalg.solve`` returns it, so
+    reductions over it (a norm, a sum) add in the same order.
 
     Raises
     ------
@@ -321,8 +308,7 @@ def solve_linear(A, B):
         If ``gesv`` reports an error; ``info > 0`` means U is exactly
         singular.
     """
-    dtype = _COMPLEX if np.iscomplexobj(A) or np.iscomplexobj(B) else _REAL
-    _, _, X, info = _GESV[dtype](A, B)
+    _, _, X, info = _GESV(A, B)
     if info != 0:
         raise NumericalFailureError(f"linear solve failed: gesv info={info}")
     return np.ascontiguousarray(X)

@@ -150,14 +150,9 @@ def _rate(powers, instance):
     return float(np.dot(instance.alpha, np.log(total / interf)))
 
 
-def rate_value(X, F, instance):
-    """Weighted sum rate (nats) as a function of the split variables."""
-    return _rate(_received_powers(X, F, instance), instance)
-
-
 def sum_rate(V, F, instance):
     """Weighted sum rate (nats) of the actual precoder pair (X = FHV)."""
-    return rate_value(F @ instance.H @ V, F, instance)
+    return _rate(_received_powers(F @ instance.H @ V, F, instance), instance)
 
 
 def wmmse_weights(X, F, instance):
@@ -368,7 +363,7 @@ class RelayProblem(BlockProblem):
         return numerics.real_embed_vec(-z.FH.conj().T @ M1 + M4)
 
 
-def default_config(instance, seed=0, **overrides):
+def default_config(instance, **overrides):
     """Penalty schedule with the size-scaled initial value used in experiments.
 
     The default shrink factor c = 0.6 moves the penalty out of its
@@ -379,8 +374,7 @@ def default_config(instance, seed=0, **overrides):
     """
     K, n_r, n_s = instance.n_users, instance.n_r, instance.n_s
     rho0 = 500.0 * K / (2.0 * K * n_r + n_s**2 + K * n_s)
-    cfg = dict(rho0=rho0, tau=0.99, max_outer=30, eps_outer=1e-3, eps_min=1e-5,
-               seed=seed)
+    cfg = dict(rho0=rho0, tau=0.99, max_outer=30, eps_outer=1e-3, eps_min=1e-5)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -439,14 +433,14 @@ def solve(instance, config=None, on_iteration=None):
     }
 
 
-def gen_instance(n_s, n_r, n_users, snr_db, seed, sigma_r2=1.0, sigma2=1.0):
-    """Random network: unit-variance CN channels, P_S = P_R = 10^(snr/10)."""
+def gen_instance(n_s, n_r, n_users, snr_db, seed):
+    """Random network: unit-variance CN channels and noise, P_S = P_R = 10^(snr/10)."""
     numerics.require_dims("relay", N_s=n_s, N_r=n_r, K=n_users)
     rng = np.random.default_rng(seed)
     p = 10.0 ** (snr_db / 10.0)
     H = (rng.standard_normal((n_r, n_s)) + 1j * rng.standard_normal((n_r, n_s))) / np.sqrt(2.0)
     g = (rng.standard_normal((n_users, n_r)) + 1j * rng.standard_normal((n_users, n_r))) / np.sqrt(2.0)
-    return build_instance(H, g, sigma_r2, sigma2, p, p)
+    return build_instance(H, g, 1.0, 1.0, p, p)
 
 
 def random_feasible_pair(instance, rng):

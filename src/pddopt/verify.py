@@ -146,13 +146,13 @@ def rand_relay_iterate(inst, rng, scale=1.0):
     return z, duals
 
 
-def rand_volmin_iterate(inst, rng, scale=1.0):
+def rand_volmin_iterate(inst, rng):
     """Random volmin iterate and dual matrices ``(P, Q)``, drawn in that order."""
     N, K, L = inst.n_rows, inst.rank, inst.n_cols
     z = vm.VolMinIterate(
-        X=scale * rng.standard_normal((N, K)),
+        X=rng.standard_normal((N, K)),
         S=numerics.project_simplex_columns(rng.standard_normal((K, L))),
-        Y=scale * rng.standard_normal((N, K)),
+        Y=rng.standard_normal((N, K)),
     )
     P = 0.3 * rng.standard_normal((N, L))
     Q = 0.3 * rng.standard_normal((N, K))

@@ -20,6 +20,7 @@ from .errors import InvalidInputError
 
 REJECTION_CAP = 1_000_000
 MSE_DB_FLOOR = -120.0
+MSE_MAX_RANK = 8          # the permutation search of mse_metric tries K! matchings
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,8 @@ class VolMinProblem(BlockProblem):
         return (f_eps_gradient(z.X, self.instance.eps) + M2).ravel()
 
 
-def default_config(instance, seed=0, **overrides):
-    cfg = dict(rho0=instance.n_cols / 100.0, max_outer=30, seed=seed)
+def default_config(instance, **overrides):
+    cfg = dict(rho0=instance.n_cols / 100.0, max_outer=30)
     cfg.update(overrides)
     return PddConfig(**cfg)
 
@@ -333,7 +334,7 @@ def mse_metric(X_hat, X_true):
     """Permutation-invariant normalized column MSE in dB.
 
     Columns are normalized (scale invariance), matched by exhaustive
-    search over permutations (requires K <= 8), and the result is
+    search over permutations (requires K <= ``MSE_MAX_RANK``), and the result is
     ``10 log10`` of the mean squared distance, floored at -120 dB.
     """
     X_hat = np.asarray(X_hat, dtype=float)
@@ -341,8 +342,8 @@ def mse_metric(X_hat, X_true):
     if X_hat.shape != X_true.shape:
         raise InvalidInputError(f"shape mismatch: {X_hat.shape} vs {X_true.shape}")
     K = X_true.shape[1]
-    if K > 8:
-        raise InvalidInputError("permutation search supports K <= 8")
+    if K > MSE_MAX_RANK:
+        raise InvalidInputError(f"permutation search supports K <= {MSE_MAX_RANK}")
     norms_hat = np.linalg.norm(X_hat, axis=0)
     norms_true = np.linalg.norm(X_true, axis=0)
     if np.any(norms_hat == 0) or np.any(norms_true == 0):

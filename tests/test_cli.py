@@ -198,6 +198,48 @@ class TestSolve:
                        "--snr-db", 10, "--seed", 1, "--out", outdir)
         assert code == 0
 
+    def test_volmin_eps_smooth_applies_to_generated_data(self, tmp_path):
+        data, truth = tmp_path / "d.vmin", tmp_path / "truth.json"
+        dims = ("--n", 6, "--l", 30, "--k", 2, "--seed", 4)
+        run_cli("gen", "--app", "volmin", *dims, "--out", data, "--truth-out", truth)
+        solve = ("solve", "--app", "volmin", *dims, "--eps-smooth", 0.5,
+                 "--restarts", 1, "--max-outer", 5)
+        run_cli(*solve, "--out", tmp_path / "gen")
+        run_cli(*solve, "--instance", data, "--truth", truth, "--out", tmp_path / "file")
+        generated = (tmp_path / "gen" / "results.json").read_bytes()
+        assert generated == (tmp_path / "file" / "results.json").read_bytes()
+        assert set(json.loads(generated)) >= {"f_eps", "mse_db"}
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--truth t.json"), ("gen", "--eps-smooth 0.5"), ("gen", "--prescale"),
+        ("solve", "--format csv"), ("solve", "--truth-out t.json"),
+        ("bench", "--format csv"), ("bench", "--truth-out t.json"),
+    ], ids=["gen-truth", "gen-eps-smooth", "gen-prescale", "solve-format",
+            "solve-truth-out", "bench-format", "bench-truth-out"])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        seeds = ("--seeds", 0) if command == "bench" else ()
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--app", "volmin", *seeds, "--out", tmp_path / "out",
+                    *flag.split())
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truth_without_instance_exits_2(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        run_cli("gen", "--app", "volmin", "--n", 6, "--l", 30, "--k", 2,
+                "--out", tmp_path / "d.vmin", "--truth-out", truth)
+        code = run_cli("solve", "--app", "volmin", "--n", 6, "--l", 30, "--k", 2,
+                       "--truth", truth, "--out", tmp_path / "run")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --truth needs --instance: generated data carries its own ground truth\n")
+        assert not (tmp_path / "run" / "trace.csv").exists()
+
 
 class TestBench:
     def test_rows_and_aggregates(self, tmp_path):
@@ -291,14 +333,13 @@ class TestNumericalFailureExitCode:
         # gesv reports an exactly singular factor (info > 0) in the X or V step
         from pddopt import numerics
 
-        dtype = np.dtype(complex)
-        gesv = numerics._GESV[dtype]
+        gesv = numerics._GESV
 
         def singular(*args, **kwargs):
             *out, _ = gesv(*args, **kwargs)
             return *out, 1
 
-        monkeypatch.setitem(numerics._GESV, dtype, singular)
+        monkeypatch.setattr(numerics, "_GESV", singular)
         code = run_cli("solve", "--app", "relay", "--ns", 2, "--nr", 2, "--k", 2,
                        "--out", tmp_path / "run")
         assert code == 2
@@ -511,6 +552,20 @@ class TestBadInstanceFile:
         err = capsys.readouterr().err
         assert f"cannot read data matrix file {path}" in err
         assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("n, k, truth_k, message", [
+        (6, 2, 3, "truth file {} holds a malformed value: X has shape (6, 3), "
+                  "the data and --k need (6, 2)"),
+        (10, 9, 9, "--truth {}: MSE evaluation supports K <= 8, got --k 9"),
+    ], ids=["shape-mismatch", "rank-above-8"])
+    def test_truth_checked_before_solving(self, tmp_path, capsys, n, k, truth_k, message):
+        data, truth = tmp_path / "a.vmin", tmp_path / "truth.json"
+        run_cli("gen", "--app", "volmin", "--n", n, "--k", truth_k, "--l", 30,
+                "--out", data, "--truth-out", truth)
+        assert self._solve(tmp_path, "volmin", "--instance", data, "--k", k,
+                           "--truth", truth) == 2
+        assert capsys.readouterr().err == f"error: {message.format(truth)}\n"
+        assert not (tmp_path / "run" / "trace.csv").exists()
 
     def test_missing_truth_file(self, tmp_path, capsys):
         data, truth = tmp_path / "a.vmin", tmp_path / "nothere.json"

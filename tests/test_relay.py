@@ -3,7 +3,7 @@ import pytest
 
 from pddopt import relay as rl
 from pddopt.errors import InvalidInputError
-from pddopt.verify import fd_block_gradient, rand_relay_iterate
+from pddopt.verify import rand_relay_iterate
 
 
 @pytest.fixture(scope="module")
@@ -180,18 +180,6 @@ class TestSweepCountsPinned:
         assert trace.column("branch") == [names[b] for b in branches]
         assert trace.converged
         assert trace.records[-1].h_inf == pytest.approx(h_inf, rel=1e-12, abs=0.0)
-
-
-class TestGradients:
-    def test_half_h_squared_gradient(self, inst222):
-        # lam = 0, rho = 1, and zero duals: penalty part is 0.5 ||h||^2
-        rng = np.random.default_rng(14)
-        prob = rl.RelayProblem(inst222)
-        z, _ = rand_relay_iterate(inst222, rng)
-        duals = prob.unpack_duals(np.zeros(rl.constraint_h(z, inst222).size), 1.0)
-        g = prob.al_block_gradient(3, z, duals, 1.0)  # V block: no rate term
-        fd = fd_block_gradient(prob, 3, z, duals, 1.0)
-        assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
 
 
 class TestSolve:
