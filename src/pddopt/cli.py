@@ -242,10 +242,11 @@ def _load_instance(args, seed):
         if args.truth:
             raise InvalidInputError(
                 "--truth needs --instance: generated data carries its own ground truth")
+        if args.app != "volmin":
+            return _generate_instance(args, seed)
+        _check_scorable_rank(args.k, "generated data")
         inst, truth = _generate_instance(args, seed)
-        if args.app == "volmin":
-            inst = vm.build_instance(inst.A, args.k, args.eps_smooth)
-        return inst, truth
+        return vm.build_instance(inst.A, args.k, args.eps_smooth), truth
     if args.app == "multicast":
         return _from_json_file(path, "instance", mc.instance_from_dict), None
     if args.app == "relay":
@@ -256,12 +257,18 @@ def _load_instance(args, seed):
         raise InvalidInputError(f"cannot read data matrix file {path}: {exc}") from exc
     inst = vm.build_instance(A, args.k, args.eps_smooth)
     truth = None
-    if args.truth:  # checked here, so a truth that cannot be scored stops no solve
-        if inst.rank > vm.MSE_MAX_RANK:
-            raise InvalidInputError(f"--truth {args.truth}: MSE evaluation supports "
-                                    f"K <= {vm.MSE_MAX_RANK}, got --k {inst.rank}")
+    if args.truth:
+        _check_scorable_rank(inst.rank, f"--truth {args.truth}")
         truth = _from_json_file(args.truth, "truth", lambda data: _truth_from_dict(data, inst))
     return inst, truth
+
+
+def _check_scorable_rank(k, source):
+    """Raise before any solve when ``source``'s truth could not be scored:
+    ``vm.mse_metric`` supports K <= ``vm.MSE_MAX_RANK``."""
+    if k > vm.MSE_MAX_RANK:
+        raise InvalidInputError(f"{source}: MSE evaluation supports "
+                                f"K <= {vm.MSE_MAX_RANK}, got --k {k}")
 
 
 def _truth_from_dict(data, inst):

@@ -32,6 +32,16 @@ BRANCH_DUAL = "dual-update"
 BRANCH_PENALTY = "penalty-decrease"
 BRANCH_BOTH = "dual+penalty"  # IPDD performs both updates every iteration
 
+STOP_CONVERGED = "converged"
+STOP_MAX_OUTER = "max_outer"
+STOP_INFEASIBLE_FLOOR = "infeasible-floor"
+
+# the infeasibility stop: ||h[:n]||^2 within (1 + FLOOR_SLACK) of the floor,
+# and ||h||_inf moved by under FLOOR_STALL_REL over FLOOR_WINDOW iterations
+FLOOR_SLACK = 0.1
+FLOOR_WINDOW = 3
+FLOOR_STALL_REL = 0.01
+
 # what a PddConfig field annotated float or int accepts (bool excluded)
 _NUMBER_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer")}
 
@@ -85,6 +95,17 @@ class BlockProblem:
     def objective(self, z):
         """Original objective value for reporting; nan if not meaningful."""
         return float("nan")
+
+    def constraint_floor(self):
+        """``(floor, n)``: a lower bound on ``||h(z)[:n]||^2`` that holds at
+        every point ``z`` of the block sets.
+
+        A positive floor certifies that ``h(z) = 0`` has no solution, and lets
+        :func:`pdd_run` stop once the first ``n`` entries of ``h`` sit at the
+        floor (``stop_reason`` ``"infeasible-floor"``). :func:`pdd_run` calls
+        this once per run. The default ``(0.0, 0)`` switches that stop off.
+        """
+        return 0.0, 0
 
     # --- optional hooks for stationarity residuals -----------------------
 
@@ -189,11 +210,17 @@ class PddRecord:
 
 @dataclass
 class PddTrace:
-    """Per-iteration history of a PDD run."""
+    """Per-iteration history of a PDD run.
+
+    ``stop_reason`` is ``"converged"`` exactly when ``converged`` is true,
+    ``"infeasible-floor"`` when the run stopped at its constraint floor, and
+    ``"max_outer"`` otherwise.
+    """
 
     records: list = field(default_factory=list)
     converged: bool = False
     rho_floor_hits: int = 0
+    stop_reason: str = STOP_MAX_OUTER
 
     CSV_COLUMNS = ("k", "objective", "al_value", "h_inf", "rho", "eta",
                    "branch", "inner_iters", "inner_converged", "time_ms")
@@ -263,7 +290,18 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     ``eta_1 = max(1, ||h(z0)||_inf)``, and the penalty never falls below
     ``1e-8 * config.rho0`` (each clamp counts in ``trace.rho_floor_hits``).
     Terminates when ``||h||_inf`` falls below ``config.eps_outer`` with the
-    inner stop satisfied, or at ``config.max_outer``.
+    inner stop satisfied (``trace.stop_reason`` ``"converged"``), or at
+    ``config.max_outer`` (``"max_outer"``).
+
+    A problem whose :meth:`BlockProblem.constraint_floor` reports a floor
+    ``(floor, n)`` with ``floor > 0`` cannot reach ``h = 0``. Its run also
+    stops, with ``converged`` false and ``stop_reason`` ``"infeasible-floor"``,
+    after an outer iteration ``k`` at which all three of these hold:
+    ``||h[:n]||^2 <= (1 + FLOOR_SLACK) * floor``;
+    ``||h[n:]||_inf <= 10 * config.eps_outer``; and
+    ``| ||h_k||_inf - ||h_{k-m}||_inf | <= FLOOR_STALL_REL * ||h_{k-m}||_inf``
+    with ``m = FLOOR_WINDOW``. The rule only adds an exit: the iterates up to
+    the stop are those of a run without it.
 
     ``on_iteration``, when given, receives each :class:`PddRecord` as soon
     as it is complete (used for crash-safe trace streaming).
@@ -280,6 +318,7 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     eta = max(1.0, _inf_norm(h0))
     eps = config.eps0
     rho_floor = 1e-8 * config.rho0
+    floor, n_floor = problem.constraint_floor()
     trace = PddTrace()
 
     for k in range(1, config.max_outer + 1):
@@ -331,11 +370,26 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
         # feasibility test alone may stop the run (eps_k -> 0 semantics)
         if h_inf <= config.eps_outer and inner_ok and eps <= config.eps_outer:
             trace.converged = True
+            trace.stop_reason = STOP_CONVERGED
+            break
+        if floor > 0 and _at_floor(h, floor, n_floor, trace.records, config.eps_outer):
+            trace.stop_reason = STOP_INFEASIBLE_FLOOR
             break
         eta = config.tau * min(eta, h_inf)
         eps = max(config.c * eps, config.eps_min)
 
     return z, lam, trace
+
+
+def _at_floor(h, floor, n, records, eps_outer):
+    """The infeasibility stop of :func:`pdd_run` after the last of ``records``."""
+    if len(records) <= FLOOR_WINDOW:
+        return False
+    fit = h[:n]
+    h_inf, h_past = records[-1].h_inf, records[-1 - FLOOR_WINDOW].h_inf
+    return (float(fit @ fit) <= (1.0 + FLOOR_SLACK) * floor
+            and _inf_norm(h[n:]) <= 10.0 * eps_outer
+            and abs(h_inf - h_past) <= FLOOR_STALL_REL * h_past)
 
 
 def stationarity_residuals(problem, z, duals, rho):

@@ -1100,6 +1100,29 @@ def _gen_data_snr_calibration(rng):
     return abs(snr_emp - 30.0) <= 0.5, f"empirical {snr_emp:.2f} dB"
 
 
+@_property("volmin", "constraint-floor-bound")
+def _constraint_floor_bound(rng):
+    # ||A - YS||^2 >= fit_floor at random (Y, S), and at the least-squares Y
+    # of an S near the optimal one; equality at the rank-K truncated SVD factors
+    inst = vm.gen_data(8, 3, 40, 0.8, 30.0, seed=int(rng.integers(1 << 16)))[0]
+    floor, K = inst.fit_floor, inst.rank
+    U, s, Vt = np.linalg.svd(inst.A, full_matrices=False)
+
+    def fit(Y, S):
+        R = inst.A - Y @ S
+        return float(np.sum(R * R)) / floor
+
+    worst = np.inf
+    for _ in range(20):
+        z, _, _ = rand_volmin_iterate(inst, rng)
+        S = Vt[:K] + 1e-3 * rng.standard_normal(Vt[:K].shape)
+        Y = np.linalg.lstsq(S.T, inst.A.T, rcond=None)[0].T
+        worst = min(worst, fit(z.Y, z.S), fit(Y, S))
+    gap = abs(fit(U[:, :K] * s[:K], Vt[:K]) - 1.0)
+    return (floor > 0 and worst >= 1.0 - 1e-12 and gap <= 1e-10,
+            f"min fit/floor {worst:.4f}, truncated-SVD gap {gap:.1e}")
+
+
 SUITES = tuple(dict.fromkeys(prop.suite for prop in CATALOGUE))
 
 

@@ -10,11 +10,12 @@ singular-value shrinkage X step.
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import numerics
-from .core import BlockProblem, PddConfig
+from .core import STOP_INFEASIBLE_FLOOR, BlockProblem, PddConfig
 from .core import pdd_run as _pdd_run
 from .errors import InvalidInputError
 
@@ -38,6 +39,21 @@ class VolMinInstance:
     @property
     def n_cols(self):
         return self.A.shape[1]
+
+    @cached_property
+    def fit_floor(self):
+        """Lower bound on ``||A - Y S||^2`` over all N x K ``Y`` and K x L ``S``.
+
+        A product ``Y S`` has rank at most K, so by Eckart-Young the bound is
+        the tail energy ``sum_{i>K} sigma_i(A)^2``. Singular values at or below
+        the rank tolerance of ``numpy.linalg.matrix_rank``,
+        ``max(N, L) * eps * sigma_1``, are rounding noise and count as 0, so
+        data of rank K has floor exactly 0. One SVD, computed at first use.
+        """
+        s = np.linalg.svd(self.A, compute_uv=False)
+        tail = s[self.rank:]
+        tail = tail[tail > max(self.A.shape) * np.finfo(float).eps * s[0]]
+        return float(tail @ tail)
 
 
 def build_instance(A, rank, eps=1e-2):
@@ -237,6 +253,10 @@ class VolMinProblem(BlockProblem):
     def objective(self, z):
         return _log_volume(z.sigma_X, self.instance.eps)
 
+    def constraint_floor(self):
+        """The instance's ``fit_floor`` bounds the ``A - YS`` part of ``h``."""
+        return self.instance.fit_floor, self.instance.A.size
+
     def step(self, i, z, duals, rho):
         _, _, Q, AP, _ = duals
         if i == 0:
@@ -304,9 +324,13 @@ def solve(instance, config=None):
 def solve_restarts(instance, config=None, restarts=3):
     """Run :func:`solve` from ``restarts`` seeds and keep the best factorization.
 
-    Selection prefers runs whose final feasibility gap is below
-    ``10 * eps_outer`` (falling back to the smallest gap when none
-    qualify) and among those picks the smallest smoothed volume.
+    The pick, in this order:
+
+    1. among runs whose final feasibility gap is at most ``10 * eps_outer``,
+       the smallest smoothed volume ``f_eps``;
+    2. else, among runs that stopped at the noise floor (``stop_reason``
+       ``"infeasible-floor"``), the smallest ``f_eps``;
+    3. else the run with the smallest final gap.
     """
     if restarts < 1:
         raise InvalidInputError("need at least one restart")
@@ -319,8 +343,9 @@ def solve_restarts(instance, config=None, restarts=3):
         runs.append((X, S, trace, trace.records[-1].h_inf, f_eps(X, instance.eps)))
     feas_tol = 10.0 * config.eps_outer
     feasible = [run for run in runs if run[3] <= feas_tol]
-    pool = feasible if feasible else runs
-    best = min(pool, key=(lambda run: run[4]) if feasible else (lambda run: run[3]))
+    at_floor = [run for run in runs if run[2].stop_reason == STOP_INFEASIBLE_FLOOR]
+    pool = feasible or at_floor
+    best = min(pool, key=lambda run: run[4]) if pool else min(runs, key=lambda run: run[3])
     return best[0], best[1], best[2]
 
 

@@ -425,6 +425,18 @@ class TestBadInputExitCode:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert "seed 0 failed" not in caplog.text
 
+    @pytest.mark.parametrize("seeds", [("--seed", 0), ("--seeds", "0,1")],
+                             ids=["solve", "bench"])
+    def test_generated_volmin_rank_above_8_exits_before_solving(self, tmp_path, capsys,
+                                                                 seeds):
+        command = "bench" if seeds[0] == "--seeds" else "solve"
+        code = run_cli(command, "--app", "volmin", "--n", 10, "--k", 9, "--l", 30,
+                       "--restarts", 1, "--max-outer", 2, *seeds, "--out", tmp_path / "run")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: generated data: MSE evaluation supports K <= 8, got --k 9\n")
+        assert not list((tmp_path / "run").glob("trace*.csv"))
+
     def test_seed_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 4}))

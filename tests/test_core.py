@@ -332,6 +332,115 @@ class TestTrace:
         assert all(h2 <= h1 + 1e-15 for h1, h2 in zip(hs, hs[1:]))
 
 
+class InfeasiblePair(BlockProblem):
+    """min x^2 s.t. x = a and x = b, a != b: no point is feasible, and
+    ||h||^2 >= (a - b)^2 / 2 everywhere. One block with exact AL minimization;
+    ``floor`` is what :meth:`constraint_floor` reports."""
+
+    n_blocks = 1
+
+    def __init__(self, a, b, floor):
+        self.a, self.b, self.floor = a, b, floor
+
+    def constraint(self, z):
+        return np.array([z - self.a, z - self.b])
+
+    def objective(self, z):
+        return z * z
+
+    def al_value(self, z, lam, rho):
+        h = self.constraint(z)
+        return float(z * z + lam @ h + h @ h / (2.0 * rho))
+
+    def step(self, i, z, lam, rho):
+        return ((self.a + self.b) / rho - lam.sum()) / (2.0 + 2.0 / rho)
+
+    def constraint_floor(self):
+        return self.floor, 2
+
+
+class FlooredScript(ScriptedConstraint):
+    """ScriptedConstraint over 2-vectors ``(data part, copy part)``, with a
+    floor on the square of the data part."""
+
+    def __init__(self, values, floor):
+        super().__init__(values)
+        self.floor = floor
+
+    def constraint(self, z):
+        return np.asarray(z, dtype=float)
+
+    def constraint_floor(self):
+        return self.floor, 1
+
+
+def _records_without_time(trace):
+    return [{**asdict(r), "time_s": None} for r in trace.records]
+
+
+class TestInfeasibleFloorStop:
+    CFG = PddConfig(rho0=1.0, c=0.5, eps0=1e-3, max_outer=40, max_inner=20)
+
+    def test_stops_at_the_floor(self):
+        _, _, trace = pdd_run(InfeasiblePair(1.0, 3.0, 2.0), 0.0, np.zeros(2), self.CFG)
+        assert trace.stop_reason == "infeasible-floor"
+        assert not trace.converged
+        assert len(trace.records) < self.CFG.max_outer
+        hs = trace.column("h_inf")
+        assert abs(hs[-1] - hs[-4]) <= 0.01 * hs[-4]
+
+    def test_floor_zero_runs_to_max_outer(self):
+        floored = pdd_run(InfeasiblePair(1.0, 3.0, 2.0), 0.0, np.zeros(2), self.CFG)[2]
+        off = pdd_run(InfeasiblePair(1.0, 3.0, 0.0), 0.0, np.zeros(2), self.CFG)[2]
+        assert (off.stop_reason, off.converged) == ("max_outer", False)
+        assert len(off.records) == self.CFG.max_outer
+        # the stop only adds an exit: the floored run is a prefix of the plain one
+        n = len(floored.records)
+        assert _records_without_time(floored) == _records_without_time(off)[:n]
+        # the plain run's values, as the loop made them before the floor stop
+        assert off.column("h_inf")[:5] == [2.0, 1.5, 1.25, 1.125, 1.0625]
+        assert off.column("branch") == ["dual-update"] * 4 + ["penalty-decrease"] * 36
+        assert off.records[11].al_value == 139.999878875969
+        assert off.rho_floor_hits == 10
+        assert n == 12
+
+    def _stop_k(self, values, floor=1.0):
+        prob = FlooredScript(values, floor)
+        cfg = PddConfig(rho0=1.0, c=0.5, eps0=1e-3, max_outer=len(values),
+                        max_inner=1, eps_outer=1e-4)
+        _, _, trace = pdd_run(prob, np.zeros(2), np.zeros(2), cfg)
+        return len(trace.records), trace.stop_reason
+
+    def test_waits_for_the_copy_part(self):
+        # data part at the floor and h_inf flat from k = 1, but the copy part
+        # stays above 10 * eps_outer = 1e-3 until k = 7
+        values = [(1.0, 2e-3)] * 6 + [(1.0, 5e-4)] * 4
+        assert self._stop_k(values) == (7, "infeasible-floor")
+        assert self._stop_k([(1.0, 2e-3)] * 10) == (10, "max_outer")
+
+    def test_waits_for_h_inf_to_settle(self):
+        # within the (1 + 0.1) floor band throughout; h_inf moves by more than
+        # 1% over 3 iterations until k = 8 (1.005 -> 1.0)
+        values = [(h, 0.0) for h in (1.045, 1.035, 1.025, 1.015, 1.005, 1.0, 1.0, 1.0, 1.0)]
+        assert self._stop_k(values) == (8, "infeasible-floor")
+
+    def test_waits_for_the_floor_band(self):
+        # flat h_inf, copy part 0, but ||h[:1]||^2 = 1.1025 > 1.1 * floor
+        assert self._stop_k([(1.05, 0.0)] * 8) == (8, "max_outer")
+        assert self._stop_k([(1.04, 0.0)] * 8) == (4, "infeasible-floor")
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("max_outer", [2, 20])
+    def test_converged_or_max_outer(self, max_outer):
+        cfg = PddConfig(rho0=1.0, c=0.5, eps0=1.0, eps_outer=1e-1,
+                        max_outer=max_outer, max_inner=3)
+        _, _, trace = pdd_run(ToyEquality(), np.array([1.0, 0.0, 0.0]),
+                              np.array([-2.0]), cfg)
+        assert trace.converged == (max_outer == 20)
+        assert trace.stop_reason == ("converged" if trace.converged else "max_outer")
+
+
 class TestInnerConverged:
     def _run(self, monkeypatch, max_inner):
         from pddopt import core

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pddopt import volmin as vm
+from pddopt.core import PddConfig, PddRecord, PddTrace
 from pddopt.errors import InvalidInputError
 from pddopt.verify import rand_volmin_iterate
 
@@ -225,6 +226,60 @@ class TestSolve:
         # seeding X needs K distinct data columns, so L < K fails at build time
         with pytest.raises(InvalidInputError, match="need at least K data columns"):
             vm.build_instance(np.arange(8.0).reshape(4, 2), rank=3)
+
+
+class TestFitFloor:
+    def test_noiseless_floor_is_zero(self, small):
+        inst, _ = small
+        assert inst.fit_floor == 0.0
+        assert vm.VolMinProblem(inst).constraint_floor() == (0.0, inst.A.size)
+
+    def test_noisy_floor_is_the_rank_k_tail(self):
+        inst, _ = vm.gen_data(8, 3, 40, 0.8, 30.0, seed=1)
+        assert "fit_floor" not in vars(inst)   # not computed at build time
+        s = np.linalg.svd(inst.A, compute_uv=False)
+        assert inst.fit_floor == pytest.approx(np.sum(s[3:] ** 2), rel=1e-12)
+        assert inst.fit_floor > 0.0
+
+    def test_noisy_solve_stops_at_the_floor(self):
+        inst, _ = vm.gen_data(20, 3, 300, 0.8, 30.0, seed=0)
+        _, _, trace = vm.solve(inst, vm.default_config(inst, seed=0))
+        assert (trace.stop_reason, trace.converged) == ("infeasible-floor", False)
+        assert len(trace.records) == 16
+
+
+class TestRestartPick:
+    """``solve_restarts``' three-step pick, over scripted restarts."""
+
+    @staticmethod
+    def _pick(monkeypatch, runs):
+        # runs[r] = (final gap, f_eps, stop_reason) of restart r; returns the pick
+        def scripted_solve(instance, config):
+            gap, _, reason = runs[config.seed]
+            rec = PddRecord(k=1, al_value=0.0, objective=0.0, h_inf=gap, rho=1.0,
+                            eta=1.0, branch="dual-update", inner_iters=1,
+                            inner_converged=True, time_s=0.0)
+            return config.seed, None, PddTrace(records=[rec], stop_reason=reason)
+
+        monkeypatch.setattr(vm, "solve", scripted_solve)
+        monkeypatch.setattr(vm, "f_eps", lambda X, eps: runs[X][1])
+        inst = vm.VolMinInstance(A=np.ones((2, 2)), rank=1)
+        return vm.solve_restarts(inst, PddConfig(eps_outer=1e-4), restarts=len(runs))[0]
+
+    def test_feasible_runs_first_by_volume(self, monkeypatch):
+        runs = [(5e-4, 3.0, "max_outer"), (2e-2, 1.0, "infeasible-floor"),
+                (1e-3, 2.0, "converged"), (1e-5, 4.0, "converged")]
+        assert self._pick(monkeypatch, runs) == 2
+
+    def test_then_floor_runs_by_volume(self, monkeypatch):
+        runs = [(1e-2, 1.0, "max_outer"), (3e-2, 2.5, "infeasible-floor"),
+                (2e-2, 2.0, "infeasible-floor")]
+        assert self._pick(monkeypatch, runs) == 2
+
+    def test_else_smallest_gap(self, monkeypatch):
+        runs = [(3e-2, 1.0, "max_outer"), (2e-2, 2.0, "max_outer"),
+                (4e-2, 0.5, "max_outer")]
+        assert self._pick(monkeypatch, runs) == 1
 
 
 class TestFaultInjection:
