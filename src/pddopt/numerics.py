@@ -4,13 +4,24 @@ All functions are pure: they never mutate their inputs and hold no state
 beyond a cache of LAPACK work-array sizes per matrix order, so they
 are safe to call from concurrent workers. Their tolerances are the module
 constants below.
+
+The five LAPACK routines the kernels call (``dsyevr``, ``zheevd``, ``zgesv``
+and the two work-size queries) are bound from scipy's f2py extension
+``scipy.linalg._flapack``, loaded from its file, so importing this module
+does not import ``scipy.linalg`` and the array-API layer that comes with it.
+If that load fails (no file, an import error, a missing routine), the
+routines come from ``scipy.linalg.lapack.get_lapack_funcs`` instead: the
+same Fortran objects, at the cost of the ``scipy.linalg`` import.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -22,11 +33,40 @@ SYLVESTER_ABS = 1e-12
 CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
 
-_SYEVR, _SYEVR_LWORK = lapack.get_lapack_funcs(("syevr", "syevr_lwork"))
-# The complex routines np.linalg.eigh and np.linalg.solve call. Their f2py
-# wrappers cast a real argument to complex.
-_HEEVD, _HEEVD_LWORK, _GESV = lapack.get_lapack_funcs(
-    ("heevd", "heevd_lwork", "gesv"), dtype=np.complex128)
+_FLAPACK = "scipy.linalg._flapack"
+# syevr for min_eigvec_sym; the complex routines np.linalg.eigh and
+# np.linalg.solve call, whose f2py wrappers cast a real argument to complex
+_LAPACK_ROUTINES = ("dsyevr", "dsyevr_lwork", "zheevd", "zheevd_lwork", "zgesv")
+
+
+def _load_lapack():
+    """The routines ``_LAPACK_ROUTINES`` from ``scipy.linalg._flapack``.
+
+    The extension is reused from ``sys.modules`` or else loaded from its file
+    in scipy's package directory under its own name, so a later import of
+    ``scipy.linalg`` finds it and binds the same objects. A failed load
+    falls back to ``scipy.linalg.lapack.get_lapack_funcs``.
+    """
+    try:
+        flapack = sys.modules.get(_FLAPACK)
+        if flapack is None:
+            scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            path = os.path.join(scipy_dir, "linalg",
+                                "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            flapack = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+            loader.exec_module(flapack)
+            sys.modules[_FLAPACK] = flapack
+        return tuple(getattr(flapack, name) for name in _LAPACK_ROUTINES)
+    except (ImportError, AttributeError):
+        from scipy.linalg import lapack
+        return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork")),
+                *lapack.get_lapack_funcs(("heevd", "heevd_lwork", "gesv"),
+                                         dtype=np.complex128))
+
+
+_SYEVR, _SYEVR_LWORK, _HEEVD, _HEEVD_LWORK, _GESV = _load_lapack()
 
 
 def require_finite(name, value):

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pddopt
 from pddopt import ioformats
 from pddopt.cli import main
 from pddopt.errors import InvalidInputError
@@ -653,3 +658,35 @@ class TestCliMatchesLibrary:
         results = json.loads((outdir / "results.json").read_text())
         np.testing.assert_array_equal(ioformats.pairs_to_complex(results["V"]), res["V"])
         assert _trace_rows_without_time(outdir / "trace.csv") == _expected_rows(res["trace"])
+
+
+class TestImportGraph:
+    """A CLI solve of each app leaves the heavy modules unimported: pddopt
+    binds its LAPACK routines from scipy.linalg._flapack, not scipy.linalg."""
+
+    HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+
+    def test_cli_solves_do_not_import_scipy_linalg(self, tmp_path):
+        script = f"""
+import json, sys
+from pddopt import cli
+out = {str(tmp_path)!r}
+runs = [
+    ["--app", "multicast", "--nt", "4", "--groups", "2", "--users-per-group", "1"],
+    ["--app", "relay", "--ns", "2", "--nr", "2", "--k", "2"],
+    ["--app", "volmin", "--n", "6", "--l", "30", "--k", "2", "--restarts", "1"],
+]
+codes = [cli.main(["solve", *argv, "--seed", "1", "--max-outer", "2",
+                   "--out", f"{{out}}/{{i}}"]) for i, argv in enumerate(runs)]
+print(json.dumps({{"codes": codes,
+                  "heavy": [m for m in {self.HEAVY!r} if m in sys.modules]}}))
+"""
+        src = str(Path(pddopt.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert all(code in (0, 1) for code in report["codes"])
+        assert all((tmp_path / str(i) / "results.json").is_file() for i in range(3))
+        assert report["heavy"] == []

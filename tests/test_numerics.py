@@ -1,11 +1,19 @@
+import importlib.machinery
+import importlib.util
 import itertools
+import sys
+import types
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+# imported before any test below hides or fakes scipy.linalg._flapack
+from scipy.linalg import lapack
 
 from pddopt import multicast as mc
 from pddopt import numerics
+from pddopt import relay as rl
+from pddopt import volmin as vm
 from pddopt.errors import InvalidInputError, NumericalFailureError
 
 
@@ -277,6 +285,133 @@ class TestSolveLinear:
         with pytest.raises(NumericalFailureError, match="gesv info=3"):
             numerics.solve_linear(np.eye(3, dtype=complex), np.ones((3, 2), dtype=complex))
 
+
+_BOUND_NAMES = ("_SYEVR", "_SYEVR_LWORK", "_HEEVD", "_HEEVD_LWORK", "_GESV")
+
+
+def _get_lapack_funcs_binding():
+    return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork")),
+            *lapack.get_lapack_funcs(("heevd", "heevd_lwork", "gesv"), dtype=np.complex128))
+
+
+@pytest.fixture
+def rebind(monkeypatch):
+    """Bind ``numerics`` to a given tuple of the five routines until the test
+    ends, with the work-size caches emptied on either side."""
+    def bind(routines):
+        for name, routine in zip(_BOUND_NAMES, routines):
+            monkeypatch.setattr(numerics, name, routine)
+        numerics._syevr_work_sizes.cache_clear()
+        numerics._heevd_work_sizes.cache_clear()
+
+    yield bind
+    monkeypatch.undo()
+    numerics._syevr_work_sizes.cache_clear()
+    numerics._heevd_work_sizes.cache_clear()
+
+
+@pytest.fixture
+def spy_get_lapack_funcs(monkeypatch):
+    """The calls the loader makes to ``get_lapack_funcs``."""
+    calls = []
+    real = lapack.get_lapack_funcs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "get_lapack_funcs", spy)
+    return calls
+
+
+def _break_direct_load(monkeypatch, tmp_path, how):
+    if how == "missing-file":
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        fake_scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake_scipy.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake_scipy)
+    elif how == "missing-routine":
+        partial = types.ModuleType(numerics._FLAPACK)
+        for name in numerics._LAPACK_ROUTINES[:-1]:
+            setattr(partial, name, getattr(sys.modules[numerics._FLAPACK], name))
+        monkeypatch.setitem(sys.modules, numerics._FLAPACK, partial)
+    else:
+        def refuse(self, spec):
+            raise ImportError("refused")
+
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+
+
+def _seeded_solves():
+    """Raw bytes of one small seeded solve of each app."""
+    mc_inst = mc.gen_instance(4, 2, 1, 10.0, seed=3)
+    w, t, _ = mc.solve(mc_inst, mc.default_config(mc_inst, seed=3, max_outer=3))
+    rl_inst = rl.gen_instance(2, 2, 2, 10.0, seed=1)
+    relay = rl.solve(rl_inst, rl.default_config(rl_inst, seed=1, max_outer=3))
+    vm_inst, _ = vm.gen_data(6, 2, 30, 0.8, 40.0, seed=4)
+    X, S, _ = vm.solve_restarts(vm_inst, vm.default_config(vm_inst, seed=4, max_outer=3),
+                                restarts=2)
+    return {"multicast": (w.tobytes(), np.asarray(t).tobytes()),
+            "relay": (relay["V"].tobytes(), relay["F"].tobytes()),
+            "volmin": (X.tobytes(), S.tobytes())}
+
+
+class TestLapackBinding:
+    """The routines bound from scipy.linalg._flapack by file are the ones
+    scipy.linalg.lapack.get_lapack_funcs returns, and every way the direct
+    load can fail falls back to the latter."""
+
+    def test_direct_load_binds_the_extension_from_its_file(self, monkeypatch,
+                                                          spy_get_lapack_funcs):
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        routines = numerics._load_lapack()
+        assert spy_get_lapack_funcs == []
+        flapack = sys.modules[numerics._FLAPACK]
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        assert flapack.__spec__.origin.startswith(scipy_dir)
+        assert routines == tuple(getattr(flapack, n) for n in numerics._LAPACK_ROUTINES)
+
+    def test_bindings_agree_bit_for_bit(self, monkeypatch, rebind):
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        bindings = (numerics._load_lapack(), _get_lapack_funcs_binding())
+        rng = np.random.default_rng(61)
+        inputs = []
+        for n in (1, 3, 8, 33):
+            C = rng.standard_normal((n, n))
+            A = _random_matrix(rng, (n, n))
+            B = _random_matrix(rng, (2, 2))
+            inputs.append((n, C + C.T, A @ A.conj().T + np.eye(n), B @ B.conj().T,
+                           _random_matrix(rng, (n, 2)), A))
+        outputs = []
+        for routines in bindings:
+            rebind(routines)
+            out = []
+            for n, C, A_pd, B_psd, rhs, A in inputs:
+                out += [*routines[1](n, lower=1), *routines[3](n, lower=1)]
+                out += [*numerics.min_eigvec_sym(C), numerics.solve_sylvester(A_pd, B_psd, rhs),
+                        numerics.solve_linear(A, rhs)]
+            outputs.append(out)
+        assert len(outputs[0]) == len(outputs[1])
+        for x, y in zip(*outputs):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("how", ["missing-file", "missing-routine", "loader-raises"])
+    def test_failed_direct_load_falls_back(self, monkeypatch, tmp_path, spy_get_lapack_funcs,
+                                           how):
+        _break_direct_load(monkeypatch, tmp_path, how)
+        routines = numerics._load_lapack()
+        assert len(spy_get_lapack_funcs) == 2
+        assert routines == _get_lapack_funcs_binding()
+
+    def test_fallback_solves_are_bit_identical(self, monkeypatch, tmp_path, rebind):
+        expected = _seeded_solves()
+        with monkeypatch.context() as m:
+            _break_direct_load(m, tmp_path, "loader-raises")
+            fallback = numerics._load_lapack()
+        rebind(fallback)
+        assert _seeded_solves() == expected
 
 
 class TestProjectBall:
