@@ -5,8 +5,9 @@ beyond a cache of LAPACK work-array sizes per matrix order, so they
 are safe to call from concurrent workers. Their tolerances are the module
 constants below.
 
-The five LAPACK routines the kernels call (``dsyevr``, ``zheevd``, ``zgesv``
-and the two work-size queries) are bound from scipy's f2py extension
+The seven LAPACK routines the kernels call (``dsyevr``, ``dgesdd``,
+``zheevd``, ``zgesv`` and the three work-size queries) are bound from scipy's
+f2py extension
 ``scipy.linalg._flapack``, loaded from its file, so importing this module
 does not import ``scipy.linalg`` and the array-API layer that comes with it.
 If that load fails (no file, an import error, a missing routine), the
@@ -34,9 +35,11 @@ CUBIC_TOL = 1e-12          # |a s^3 + b s - d| <= tol * max(1, |d|)
 SIGN_TOL = 1e-12           # threshold for "first nonzero component"
 
 _FLAPACK = "scipy.linalg._flapack"
-# syevr for min_eigvec_sym; the complex routines np.linalg.eigh and
-# np.linalg.solve call, whose f2py wrappers cast a real argument to complex
-_LAPACK_ROUTINES = ("dsyevr", "dsyevr_lwork", "zheevd", "zheevd_lwork", "zgesv")
+# syevr for min_eigvec_sym; gesdd, which np.linalg.svd calls, for thin_svd and
+# singular_values; the complex routines np.linalg.eigh and np.linalg.solve call,
+# whose f2py wrappers cast a real argument to complex
+_LAPACK_ROUTINES = ("dsyevr", "dsyevr_lwork", "dgesdd", "dgesdd_lwork",
+                    "zheevd", "zheevd_lwork", "zgesv")
 
 
 def _load_lapack():
@@ -61,12 +64,12 @@ def _load_lapack():
         return tuple(getattr(flapack, name) for name in _LAPACK_ROUTINES)
     except (ImportError, AttributeError):
         from scipy.linalg import lapack
-        return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork")),
+        return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork", "gesdd", "gesdd_lwork")),
                 *lapack.get_lapack_funcs(("heevd", "heevd_lwork", "gesv"),
                                          dtype=np.complex128))
 
 
-_SYEVR, _SYEVR_LWORK, _HEEVD, _HEEVD_LWORK, _GESV = _load_lapack()
+_SYEVR, _SYEVR_LWORK, _GESDD, _GESDD_LWORK, _HEEVD, _HEEVD_LWORK, _GESV = _load_lapack()
 
 
 def require_finite(name, value):
@@ -210,25 +213,68 @@ def min_eigvec_sym(C):
     return v, lam
 
 
-def thin_svd(M):
-    """Thin SVD of a real matrix with rows >= cols.
+@functools.lru_cache(maxsize=64)
+def _gesdd_work_size(m, n, compute_uv):
+    """``lwork`` of ``gesdd`` on an m x n matrix, thin factors or none."""
+    work, info = _GESDD_LWORK(m, n, compute_uv=compute_uv, full_matrices=0)
+    if info != 0:
+        raise NumericalFailureError(f"gesdd work-size query failed: info={info}")
+    return int(work)
 
-    Returns (U, s, V) with ``M = U @ diag(s) @ V.T``, singular values sorted
-    descending, and columns of U (and V jointly) sign-normalized.
+
+def _gesdd(M, compute_uv):
+    """LAPACK ``gesdd`` on a finite real matrix, called directly with the
+    arguments ``np.linalg.svd(M, full_matrices=False)`` (or ``compute_uv=False``)
+    passes, without its wrapper cost. Returns ``(U, s, Vt)``; U and Vt are
+    dummies unless ``compute_uv``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise InvalidInputError(f"expected a nonempty matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalFailureError("SVD input has a non-finite entry")
+    # positional arguments (compute_uv, full_matrices=0, lwork) skip the
+    # keyword parsing of the f2py wrapper
+    U, s, Vt, info = _GESDD(M, compute_uv, 0, _gesdd_work_size(*M.shape, compute_uv))
+    if info != 0:
+        raise NumericalFailureError(f"SVD failed to converge: gesdd info={info}")
+    return U, s, Vt
+
+
+def singular_values(M):
+    """Singular values of a real matrix, sorted descending: the bits of
+    ``np.linalg.svd(M, compute_uv=False)``.
 
     Raises
     ------
+    InvalidInputError
+        If M is not a nonempty matrix.
     NumericalFailureError
-        On non-convergence or residuals above ``SVD_RESIDUAL_REL``.
+        If M has a non-finite entry or ``gesdd`` does not converge.
+    """
+    return _gesdd(M, 0)[1]
+
+
+def thin_svd(M):
+    """Thin SVD of a real m x n matrix.
+
+    Returns (U, s, V) with ``M = U @ diag(s) @ V.T``, U m x k and V n x k for
+    k = min(m, n), singular values sorted descending, and columns of U (and V
+    jointly) sign-normalized. Before the sign fix, U, s and V.T are the bits
+    of ``np.linalg.svd(M, full_matrices=False)``, in its (C) order, so the
+    products formed from them take the same BLAS path.
+
+    Raises
+    ------
+    InvalidInputError
+        If M is not a nonempty matrix.
+    NumericalFailureError
+        If M has a non-finite entry, on non-convergence, or on residuals
+        above ``SVD_RESIDUAL_REL``.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInputError(f"expected a matrix, got ndim={M.ndim}")
-    try:
-        U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
-    V = Vh.T
+    U, s, Vt = _gesdd(M, 1)
+    U = np.ascontiguousarray(U)
+    V = np.ascontiguousarray(Vt).T
     # fix_sign on every column of U at once. ``first`` is the first entry
     # above SIGN_TOL in magnitude, or U[0, j] when there is none, which then
     # cannot be below -SIGN_TOL.
@@ -236,13 +282,13 @@ def thin_svd(M):
     sgn = np.where(first < -SIGN_TOL, -1.0, 1.0)
     U *= sgn
     V *= sgn
-    norm_m = max(s[0] if s.size else 0.0, 1e-300)
+    norm_m = max(s[0], 1e-300)
     resid = np.linalg.norm((U * s) @ V.T - M)
     orth = max(
         np.linalg.norm(U.T @ U - np.eye(U.shape[1])),
         np.linalg.norm(V.T @ V - np.eye(V.shape[1])),
     )
-    if resid > SVD_RESIDUAL_REL * norm_m or orth > SVD_RESIDUAL_REL:
+    if not (resid <= SVD_RESIDUAL_REL * norm_m and orth <= SVD_RESIDUAL_REL):
         raise NumericalFailureError(
             f"SVD residuals too large (reconstruction {resid:.3e}, orthonormality {orth:.3e})",
             residual=max(resid, orth),
@@ -376,21 +422,41 @@ def project_simplex_columns(S):
     """Euclidean projection of each column of a K x L matrix onto the
     probability simplex {s >= 0, sum s = 1}.
 
-    Sort-and-threshold construction, vectorized over columns: column j maps
-    to ``max(s_j - theta_j, 0)`` for the unique theta_j making it sum to one.
-    A single vector ``v`` is projected as ``project_simplex_columns(v[:, None])[:, 0]``.
+    Sort-and-threshold construction (Duchi et al., ICML 2008), vectorized
+    over columns: column j maps to ``max(s_j - theta_j, 0)`` for the unique
+    theta_j making it sum to one. A single vector ``v`` is projected as
+    ``project_simplex_columns(v[:, None])[:, 0]``.
+
+    The K rows are sorted descending by an odd-even transposition network:
+    K passes, each a compare-exchange of alternate row pairs by
+    ``np.maximum``/``np.minimum`` on row slices. One pass over the sorted
+    rows u then carries the running sum css and takes theta from the last
+    row r with ``u_r > (css_r - 1) / (r + 1)``, or from row K-1 if there is
+    none. For finite S this is the arithmetic of ``-np.sort(-S, axis=0)``,
+    ``np.cumsum`` and ``np.argmax`` bit for bit, ties and signed zeros
+    included. The cost is O(K) numpy calls of O(L K) work each, O(L K^2)
+    in all. Over 1000 columns at K <= 8 (volmin's ranks) that is cheaper
+    than one ``np.sort`` call; at K = 50, or on a single column with K >= 3,
+    it is dearer (``BENCH_volmin_kernels.json`` has the table).
     """
     S = np.asarray(S, dtype=float)
     K = S.shape[0]
     if K == 0:
         raise InvalidInputError("cannot project an empty matrix onto the simplex")
-    u = -np.sort(-S, axis=0)
-    css = np.cumsum(u, axis=0)
-    j = np.arange(1, K + 1)[:, None]
-    mask = u + (1.0 - css) / j > 0
-    rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
-    theta = (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
-    return np.maximum(S - theta[None, :], 0.0)
+    u = S.copy()
+    for p in range(K):
+        upper, lower = u[p % 2:K - 1:2], u[p % 2 + 1:K:2]
+        larger = np.maximum(upper, lower)
+        np.minimum(upper, lower, out=lower)
+        upper[...] = larger
+    css = np.zeros(S.shape[1:])
+    theta = np.full(S.shape[1:], np.nan)    # NaN until some row passes
+    for r in range(K):
+        css += u[r]
+        t = (css - 1.0) / (r + 1)
+        np.copyto(theta, t, where=u[r] > t)
+    np.copyto(theta, t, where=np.isnan(theta))
+    return np.maximum(S - theta, 0.0)
 
 
 def solve_monotone_cubic(a, b, d):

@@ -50,7 +50,7 @@ class VolMinInstance:
         ``max(N, L) * eps * sigma_1``, are rounding noise and count as 0, so
         data of rank K has floor exactly 0. One SVD, computed at first use.
         """
-        s = np.linalg.svd(self.A, compute_uv=False)
+        s = numerics.singular_values(self.A)
         tail = s[self.rank:]
         tail = tail[tail > max(self.A.shape) * np.finfo(float).eps * s[0]]
         return float(tail @ tail)
@@ -79,8 +79,8 @@ def build_instance(A, rank, eps=1e-2):
 class VolMinIterate:
     """Factors, the copy Y of X, and the singular values of X.
 
-    It carries ``sigma_X = np.linalg.svd(X, compute_uv=False)``, by the rule
-    in ``core.BlockProblem``.
+    It carries ``sigma_X``, the singular values of X from
+    ``numerics.singular_values``, by the rule in ``core.BlockProblem``.
     """
 
     X: np.ndarray    # N x K
@@ -93,7 +93,7 @@ class VolMinIterate:
         if prev is not None and prev.X is self.X:
             sigma = prev.sigma_X
         else:
-            sigma = np.linalg.svd(self.X, compute_uv=False)
+            sigma = numerics.singular_values(self.X)
         object.__setattr__(self, "sigma_X", sigma)
 
 
@@ -133,7 +133,7 @@ def _log_volume(sigma, eps):
 
 def f_eps(X, eps):
     """Smoothed log-volume: sum_i log g_eps(sigma_i(X^T X))."""
-    return _log_volume(np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False), eps)
+    return _log_volume(numerics.singular_values(X), eps)
 
 
 def f_eps_gradient(X, eps):
@@ -149,13 +149,14 @@ def update_Y(z, AP, Q, rho):
     ``AP`` is ``A + rho * P``.
     """
     rhs = AP @ z.S.T + (z.X + rho * Q)
-    K = z.S.shape[0]
-    return np.linalg.solve(np.eye(K) + z.S @ z.S.T, rhs.T).T
+    G = z.S @ z.S.T
+    G.flat[::G.shape[0] + 1] += 1.0     # I + S S^T
+    return np.linalg.solve(G, rhs.T).T
 
 
 def default_beta(Y):
     """Curvature bound for the S-step majorizer, strictly above sigma_1(Y)^2."""
-    return 1.01 * float(np.linalg.svd(Y, compute_uv=False)[0]) ** 2 + 1e-12
+    return 1.01 * float(numerics.singular_values(Y)[0]) ** 2 + 1e-12
 
 
 def update_S(z, AP):
@@ -167,7 +168,11 @@ def update_S(z, AP):
     of the S-subproblem does not increase.
     """
     beta = default_beta(z.Y)
-    target = z.Y.T @ AP + (beta * np.eye(z.S.shape[0]) - z.Y.T @ z.Y) @ z.S
+    # beta I - Y^T Y without building I: 0 - G, not -G, gives the +0.0 that
+    # beta I - G has where G is 0 off the diagonal
+    M = np.subtract(0.0, z.Y.T @ z.Y)
+    M.flat[::M.shape[0] + 1] += beta
+    target = z.Y.T @ AP + M @ z.S
     return numerics.project_simplex_columns(target / beta)
 
 

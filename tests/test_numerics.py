@@ -170,6 +170,36 @@ class TestThinSvd:
             U, s, V = got
             assert ((U * s) @ V.T).tobytes() == (U @ np.diag(s) @ V.T).tobytes()
 
+    @pytest.mark.parametrize("kernel", [numerics.thin_svd, numerics.singular_values])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_before_lapack(self, monkeypatch, kernel, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("gesdd called on non-finite input")
+
+        monkeypatch.setattr(numerics, "_GESDD", no_lapack)
+        M = np.ones((4, 2))
+        M[1, 0] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite entry"):
+            kernel(M)
+
+    @pytest.mark.parametrize("kernel", [numerics.thin_svd, numerics.singular_values])
+    def test_lapack_error_raises(self, monkeypatch, kernel):
+        gesdd = numerics._GESDD
+
+        def failing(*args, **kwargs):
+            *out, _ = gesdd(*args, **kwargs)
+            return *out, 2
+
+        monkeypatch.setattr(numerics, "_GESDD", failing)
+        with pytest.raises(NumericalFailureError, match="gesdd info=2"):
+            kernel(np.eye(3))
+
+    @pytest.mark.parametrize("kernel", [numerics.thin_svd, numerics.singular_values])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,)])
+    def test_not_a_nonempty_matrix_rejected(self, kernel, shape):
+        with pytest.raises(InvalidInputError, match="nonempty matrix"):
+            kernel(np.ones(shape))
+
 
 class TestSylvester:
     def test_identity_coefficients(self):
@@ -267,6 +297,17 @@ class TestDirectLapackMatchesNumpy:
                 assert X.flags.c_contiguous and X.dtype == ref.dtype
                 assert X.tobytes() == ref.tobytes()
 
+    def test_svd(self):
+        rng = np.random.default_rng(53)
+        for shape in [(50, 3), (60, 8), (3, 50), (8, 8), (1, 5), (5, 1)]:
+            for _ in range(10):
+                M = rng.standard_normal(shape)
+                s = numerics.singular_values(M)
+                assert s.tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
+                U, s, Vt = numerics._gesdd(M, 1)
+                ref = np.linalg.svd(M, full_matrices=False)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip((U, s, Vt), ref))
+
 
 class TestSolveLinear:
     def test_singular_matrix_raises(self):
@@ -286,28 +327,32 @@ class TestSolveLinear:
             numerics.solve_linear(np.eye(3, dtype=complex), np.ones((3, 2), dtype=complex))
 
 
-_BOUND_NAMES = ("_SYEVR", "_SYEVR_LWORK", "_HEEVD", "_HEEVD_LWORK", "_GESV")
+_BOUND_NAMES = ("_SYEVR", "_SYEVR_LWORK", "_GESDD", "_GESDD_LWORK",
+                "_HEEVD", "_HEEVD_LWORK", "_GESV")
+_WORK_SIZE_CACHES = ("_syevr_work_sizes", "_gesdd_work_size", "_heevd_work_sizes")
 
 
 def _get_lapack_funcs_binding():
-    return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork")),
+    return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork", "gesdd", "gesdd_lwork")),
             *lapack.get_lapack_funcs(("heevd", "heevd_lwork", "gesv"), dtype=np.complex128))
 
 
 @pytest.fixture
 def rebind(monkeypatch):
-    """Bind ``numerics`` to a given tuple of the five routines until the test
+    """Bind ``numerics`` to a given tuple of the seven routines until the test
     ends, with the work-size caches emptied on either side."""
+    def clear_caches():
+        for cache in _WORK_SIZE_CACHES:
+            getattr(numerics, cache).cache_clear()
+
     def bind(routines):
         for name, routine in zip(_BOUND_NAMES, routines):
             monkeypatch.setattr(numerics, name, routine)
-        numerics._syevr_work_sizes.cache_clear()
-        numerics._heevd_work_sizes.cache_clear()
+        clear_caches()
 
     yield bind
     monkeypatch.undo()
-    numerics._syevr_work_sizes.cache_clear()
-    numerics._heevd_work_sizes.cache_clear()
+    clear_caches()
 
 
 @pytest.fixture
@@ -383,14 +428,20 @@ class TestLapackBinding:
             B = _random_matrix(rng, (2, 2))
             inputs.append((n, C + C.T, A @ A.conj().T + np.eye(n), B @ B.conj().T,
                            _random_matrix(rng, (n, 2)), A))
+        # tall, wide and square
+        svd_inputs = [rng.standard_normal(shape) for shape in [(50, 3), (3, 50), (8, 8), (1, 5)]]
         outputs = []
         for routines in bindings:
             rebind(routines)
             out = []
             for n, C, A_pd, B_psd, rhs, A in inputs:
-                out += [*routines[1](n, lower=1), *routines[3](n, lower=1)]
+                out += [*routines[1](n, lower=1), *routines[5](n, lower=1)]
                 out += [*numerics.min_eigvec_sym(C), numerics.solve_sylvester(A_pd, B_psd, rhs),
                         numerics.solve_linear(A, rhs)]
+            for M in svd_inputs:
+                for compute_uv in (0, 1):
+                    out += routines[3](*M.shape, compute_uv=compute_uv, full_matrices=0)
+                out += [*numerics.thin_svd(M), numerics.singular_values(M)]
             outputs.append(out)
         assert len(outputs[0]) == len(outputs[1])
         for x, y in zip(*outputs):
@@ -449,7 +500,48 @@ def _project_simplex(v):
     return numerics.project_simplex_columns(np.asarray(v, dtype=float)[:, None])[:, 0]
 
 
+def _project_simplex_sorted(S):
+    """Reference projection: sort each column descending, then the last row
+    r with ``u_r + (1 - css_r) / (r + 1) > 0`` gives theta (Duchi et al.,
+    ICML 2008)."""
+    S = np.asarray(S, dtype=float)
+    K = S.shape[0]
+    u = -np.sort(-S, axis=0)
+    css = np.cumsum(u, axis=0)
+    j = np.arange(1, K + 1)[:, None]
+    mask = u + (1.0 - css) / j > 0
+    rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
+    theta = (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
+    return np.maximum(S - theta[None, :], 0.0)
+
+
+def _hard_simplex_inputs(rng, K, L):
+    """Random K x L matrices with ties, exact zeros, -0.0, columns already on
+    the simplex, and entries of large magnitude."""
+    yield rng.standard_normal((K, L))
+    yield np.round(2.0 * rng.standard_normal((K, L))) / 2.0       # many ties
+    signed_zeros = rng.standard_normal((K, L))
+    signed_zeros[rng.random((K, L)) < 0.4] = 0.0
+    signed_zeros[rng.random((K, L)) < 0.4] = -0.0
+    yield signed_zeros
+    yield np.full((K, L), 1.0 / K)
+    yield rng.dirichlet(np.ones(K), size=L).T
+    yield _project_simplex_sorted(rng.standard_normal((K, L)))    # vertices and faces
+    yield rng.standard_normal((K, L)) * 10.0 ** rng.integers(-12, 21, size=(K, L))
+    yield np.full((K, L), 1e20) * rng.choice([-1.0, 1.0], size=(K, L))
+
+
 class TestProjectSimplex:
+    @pytest.mark.parametrize("L", [1, 7, 1000])
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_matches_sort_reference_bit_for_bit(self, K, L):
+        rng = np.random.default_rng(1000 * K + L)
+        for S in _hard_simplex_inputs(rng, K, L):
+            got = numerics.project_simplex_columns(S)
+            want = _project_simplex_sorted(S)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
     def test_symmetric(self):
         np.testing.assert_allclose(_project_simplex([0.5, 0.5, 0.5]), np.full(3, 1 / 3))
 
@@ -468,6 +560,61 @@ class TestProjectSimplex:
     def test_empty_vector(self):
         with pytest.raises(InvalidInputError):
             _project_simplex(np.zeros(0))
+
+
+def _gesdd_by_numpy(M, compute_uv):
+    M = np.asarray(M, dtype=float)
+    if compute_uv:
+        return np.linalg.svd(M, full_matrices=False)
+    return None, np.linalg.svd(M, compute_uv=False), None
+
+
+def _update_Y_with_eye(z, AP, Q, rho):
+    rhs = AP @ z.S.T + (z.X + rho * Q)
+    K = z.S.shape[0]
+    return np.linalg.solve(np.eye(K) + z.S @ z.S.T, rhs.T).T
+
+
+def _update_S_with_eye(z, AP):
+    beta = vm.default_beta(z.Y)
+    target = z.Y.T @ AP + (beta * np.eye(z.S.shape[0]) - z.Y.T @ z.Y) @ z.S
+    return numerics.project_simplex_columns(target / beta)
+
+
+class TestVolminKernelsMatchReference:
+    """A seeded volmin solve gives the same bytes with the reference kernels
+    in place: the sort-based projection, ``np.linalg.svd`` for every SVD, and
+    Y and S steps that build their identity matrices."""
+
+    @staticmethod
+    def _solve(monkeypatch, dims, gamma, snr_db):
+        restarts = []
+        solve = vm.solve
+
+        def recording_solve(instance, config):
+            X, S, trace = solve(instance, config)
+            restarts.append([{k: v for k, v in vars(r).items() if k != "time_s"}
+                             for r in trace.records]
+                            + [(trace.converged, trace.rho_floor_hits, trace.stop_reason)])
+            return X, S, trace
+
+        monkeypatch.setattr(vm, "solve", recording_solve)
+        inst, _ = vm.gen_data(*dims, gamma, snr_db, seed=0)
+        X, S, _ = vm.solve_restarts(inst, vm.default_config(inst, seed=0))
+        return X.tobytes(), S.tobytes(), restarts
+
+    @pytest.mark.parametrize("dims, gamma, snr_db", [((10, 3, 200), 0.8, 40.0),
+                                                      ((20, 5, 300), 0.6, 30.0)])
+    def test_seeded_solve_restarts_bit_identical(self, monkeypatch, dims, gamma, snr_db):
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "project_simplex_columns", _project_simplex_sorted)
+            m.setattr(numerics, "_gesdd", _gesdd_by_numpy)
+            m.setattr(vm, "update_Y", _update_Y_with_eye)
+            m.setattr(vm, "update_S", _update_S_with_eye)
+            want = self._solve(m, dims, gamma, snr_db)
+        got = self._solve(monkeypatch, dims, gamma, snr_db)
+        assert len(got[2]) == 3
+        assert got == want
 
 
 class TestMonotoneCubic:

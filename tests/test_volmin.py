@@ -5,7 +5,7 @@ import pytest
 
 from pddopt import volmin as vm
 from pddopt.core import PddConfig, PddRecord, PddTrace
-from pddopt.errors import InvalidInputError
+from pddopt.errors import InvalidInputError, NumericalFailureError
 from pddopt.verify import rand_volmin_iterate
 
 
@@ -294,6 +294,18 @@ class TestFaultInjection:
         np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
         assert S.min() >= 0.0
         assert np.isfinite(trace.records[-1].h_inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("svd_of", [
+        lambda M: vm.f_eps(M, 1e-2),
+        lambda M: vm.VolMinIterate(X=M, S=np.full((2, 3), 0.5), Y=np.ones((4, 2))),
+        vm.default_beta,
+    ], ids=["f_eps", "iterate", "default_beta"])
+    def test_non_finite_factor_raises_numerical_failure(self, bad, svd_of):
+        M = np.ones((4, 2))
+        M[1, 0] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite entry"):
+            svd_of(M)
 
 
 class TestIterate:
