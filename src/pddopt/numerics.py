@@ -418,6 +418,14 @@ def project_ball(M, radius):
     return (radius / nrm) * M
 
 
+# The sorting network takes O(K) numpy calls of O(L K) work each, np.sort one
+# call of O(L K log K) work with a cost per column. On a 2-core x86_64 box the
+# network is the cheaper of the two when K <= 8 and L >= 16 K^2
+# (BENCH_volmin_kernels.json, ``projection_crossover``).
+_NETWORK_MAX_ROWS = 8
+_NETWORK_COLS_PER_ROW_SQ = 16
+
+
 def project_simplex_columns(S):
     """Euclidean projection of each column of a K x L matrix onto the
     probability simplex {s >= 0, sum s = 1}.
@@ -427,36 +435,70 @@ def project_simplex_columns(S):
     theta_j making it sum to one. A single vector ``v`` is projected as
     ``project_simplex_columns(v[:, None])[:, 0]``.
 
-    The K rows are sorted descending by an odd-even transposition network:
-    K passes, each a compare-exchange of alternate row pairs by
-    ``np.maximum``/``np.minimum`` on row slices. One pass over the sorted
-    rows u then carries the running sum css and takes theta from the last
-    row r with ``u_r > (css_r - 1) / (r + 1)``, or from row K-1 if there is
-    none. For finite S this is the arithmetic of ``-np.sort(-S, axis=0)``,
-    ``np.cumsum`` and ``np.argmax`` bit for bit, ties and signed zeros
-    included. The cost is O(K) numpy calls of O(L K) work each, O(L K^2)
-    in all. Over 1000 columns at K <= 8 (volmin's ranks) that is cheaper
-    than one ``np.sort`` call; at K = 50, or on a single column with K >= 3,
-    it is dearer (``BENCH_volmin_kernels.json`` has the table).
+    The sort takes one of two paths with the same arithmetic, bit for bit:
+    an odd-even sorting network (:func:`_simplex_theta_network`) when
+    ``K <= 8`` and ``L >= 16 K^2``, as for volmin's S over its data columns,
+    and ``np.sort`` (:func:`_simplex_theta_sorted`) otherwise, as for the
+    single columns of ``multicast.kkt_residual``.
+
+    Raises
+    ------
+    InvalidInputError
+        If S has no rows.
+    NumericalFailureError
+        If S has a non-finite entry.
     """
     S = np.asarray(S, dtype=float)
-    K = S.shape[0]
+    K, L = S.shape
     if K == 0:
         raise InvalidInputError("cannot project an empty matrix onto the simplex")
+    if not np.isfinite(S).all():
+        raise NumericalFailureError("simplex projection input has a non-finite entry")
+    if K <= _NETWORK_MAX_ROWS and L >= _NETWORK_COLS_PER_ROW_SQ * K * K:
+        theta = _simplex_theta_network(S)
+    else:
+        theta = _simplex_theta_sorted(S)
+    return np.maximum(S - theta, 0.0)
+
+
+def _simplex_theta_sorted(S):
+    """Thresholds theta of a finite K x L matrix: sort each column
+    descending, then the last row r with ``u_r + (1 - css_r) / (r + 1) > 0``
+    gives ``theta = (css_r - 1) / (r + 1)``, or row K-1 if none passes."""
+    K = S.shape[0]
+    u = -np.sort(-S, axis=0)
+    css = np.cumsum(u, axis=0)
+    j = np.arange(1, K + 1)[:, None]
+    mask = u + (1.0 - css) / j > 0
+    rho = K - 1 - np.argmax(mask[::-1, :], axis=0)
+    return (css[rho, np.arange(S.shape[1])] - 1.0) / (rho + 1.0)
+
+
+def _simplex_theta_network(S):
+    """The thresholds of :func:`_simplex_theta_sorted`, bit for bit, with the
+    K rows sorted descending by an odd-even transposition network: K passes,
+    each a compare-exchange of alternate row pairs by
+    ``np.maximum``/``np.minimum`` on row slices. One pass over the sorted
+    rows u then carries the running sum css and keeps theta from the last
+    row r with ``u_r > (css_r - 1) / (r + 1)``. The adds are those of
+    ``np.cumsum``, and for finite S the comparison is the sorted path's
+    mask. The cost is O(K) numpy calls of O(L K) work each."""
+    K = S.shape[0]
     u = S.copy()
     for p in range(K):
         upper, lower = u[p % 2:K - 1:2], u[p % 2 + 1:K:2]
         larger = np.maximum(upper, lower)
         np.minimum(upper, lower, out=lower)
         upper[...] = larger
-    css = np.zeros(S.shape[1:])
-    theta = np.full(S.shape[1:], np.nan)    # NaN until some row passes
+    css = np.zeros(S.shape[1])
+    # NaN until some row passes; S is finite, so no t is NaN
+    theta = np.full(S.shape[1], np.nan)
     for r in range(K):
         css += u[r]
         t = (css - 1.0) / (r + 1)
         np.copyto(theta, t, where=u[r] > t)
     np.copyto(theta, t, where=np.isnan(theta))
-    return np.maximum(S - theta, 0.0)
+    return theta
 
 
 def solve_monotone_cubic(a, b, d):

@@ -307,6 +307,10 @@ class TestDirectLapackMatchesNumpy:
                 U, s, Vt = numerics._gesdd(M, 1)
                 ref = np.linalg.svd(M, full_matrices=False)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip((U, s, Vt), ref))
+                # thin_svd hands out numpy's memory order: U and V.T in C order
+                U, _, V = numerics.thin_svd(M)
+                assert ref[0].flags.c_contiguous and ref[2].flags.c_contiguous
+                assert U.flags.c_contiguous and V.T.flags.c_contiguous
 
 
 class TestSolveLinear:
@@ -537,10 +541,36 @@ class TestProjectSimplex:
     def test_matches_sort_reference_bit_for_bit(self, K, L):
         rng = np.random.default_rng(1000 * K + L)
         for S in _hard_simplex_inputs(rng, K, L):
-            got = numerics.project_simplex_columns(S)
             want = _project_simplex_sorted(S)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            # the public function, and each of its two paths on every shape
+            for got in (numerics.project_simplex_columns(S),
+                        np.maximum(S - numerics._simplex_theta_network(S), 0.0),
+                        np.maximum(S - numerics._simplex_theta_sorted(S), 0.0)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K, L, path", [
+        (1, 15, "sorted"), (1, 16, "network"), (3, 143, "sorted"), (3, 144, "network"),
+        (3, 1000, "network"), (7, 1000, "network"), (8, 1000, "sorted"), (8, 1024, "network"),
+        (9, 5000, "sorted"), (8, 1, "sorted"), (50, 1000, "sorted")])
+    def test_network_only_for_few_rows_over_many_columns(self, monkeypatch, K, L, path):
+        taken = []
+        for name in ("network", "sorted"):
+            theta = getattr(numerics, f"_simplex_theta_{name}")
+            monkeypatch.setattr(numerics, f"_simplex_theta_{name}",
+                                lambda S, name=name, theta=theta: taken.append(name) or theta(S))
+        S = np.random.default_rng(K + L).standard_normal((K, L))
+        got = numerics.project_simplex_columns(S)
+        assert taken == [path]
+        assert got.tobytes() == _project_simplex_sorted(S).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 1000), (8, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, shape, bad):
+        S = np.zeros(shape)
+        S[-1, -1] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            numerics.project_simplex_columns(S)
 
     def test_symmetric(self):
         np.testing.assert_allclose(_project_simplex([0.5, 0.5, 0.5]), np.full(3, 1 / 3))

@@ -307,6 +307,17 @@ class TestFaultInjection:
         with pytest.raises(NumericalFailureError, match="non-finite entry"):
             svd_of(M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_S_target_raises_numerical_failure(self, bad):
+        # a non-finite A + rho P reaches the simplex projection, which rejects
+        # it instead of returning a NaN column
+        z = vm.VolMinIterate(X=np.ones((4, 2)), S=np.full((2, 3), 0.5), Y=np.ones((4, 2)))
+        AP = np.ones((4, 3))
+        AP[1, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalFailureError, match="non-finite entry"):
+            vm.update_S(z, AP)
+
 
 class TestIterate:
     def test_constraint_matches_concatenation(self, small):
