@@ -408,21 +408,50 @@ def initial_iterate(instance, rng):
     return MulticastIterate(w0, na / nb, instance)
 
 
+def channel_subspace(instance):
+    """``(Q, reduced)``: an orthonormal basis of the channel span and the
+    instance in its coordinates.
+
+    With ``channels.T = Q R`` (thin QR; Q is N_t x K), the reduced instance
+    has K antennas, channels ``R.T`` and the same groups, noise powers and
+    budget. For every stacked u, the group rows ``w_i = Q u_i`` give the
+    same gains ``h_k^H w_i`` as u does on the reduced instance, and the same
+    norm, so every SINR, coupling norm and AL value is unchanged.
+    """
+    Q, R = np.linalg.qr(instance.channels.T)
+    reduced = MulticastInstance(n_t=Q.shape[1], groups=instance.groups,
+                                channels=np.ascontiguousarray(R.T), sigma2=instance.sigma2,
+                                p_bs=instance.p_bs, group_of=instance.group_of)
+    return Q, reduced
+
+
 def solve(instance, config=None, on_iteration=None):
     """Run PDD on a multicast instance.
 
     Returns ``(w_scaled, t, trace)`` where ``w_scaled`` is the stacked
     beamformer scaled to meet the power budget with equality.
     ``on_iteration`` is passed to :func:`pddopt.core.pdd_run`.
+
+    With fewer users than antennas (K < N_t), the solve runs on the K-antenna
+    instance of :func:`channel_subspace` and returns ``w_i = Q u_i``. This
+    loses nothing: every SINR depends on w_i only through the gains
+    ``h_k^H w_i``, so the part of w_i outside the channel span adds power and
+    no gain, and the max-min optimum lies in that span. The w-step then
+    works on a 2 n_g K surrogate instead of 2 n_g N_t. With K >= N_t the
+    channels span the whole space, and the solve runs on ``instance`` itself.
     """
     if config is None:
         config = default_config(instance)
+    basis, work = None, instance
+    if instance.n_users < instance.n_t:
+        basis, work = channel_subspace(instance)
     rng = np.random.default_rng(config.seed)
-    z0 = initial_iterate(instance, rng)
-    problem = MulticastProblem(instance)
-    lam0 = np.zeros(instance.n_users)
+    z0 = initial_iterate(work, rng)
+    problem = MulticastProblem(work)
+    lam0 = np.zeros(work.n_users)
     z, lam, trace = _pdd_run(problem, z0, lam0, config, on_iteration)
-    w_scaled = np.sqrt(instance.p_bs) * z.w
+    w = z.w if basis is None else (group_beamformers(z.w, work) @ basis.T).ravel()
+    w_scaled = np.sqrt(instance.p_bs) * w
     return w_scaled, z.t, trace
 
 

@@ -274,26 +274,31 @@ def thin_svd(M):
     M = np.asarray(M, dtype=float)
     U, s, Vt = _gesdd(M, 1)
     U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(Vt).T
+    Vt = np.ascontiguousarray(Vt)
     # fix_sign on every column of U at once. ``first`` is the first entry
     # above SIGN_TOL in magnitude, or U[0, j] when there is none, which then
     # cannot be below -SIGN_TOL.
-    first = U[(np.abs(U) > SIGN_TOL).argmax(axis=0), np.arange(U.shape[1])]
+    k = s.size
+    first = U[(np.abs(U) > SIGN_TOL).argmax(axis=0), np.arange(k)]
     sgn = np.where(first < -SIGN_TOL, -1.0, 1.0)
     U *= sgn
-    V *= sgn
-    norm_m = max(s[0], 1e-300)
-    resid = np.linalg.norm((U * s) @ V.T - M)
-    orth = max(
-        np.linalg.norm(U.T @ U - np.eye(U.shape[1])),
-        np.linalg.norm(V.T @ V - np.eye(V.shape[1])),
-    )
-    if not (resid <= SVD_RESIDUAL_REL * norm_m and orth <= SVD_RESIDUAL_REL):
+    Vt *= sgn[:, None]
+    # the Frobenius norms of U diag(s) V^T - M, U^T U - I and V^T V - I, each
+    # formed in place in the product's output and summed by one dot product
+    R = (U * s) @ Vt
+    R -= M
+    GU = U.T @ U
+    GV = Vt @ Vt.T
+    GU.ravel()[::k + 1] -= 1.0
+    GV.ravel()[::k + 1] -= 1.0
+    resid = math.sqrt(np.vdot(R, R))
+    orth = math.sqrt(max(np.vdot(GU, GU), np.vdot(GV, GV)))
+    if not (resid <= SVD_RESIDUAL_REL * max(s[0], 1e-300) and orth <= SVD_RESIDUAL_REL):
         raise NumericalFailureError(
             f"SVD residuals too large (reconstruction {resid:.3e}, orthonormality {orth:.3e})",
             residual=max(resid, orth),
         )
-    return U, s, V
+    return U, s, Vt.T
 
 
 def solve_sylvester(A, B, C):

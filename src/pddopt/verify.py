@@ -745,6 +745,31 @@ def _power_scaling_identity(rng):
     return abs(np.linalg.norm(w_scaled) ** 2 - inst.p_bs) <= 1e-8, ""
 
 
+@_property("multicast", "channel-subspace")
+def _channel_subspace(rng):
+    # what the K < N_t reduction of mc.solve rests on: projecting each w_i onto
+    # span{h_k} and renormalising lowers no SINR, and at w_i = Q u_i the
+    # reduced instance's gains are the full instance's
+    inst = mc.gen_instance(6, 2, 2, 10.0, seed=int(rng.integers(1 << 16)))
+    Q, reduced = mc.channel_subspace(inst)
+    worst_ratio, worst_gain = np.inf, 0.0
+    for _ in range(20):
+        w = rand_unit_vec(rng, inst.dim)
+        W = mc.group_beamformers(w, inst)
+        w_span = (W @ Q.conj() @ Q.T).ravel()   # rows (Q Q^H w_i)^T
+        before = mc.sinr_values(np.sqrt(inst.p_bs) * w, inst)
+        after = mc.sinr_values(np.sqrt(inst.p_bs) * w_span / np.linalg.norm(w_span), inst)
+        worst_ratio = min(worst_ratio, float(np.min(after / before)))
+        U = mc.group_beamformers(rand_unit_vec(rng, reduced.dim), reduced)
+        gains = inst.channels.conj() @ (U @ Q.T).T
+        gains_reduced = reduced.channels.conj() @ U.T
+        worst_gain = max(worst_gain,
+                         float(np.abs(gains_reduced - gains).max() / np.abs(gains).max()))
+    return (worst_ratio >= 1.0 - 1e-12 and worst_gain <= 1e-12,
+            f"least SINR ratio projected/original {worst_ratio:.4f}, "
+            f"worst gain dev {worst_gain:.2e} (relative)")
+
+
 # --------------------------------------------------------------------------
 # relay
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pddopt import core
 from pddopt import multicast as mc
 from pddopt import numerics
 from pddopt.errors import InvalidInputError
@@ -259,8 +260,12 @@ class TestInnerStep:
 
 
 class TestSweepCountsPinned:
-    """Seeded solves take exactly the inner sweeps and branches they took
-    before the per-iterate caching of the gains (literals from that code)."""
+    """Seeded solves take exactly these inner sweeps and branches.
+
+    The three (8,4,2) pins (K = N_t) are literals from the code before the
+    per-iterate caching of the gains. The (16,4,2) pin (K = 8 < N_t = 16) is
+    the solve in the channel subspace of :func:`multicast.channel_subspace`.
+    """
 
     CASES = {
         (8, 0): ([100, 100, 100, 36, 27, 27, 24, 25, 22, 22, 19, 17, 16, 14, 11, 9, 8],
@@ -269,7 +274,7 @@ class TestSweepCountsPinned:
                  8.151166585046443e-05),
         (8, 2): ([100, 100, 100, 86, 66, 73, 65, 62, 59, 57, 47, 38, 31, 24, 19, 16, 13,
                   11, 10, 8, 7, 6, 5], 7.554850788826784e-05),
-        (16, 0): ([100, 100, 100, 49, 26, 24, 22, 20, 18, 16, 12, 8], 5.610236416320191e-05),
+        (16, 0): ([100, 100, 100, 60, 31, 28, 24, 21, 20, 18, 14, 10], 5.5291914662136676e-05),
     }
 
     @pytest.mark.parametrize("n_t, seed", list(CASES), ids=["8-4-2-s0", "8-4-2-s1",
@@ -284,6 +289,75 @@ class TestSweepCountsPinned:
         assert trace.column("branch") == branches
         assert trace.converged
         assert trace.records[-1].h_inf == pytest.approx(h_inf, rel=1e-12, abs=0.0)
+
+
+def _full_space_solve(inst, config):
+    """PDD on all N_t antennas, without the channel-subspace reduction: the
+    oracle for ``mc.solve``."""
+    rng = np.random.default_rng(config.seed)
+    z, _, trace = core.pdd_run(mc.MulticastProblem(inst), mc.initial_iterate(inst, rng),
+                               np.zeros(inst.n_users), config)
+    return np.sqrt(inst.p_bs) * z.w, z.t, trace
+
+
+def _solve_outcome(inst, out):
+    """(||h||_inf, KKT residual, min-rate, outer iterations) of a solve's output."""
+    w_scaled, t, trace = out
+    h = np.abs(mc.constraint_h(w_scaled / np.sqrt(inst.p_bs), t, inst)).max()
+    return h, mc.kkt_residual(w_scaled, inst), mc.min_rate(w_scaled, inst), len(trace.records)
+
+
+class TestChannelSubspace:
+    """With K < N_t, ``mc.solve`` works on the K-antenna instance of
+    :func:`mc.channel_subspace` and maps the result back."""
+
+    @pytest.mark.parametrize("shape", [(16, 4, 2), (6, 2, 2), (4, 1, 1)])
+    def test_reduced_instance_reproduces_gains_norms_and_al(self, shape):
+        inst = mc.gen_instance(*shape, 10.0, seed=5)
+        Q, reduced = mc.channel_subspace(inst)
+        K = inst.n_users
+        assert Q.shape == (inst.n_t, K) and reduced.n_t == K
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(K), rtol=0, atol=1e-14)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            u = rand_unit_vec(rng, reduced.dim)
+            w = (mc.group_beamformers(u, reduced) @ Q.T).ravel()
+            t, lam = rng.uniform(0.5, 3.0, K), rng.standard_normal(K)
+            z_red = mc.MulticastIterate(u, t, reduced)
+            z_full = mc.MulticastIterate(w, t, inst)
+            for name in ("G", "na", "nb"):
+                np.testing.assert_allclose(getattr(z_red, name), getattr(z_full, name),
+                                           rtol=1e-12, atol=0)
+            al_red = mc.MulticastProblem(reduced).al_value(z_red, lam, 0.7)
+            al_full = mc.MulticastProblem(inst).al_value(z_full, lam, 0.7)
+            assert al_red == pytest.approx(al_full, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduced_solve_matches_full_space_solve(self, seed):
+        inst = mc.gen_instance(16, 4, 2, 10.0, seed)
+        config = mc.default_config(inst, seed=seed)
+        out = mc.solve(inst, config)
+        h, kkt, rate, outer = _solve_outcome(inst, out)
+        h_ref, kkt_ref, rate_ref, outer_ref = _solve_outcome(inst, _full_space_solve(inst, config))
+        assert max(h, h_ref) <= 1e-4 and max(kkt, kkt_ref) <= 1e-2
+        assert rate == pytest.approx(rate_ref, rel=1e-6, abs=0)
+        assert outer == outer_ref
+        w_scaled = out[0]
+        assert np.linalg.norm(w_scaled) ** 2 == pytest.approx(inst.p_bs, rel=1e-12, abs=0)
+        # each w_i lies in span{h_k}: nothing is left after projecting it out
+        Q, _ = mc.channel_subspace(inst)
+        W = mc.group_beamformers(w_scaled, inst)
+        assert np.abs(W - W @ Q.conj() @ Q.T).max() <= 1e-12 * np.abs(W).max()
+
+    @pytest.mark.parametrize("shape, seed", [((8, 4, 2), 0), ((4, 2, 2), 1), ((2, 2, 2), 2)])
+    def test_no_reduction_when_users_span_the_antennas(self, shape, seed):
+        inst = mc.gen_instance(*shape, 10.0, seed)
+        config = mc.default_config(inst, seed=seed, max_outer=6)
+        w_scaled, t, trace = mc.solve(inst, config)
+        w_ref, t_ref, trace_ref = _full_space_solve(inst, config)
+        assert w_scaled.tobytes() == w_ref.tobytes() and t.tobytes() == t_ref.tobytes()
+        assert trace.column("h_inf") == trace_ref.column("h_inf")
+        assert trace.column("inner_iters") == trace_ref.column("inner_iters")
 
 
 class TestSolveAndMetrics:

@@ -170,6 +170,52 @@ class TestThinSvd:
             U, s, V = got
             assert ((U * s) @ V.T).tobytes() == (U @ np.diag(s) @ V.T).tobytes()
 
+    @pytest.mark.parametrize("factor, breaks", [
+        ("U", "orthonormality"),   # column 1 of U doubled, s_1 halved: same product
+        ("V", "orthonormality"),   # the same on row 1 of V^T
+        ("s", "reconstruction"),   # s_1 off by 1e-6 relative: orthonormal factors
+        ("U+", "both"),            # one entry of U moved by 1e-6
+        ("V+", "both"),            # one entry of V^T moved by 1e-6
+        ("V-nan", "reconstruction"),   # a NaN in V^T fills a column of U diag(s) V^T
+    ])
+    @pytest.mark.parametrize("shape", [(50, 3), (3, 50), (6, 6)])
+    def test_residual_check_rejects_corrupted_factors(self, monkeypatch, factor, breaks,
+                                                      shape):
+        M = np.random.default_rng(12).standard_normal(shape)
+        gesdd = numerics._GESDD
+
+        def corrupted(*args, **kwargs):
+            U, s, Vt, info = gesdd(*args, **kwargs)
+            U, s, Vt = U.copy(), s.copy(), Vt.copy()
+            if factor == "U":
+                U[:, 1] *= 2.0
+                s[1] *= 0.5
+            elif factor == "V":
+                Vt[1] *= 2.0
+                s[1] *= 0.5
+            elif factor == "s":
+                s[1] *= 1.0 + 1e-6
+            elif factor == "U+":
+                U[1, 1] += 1e-6
+            elif factor == "V+":
+                Vt[1, 1] += 1e-6
+            else:
+                Vt[1, 1] = np.nan
+            return U, s, Vt, info
+
+        numerics.thin_svd(M)
+        monkeypatch.setattr(numerics, "_GESDD", corrupted)
+        with pytest.raises(NumericalFailureError, match="SVD residuals too large") as info:
+            numerics.thin_svd(M)
+        message = str(info.value)
+        recon_bad = "reconstruction nan" in message or float(
+            message.split("reconstruction ")[1].split(",")[0]) > 1e-9 * np.linalg.norm(M, 2)
+        orth_bad = "orthonormality nan" in message or float(
+            message.split("orthonormality ")[1].rstrip(")")) > 1e-9
+        assert (recon_bad, orth_bad) == {"reconstruction": (True, False),
+                                         "orthonormality": (False, True),
+                                         "both": (True, True)}[breaks]
+
     @pytest.mark.parametrize("kernel", [numerics.thin_svd, numerics.singular_values])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected_before_lapack(self, monkeypatch, kernel, bad):
