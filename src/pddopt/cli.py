@@ -35,7 +35,9 @@ from .verify import SUITES, run_suites
 
 log = logging.getLogger("pddopt")
 
-APPS = ("multicast", "relay", "volmin")
+# the flags only volmin reads, with their defaults; see _app
+VOLMIN_FLAGS = {"format": "vmin", "truth_out": None, "truth": None, "restarts": 3,
+                "eps_smooth": 1e-2, "prescale": False}
 
 CONFIG_FLAGS = ("rho0", "c", "tau", "eps0", "max_outer", "max_inner", "mode")
 
@@ -62,17 +64,17 @@ def build_parser():
 
     # no abbreviations: gen would read --truth, a solve flag, as --truth-out
     p_gen = sub.add_parser("gen", help="generate a random instance file", allow_abbrev=False)
-    _add_app_flag(p_gen)
+    p_gen.add_argument("--app", required=True, choices=APPS)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="instance file to write")
     g = _add_generator_flags(p_gen)
-    g.add_argument("--format", choices=["vmin", "csv"], default="vmin",
+    g.add_argument("--format", choices=["vmin", "csv"], default=VOLMIN_FLAGS["format"],
                    help="volmin instance format")
     g.add_argument("--truth-out", help="volmin: ground-truth JSON to write")
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
-    _add_app_flag(p_solve)
+    p_solve.add_argument("--app", required=True, choices=APPS)
     p_solve.add_argument("--instance", help="instance file (omit to generate)")
     _add_generator_flags(p_solve)
     p_solve.add_argument("--seed", type=int, default=0)
@@ -81,7 +83,7 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run one configuration over many seeds")
-    _add_app_flag(p_bench)
+    p_bench.add_argument("--app", required=True, choices=APPS)
     p_bench.add_argument("--instance", help="fixed instance file (else generated per seed)")
     _add_generator_flags(p_bench)
     p_bench.add_argument("--seeds", required=True,
@@ -102,10 +104,6 @@ def _check_seed(seed, flag):
     """Seeds feed ``numpy.random.default_rng``, which takes no negative integer."""
     if seed < 0:
         raise InvalidInputError(f"{flag} must be a non-negative integer, got {seed}")
-
-
-def _add_app_flag(p):
-    p.add_argument("--app", required=True, choices=APPS)
 
 
 def _add_generator_flags(p):
@@ -135,9 +133,10 @@ def _add_config_flags(p):
     g.add_argument("--max-outer", type=int, dest="max_outer")
     g.add_argument("--max-inner", type=int, dest="max_inner")
     g.add_argument("--mode", choices=["pdd", "ipdd"])
-    g.add_argument("--restarts", type=int, default=3, help="volmin random restarts")
+    g.add_argument("--restarts", type=int, default=VOLMIN_FLAGS["restarts"],
+                   help="volmin random restarts")
     g.add_argument("--truth", help="volmin: ground-truth JSON for MSE evaluation")
-    g.add_argument("--eps-smooth", type=float, default=1e-2,
+    g.add_argument("--eps-smooth", type=float, default=VOLMIN_FLAGS["eps_smooth"],
                    help="volmin: volume smoothing parameter")
     g.add_argument("--prescale", action="store_true",
                    help="volmin: rescale data so the rank-K spectrum clears the smoothing floor")
@@ -195,80 +194,109 @@ def _from_json_file(path, what, from_dict):
 
 
 # --------------------------------------------------------------------------
-# gen
+# gen and solve, through one record per app
 # --------------------------------------------------------------------------
 
-def _generate_instance(args, seed):
-    if args.app == "multicast":
-        inst = mc.gen_instance(args.nt, args.groups, args.users_per_group,
-                               10.0 ** (args.pbs_db / 10.0), seed)
-        return inst, None
-    if args.app == "relay":
-        inst = rl.gen_instance(args.ns, args.nr, args.k, args.snr_db, seed)
-        return inst, None
-    inst, truth = vm.gen_data(args.n, args.k, args.l, args.gamma,
-                              args.snr_db, seed)
-    return inst, truth
+class App:
+    """One ``--app`` for ``gen``, ``solve`` and ``bench``: ``generate`` and ``load``
+    (``--instance``, else generated) give ``(instance, truth)``, ``solve`` the
+    ``results.json`` dict and the trace; ``bench`` reports ``results[objective]``.
+    ``flags`` are the ``VOLMIN_FLAGS`` it reads. This base serves multicast and
+    relay, which have no truth and keep instances in JSON files through
+    ``module.instance_to_dict`` / ``instance_from_dict``."""
+
+    flags = ()
+
+    def write(self, args, inst, truth):
+        _dump_json(Path(args.out), self.module.instance_to_dict(inst))
+
+    def load(self, args, seed):
+        if args.instance:
+            return _from_json_file(args.instance, "instance", self.module.instance_from_dict), None
+        return self.generate(args, seed)
 
 
-def cmd_gen(args):
-    inst, truth = _generate_instance(args, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.app == "multicast":
-        _dump_json(out, mc.instance_to_dict(inst))
-    elif args.app == "relay":
-        _dump_json(out, rl.instance_to_dict(inst))
-    else:
-        if args.format == "vmin":
-            ioformats.write_vmin(out, inst.A)
-        else:
-            ioformats.write_matrix_csv(out, inst.A)
+class _Multicast(App):
+    name, module, objective = "multicast", mc, "min_rate_bits"
+
+    def generate(self, args, seed):
+        return mc.gen_instance(args.nt, args.groups, args.users_per_group,
+                               10.0 ** (args.pbs_db / 10.0), seed), None
+
+    def solve(self, args, inst, truth, config, on_iteration):
+        w, _, trace = mc.solve(inst, mc.default_config(inst, **config), on_iteration)
+        return {"w": ioformats.complex_to_pairs(w), "min_rate_bits": mc.min_rate(w, inst),
+                "kkt_residual": mc.kkt_residual(w, inst)}, trace
+
+
+class _Relay(App):
+    name, module, objective = "relay", rl, "sum_rate_nats"
+
+    def generate(self, args, seed):
+        return rl.gen_instance(args.ns, args.nr, args.k, args.snr_db, seed), None
+
+    def solve(self, args, inst, truth, config, on_iteration):
+        res = rl.solve(inst, rl.default_config(inst, **config), on_iteration)
+        return {"V": ioformats.complex_to_pairs(res["V"]),
+                "F": ioformats.complex_to_pairs(res["F"]), "sum_rate_nats": res["sum_rate_nats"],
+                "repair_scale": list(res["repair_scale"])}, res["trace"]
+
+
+class _Volmin(App):
+    name, objective, flags = "volmin", "f_eps", tuple(VOLMIN_FLAGS)
+
+    def generate(self, args, seed):
+        return vm.gen_data(args.n, args.k, args.l, args.gamma, args.snr_db, seed)
+
+    def write(self, args, inst, truth):
+        write = ioformats.write_vmin if args.format == "vmin" else ioformats.write_matrix_csv
+        write(args.out, inst.A)
         if args.truth_out:
             _dump_json(Path(args.truth_out), {
-                "X": truth.X.tolist(), "S": truth.S.tolist(),
-                "gamma": truth.gamma,
-                "snr_db": None if np.isinf(truth.snr_db) else truth.snr_db,
-            })
-    log.info("wrote %s instance to %s", args.app, out)
-    return 0
+                "X": truth.X.tolist(), "S": truth.S.tolist(), "gamma": truth.gamma,
+                "snr_db": None if np.isinf(truth.snr_db) else truth.snr_db})
 
-
-def _load_instance(args, seed):
-    """The instance read from ``--instance`` or generated from ``seed``, and the
-    volmin ground truth (else None); volmin data is built with ``--eps-smooth``."""
-    path = args.instance
-    if not path:
-        if args.truth:
+    def load(self, args, seed):
+        """Data built with ``--k`` and ``--eps-smooth``, and its ground truth:
+        from a ``--truth`` file for ``--instance`` data, else generated."""
+        # before any solve: vm.mse_metric scores a truth only up to MSE_MAX_RANK
+        if (args.truth or not args.instance) and args.k > vm.MSE_MAX_RANK:
+            source = f"--truth {args.truth}" if args.instance else "generated data"
+            raise InvalidInputError(f"{source}: MSE evaluation supports "
+                                    f"K <= {vm.MSE_MAX_RANK}, got --k {args.k}")
+        if not args.instance:
+            inst, truth = self.generate(args, seed)
+            return vm.build_instance(inst.A, args.k, args.eps_smooth), truth
+        try:
+            A = ioformats.read_dense_matrix(args.instance)
+        except OSError as exc:
             raise InvalidInputError(
-                "--truth needs --instance: generated data carries its own ground truth")
-        if args.app != "volmin":
-            return _generate_instance(args, seed)
-        _check_scorable_rank(args.k, "generated data")
-        inst, truth = _generate_instance(args, seed)
-        return vm.build_instance(inst.A, args.k, args.eps_smooth), truth
-    if args.app == "multicast":
-        return _from_json_file(path, "instance", mc.instance_from_dict), None
-    if args.app == "relay":
-        return _from_json_file(path, "instance", rl.instance_from_dict), None
-    try:
-        A = ioformats.read_dense_matrix(path)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read data matrix file {path}: {exc}") from exc
-    inst = vm.build_instance(A, args.k, args.eps_smooth)
-    truth = None
-    if args.truth:
-        _check_scorable_rank(inst.rank, f"--truth {args.truth}")
-        truth = _from_json_file(args.truth, "truth", lambda data: _truth_from_dict(data, inst))
-    return inst, truth
+                f"cannot read data matrix file {args.instance}: {exc}") from exc
+        inst = vm.build_instance(A, args.k, args.eps_smooth)
+        if not args.truth:
+            return inst, None
+        return inst, _from_json_file(args.truth, "truth", lambda data: _truth_from_dict(data, inst))
+
+    def solve(self, args, inst, truth, config, on_iteration):
+        """Restarts and optional prescaling, X and ``f_eps`` reported unscaled; the
+        winning restart's records go to ``on_iteration`` after all restarts."""
+        scale = _volmin_prescale(inst) if args.prescale else 1.0
+        if scale != 1.0:
+            inst = vm.build_instance(scale * inst.A, inst.rank, inst.eps)
+            log.info("prescaled data by %.3e", scale)
+        X, S, trace = vm.solve_restarts(inst, vm.default_config(inst, **config),
+                                        restarts=args.restarts)
+        for rec in trace.records:
+            on_iteration(rec)
+        X_out = X / scale
+        results = {"X": X_out.tolist(), "S": S.tolist(), "f_eps": vm.f_eps(X_out, inst.eps),
+                   "restarts_used": args.restarts}
+        if truth is not None:
+            results["mse_db"] = vm.mse_metric(X_out, truth.X)
+        return results, trace
 
 
-def _check_scorable_rank(k, source):
-    """Raise before any solve when ``source``'s truth could not be scored:
-    ``vm.mse_metric`` supports K <= ``vm.MSE_MAX_RANK``."""
-    if k > vm.MSE_MAX_RANK:
-        raise InvalidInputError(f"{source}: MSE evaluation supports "
-                                f"K <= {vm.MSE_MAX_RANK}, got --k {k}")
+APPS = {app.name: app for app in (_Multicast(), _Relay(), _Volmin())}
 
 
 def _truth_from_dict(data, inst):
@@ -282,81 +310,57 @@ def _truth_from_dict(data, inst):
     )
 
 
-# --------------------------------------------------------------------------
-# solve
-# --------------------------------------------------------------------------
+def _app(args):
+    """The ``--app`` record, once the flags are checked before any file is
+    written: each ``VOLMIN_FLAGS`` flag the app does not read holds its default,
+    ``--restarts`` is at least 1, and ``--truth`` comes with ``--instance``."""
+    app = APPS[args.app]
+    for dest, default in VOLMIN_FLAGS.items():
+        if dest not in app.flags and getattr(args, dest, default) != default:
+            raise InvalidInputError(f"{app.name} does not read --{dest.replace('_', '-')}")
+    if getattr(args, "restarts", 1) < 1:
+        raise InvalidInputError(f"--restarts must be at least 1, got {args.restarts}")
+    if getattr(args, "truth", None) and not args.instance:
+        raise InvalidInputError(
+            "--truth needs --instance: generated data carries its own ground truth")
+    return app
+
+
+def cmd_gen(args):
+    app = _app(args)
+    inst, truth = app.generate(args, args.seed)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    app.write(args, inst, truth)
+    log.info("wrote %s instance to %s", app.name, args.out)
+    return 0
+
 
 def cmd_solve(args):
+    app = _app(args)
     outdir = Path(args.out)
     overrides = _config_overrides(args)
+    inst, truth = app.load(args, args.seed)
     outdir.mkdir(parents=True, exist_ok=True)
-    inst, truth = _load_instance(args, args.seed)
-    results, trace = _run_app(args, overrides, inst, truth, args.seed,
+    results, trace = _run_app(app, args, overrides, inst, truth, args.seed,
                               outdir / "trace.csv")
     _dump_json(outdir / "results.json", results)
     log.info("results written to %s", outdir)
     return 0 if trace.converged else 1
 
 
-def _trace_writer(path):
-    """Line-buffered CSV sink so a crash leaves a parseable prefix."""
-    fh = open(path, "w", newline="", buffering=1)
-    writer = csv.writer(fh)
-    writer.writerow(PddTrace.CSV_COLUMNS)
+def _run_app(app, args, overrides, inst, truth, seed, trace_path):
+    """``app.solve`` with the trace streamed line-buffered: a crash leaves a parseable prefix."""
+    with open(trace_path, "w", newline="", buffering=1) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PddTrace.CSV_COLUMNS)
 
-    def on_iteration(rec):
-        writer.writerow(PddTrace.csv_row(rec))
-        log.debug("k=%d h_inf=%.3e rho=%.3e branch=%s", rec.k, rec.h_inf,
-                  rec.rho, rec.branch)
+        def on_iteration(rec):
+            writer.writerow(PddTrace.csv_row(rec))
+            log.debug("k=%d h_inf=%.3e rho=%.3e branch=%s", rec.k, rec.h_inf,
+                      rec.rho, rec.branch)
 
-    return fh, on_iteration
-
-
-def _run_app(args, overrides, inst, truth, seed, trace_path):
-    fh, on_iteration = _trace_writer(trace_path)
-    try:
-        if args.app == "multicast":
-            config = mc.default_config(inst, seed=seed, **overrides)
-            w_scaled, _, trace = mc.solve(inst, config, on_iteration)
-            results = {
-                "w": ioformats.complex_to_pairs(w_scaled),
-                "min_rate_bits": mc.min_rate(w_scaled, inst),
-                "kkt_residual": mc.kkt_residual(w_scaled, inst),
-            }
-        elif args.app == "relay":
-            config = rl.default_config(inst, seed=seed, **overrides)
-            res = rl.solve(inst, config, on_iteration)
-            trace = res["trace"]
-            results = {
-                "V": ioformats.complex_to_pairs(res["V"]),
-                "F": ioformats.complex_to_pairs(res["F"]),
-                "sum_rate_nats": res["sum_rate_nats"],
-                "repair_scale": list(res["repair_scale"]),
-            }
-        else:
-            # volmin: restarts and optional prescaling; the winning restart's
-            # records are written to the trace after all restarts have finished
-            scale = 1.0
-            if args.prescale:
-                scale = _volmin_prescale(inst)
-                if scale != 1.0:
-                    inst = vm.build_instance(scale * inst.A, inst.rank, inst.eps)
-                    log.info("prescaled data by %.3e", scale)
-            config = vm.default_config(inst, seed=seed, **overrides)
-            X, S, trace = vm.solve_restarts(inst, config, restarts=args.restarts)
-            for rec in trace.records:
-                on_iteration(rec)
-            X_out = X / scale
-            results = {
-                "X": X_out.tolist(),
-                "S": S.tolist(),
-                "f_eps": vm.f_eps(X, inst.eps),
-                "restarts_used": args.restarts,
-            }
-            if truth is not None:
-                results["mse_db"] = vm.mse_metric(X_out, truth.X)
-    finally:
-        fh.close()
+        results, trace = app.solve(args, inst, truth, dict(overrides, seed=seed),
+                                   on_iteration)
     results["feasibility_gap"] = trace.records[-1].h_inf
     results["iterations"] = len(trace.records)
     return results, trace
@@ -396,10 +400,9 @@ def _parse_seeds(expr):
 
 
 def cmd_bench(args):
+    app = _app(args)
     seeds = _parse_seeds(args.seeds)
     overrides = _config_overrides(args)
-    if args.app == "volmin" and args.restarts < 1:  # once, not once per seed
-        raise InvalidInputError(f"--restarts must be at least 1, got {args.restarts}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -407,17 +410,12 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         # outside the per-seed catch: a malformed instance or dimension is
         # the same for every seed, so the first seed ends the run (exit 2)
-        inst, truth = _load_instance(args, seed)
+        inst, truth = app.load(args, seed)
         try:
-            results, _ = _run_app(args, overrides, inst, truth, seed,
+            results, _ = _run_app(app, args, overrides, inst, truth, seed,
                                   outdir / f"trace_seed{seed}.csv")
-            objective = {
-                "multicast": results.get("min_rate_bits"),
-                "relay": results.get("sum_rate_nats"),
-                "volmin": results.get("f_eps"),
-            }[args.app]
             rows.append({
-                "seed": seed, "status": "ok", "objective": objective,
+                "seed": seed, "status": "ok", "objective": results[app.objective],
                 "feasibility_gap": results["feasibility_gap"],
                 "iterations": results["iterations"],
                 "time_s": time.perf_counter() - t0,

@@ -170,6 +170,7 @@ class TestSolve:
             scaled, vm.default_config(scaled, seed=3, max_outer=4), restarts=2)
         results = json.loads((outdir / "results.json").read_text())
         np.testing.assert_array_equal(np.array(results["X"]), X / scale)
+        assert results["f_eps"] == vm.f_eps(X / scale, inst.eps)  # of the reported X
         assert code == (0 if trace.converged else 1)
 
     def test_config_overrides(self, tmp_path):
@@ -234,6 +235,27 @@ class TestFlagsPerSubcommand:
         assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, app, flag", [
+        ("solve", "multicast", "--truth t.json"), ("solve", "relay", "--restarts 0"),
+        ("solve", "multicast", "--eps-smooth -1"), ("solve", "relay", "--prescale"),
+        ("bench", "multicast", "--restarts 5"), ("bench", "relay", "--truth t.json"),
+        ("gen", "relay", "--format csv"), ("gen", "multicast", "--truth-out t.json"),
+    ], ids=["solve-multicast-truth", "solve-relay-restarts", "solve-multicast-eps-smooth",
+            "solve-relay-prescale", "bench-multicast-restarts", "bench-relay-truth",
+            "gen-relay-format", "gen-multicast-truth-out"])
+    def test_volmin_flag_on_another_app_exits_2(self, tmp_path, capsys, command, app, flag):
+        seeds = ("--seeds", 0) if command == "bench" else ()
+        code = run_cli(command, "--app", app, *seeds, "--out", tmp_path / "out", *flag.split())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {app} does not read {flag.split()[0]}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_volmin_flag_at_its_default_is_accepted(self, tmp_path):
+        code = run_cli("solve", "--app", "relay", "--ns", 1, "--nr", 1, "--k", 1,
+                       "--restarts", 3, "--eps-smooth", 0.01, "--out", tmp_path / "run")
+        assert code in (0, 1)
+        assert (tmp_path / "run" / "results.json").is_file()
+
     def test_truth_without_instance_exits_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"
         run_cli("gen", "--app", "volmin", "--n", 6, "--l", 30, "--k", 2,
@@ -274,6 +296,23 @@ class TestBench:
                     if r and r[0] in ("1", "2"):
                         rows.setdefault(tag, {})[r[0]] = r[2:5]
         assert rows["a"] == rows["b"]
+
+    @pytest.mark.parametrize("app, dims, key", [
+        ("multicast", ("--nt", 4, "--groups", 2, "--users-per-group", 1), "min_rate_bits"),
+        ("relay", ("--ns", 2, "--nr", 2, "--k", 2), "sum_rate_nats"),
+        ("volmin", ("--n", 6, "--l", 30, "--k", 2, "--restarts", 1, "--max-outer", 3),
+         "f_eps"),
+    ], ids=["multicast", "relay", "volmin"])
+    def test_objective_matches_solve(self, tmp_path, app, dims, key):
+        run_cli("solve", "--app", app, *dims, "--seed", 2, "--out", tmp_path / "solve")
+        run_cli("bench", "--app", app, *dims, "--seeds", 2, "--out", tmp_path / "bench")
+        results = json.loads((tmp_path / "solve" / "results.json").read_text())
+        with open(tmp_path / "bench" / "summary.csv") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["seed"] == "2")
+        assert row["status"] == "ok"
+        assert float(row["objective"]) == results[key]
+        assert float(row["feasibility_gap"]) == results["feasibility_gap"]
+        assert int(row["iterations"]) == results["iterations"]
 
     def test_seed_range_syntax(self, tmp_path):
         outdir = tmp_path / "bench"
@@ -429,6 +468,14 @@ class TestBadInputExitCode:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert "seed 0 failed" not in caplog.text
+
+    def test_solve_with_no_restart_writes_nothing(self, tmp_path, capsys):
+        code = run_cli("solve", "--app", "volmin", "--n", 10, "--k", 3, "--l", 30,
+                       "--restarts", 0, "--out", tmp_path / "r0")
+        assert code == 2
+        assert capsys.readouterr().err == "error: --restarts must be at least 1, got 0\n"
+        assert not (tmp_path / "r0" / "trace.csv").exists()
+        assert not (tmp_path / "r0").exists()
 
     @pytest.mark.parametrize("seeds", [("--seed", 0), ("--seeds", "0,1")],
                              ids=["solve", "bench"])
