@@ -278,8 +278,13 @@ class _Volmin(App):
         return inst, _from_json_file(args.truth, "truth", lambda data: _truth_from_dict(data, inst))
 
     def solve(self, args, inst, truth, config, on_iteration):
-        """Restarts and optional prescaling, X and ``f_eps`` reported unscaled; the
-        winning restart's records go to ``on_iteration`` after all restarts."""
+        """Restarts and optional prescaling, X reported unscaled; the winning
+        restart's records go to ``on_iteration`` after all restarts.
+
+        ``f_eps`` is that of the unscaled X at the smoothing level scaled with
+        it, ``f_eps(X / scale, eps / scale**2)``: the scaled run's volume minus
+        ``2 K log(scale)``, so it tells solutions apart at any scale and is
+        the plain ``f_eps(X, eps)`` without prescaling."""
         scale = _volmin_prescale(inst) if args.prescale else 1.0
         if scale != 1.0:
             inst = vm.build_instance(scale * inst.A, inst.rank, inst.eps)
@@ -289,7 +294,8 @@ class _Volmin(App):
         for rec in trace.records:
             on_iteration(rec)
         X_out = X / scale
-        results = {"X": X_out.tolist(), "S": S.tolist(), "f_eps": vm.f_eps(X_out, inst.eps),
+        results = {"X": X_out.tolist(), "S": S.tolist(),
+                   "f_eps": vm.f_eps(X_out, inst.eps / scale**2),
                    "restarts_used": args.restarts}
         if truth is not None:
             results["mse_db"] = vm.mse_metric(X_out, truth.X)

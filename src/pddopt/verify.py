@@ -9,11 +9,13 @@ ran before it. ``pddopt verify`` prints the records; the pytest suite runs
 the catalogue once per session and asserts on the same records, so a plain
 ``pddopt verify all`` reproduces what CI enforces.
 
-The toy problems, random-iterate helpers and the dense multicast forms
-of :func:`dense_forms` are shared with the hand-written tests.
+The toy problems, random-iterate helpers, the dense multicast forms
+of :func:`dense_forms` and the simplex least-squares oracle
+:func:`simplex_ls_oracle` are shared with the hand-written tests.
 """
 
 import contextlib
+import itertools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -995,8 +997,8 @@ def _y_update(rng):
 
 @_property("volmin", "s-update-majorization", "s-update-descent")
 def _s_update(rng):
-    # S update: majorization and descent of the data-fit objective
-    inst = _volmin_instance(rng)
+    # majorized S update (K = 4): majorization and descent of the data-fit objective
+    inst = vm.gen_data(8, 4, 40, 0.8, None, seed=int(rng.integers(1 << 16)))[0]
     ok_major, ok_desc = True, True
     for _ in range(100):
         z, P, _ = rand_volmin_iterate(inst, rng)
@@ -1016,6 +1018,49 @@ def _s_update(rng):
         ok_major &= majorized(S_new) <= majorized(z.S) + 1e-9 * (1 + abs(majorized(z.S)))
         ok_desc &= fit(S_new) <= fit(z.S) + 1e-9 * (1 + abs(fit(z.S)))
     return (ok_major, ""), (ok_desc, "")
+
+
+def simplex_ls_oracle(Y, T):
+    """Column-wise minimizer of ``||Y s - t||^2`` over the probability simplex,
+    by brute force: on each of the 2^K - 1 faces, the minimizer over the
+    face's affine hull (from its KKT system), and per column the best one
+    that lies on the simplex. Returns ``(S, fit)``, the K x L minimizers and
+    the per-column fits. Y must have full column rank."""
+    K, L = Y.shape[1], T.shape[1]
+    S, best = np.zeros((K, L)), np.full(L, np.inf)
+    for r in range(1, K + 1):
+        for face in itertools.combinations(range(K), r):
+            Yf = Y[:, face]
+            kkt = np.block([[Yf.T @ Yf, np.ones((r, 1))], [np.ones((1, r)), np.zeros((1, 1))]])
+            sol = np.linalg.solve(kkt, np.vstack([Yf.T @ T, np.ones((1, L))]))[:r]
+            cand = np.zeros((K, L))
+            cand[list(face)] = np.maximum(sol, 0.0)
+            fit = np.sum((Y @ cand - T) ** 2, axis=0)
+            better = (sol.min(axis=0) >= -1e-14) & (fit < best)
+            S[:, better], best[better] = cand[:, better], fit[better]
+    return S, best
+
+
+@_property("volmin", "s-update-exact")
+def _s_update_exact(rng):
+    # exact S update (K <= 3): the data fit of the face-enumeration oracle,
+    # on columns whose optimum is interior, on an edge or at a vertex
+    worst, off_simplex = 0.0, 0.0
+    for K in (1, 2, 3):
+        for _ in range(30):
+            N, L = 8, 60
+            Y = rng.standard_normal((N, K))
+            C = rng.uniform(-0.5, 1.5, size=(K, L))
+            C += (1.0 - C.sum(axis=0)) / K        # affine weights, some negative
+            T = Y @ C + 0.3 * rng.standard_normal((N, L))
+            z = vm.VolMinIterate(X=Y, S=np.full((K, L), 1.0 / K), Y=Y)
+            S = vm.update_S(z, T)
+            fit = np.sum((Y @ S - T) ** 2)
+            oracle = simplex_ls_oracle(Y, T)[1].sum()
+            worst = max(worst, abs(fit - oracle) / oracle)
+            off_simplex = max(off_simplex, -S.min(), np.abs(S.sum(axis=0) - 1.0).max())
+    return (worst <= 1e-12 and off_simplex <= 1e-12,
+            f"worst fit rel diff {worst:.1e}, off simplex {off_simplex:.1e}")
 
 
 @_property("volmin", "x-update-sigma-grid-oracle", "x-update-descent")

@@ -3,8 +3,10 @@
 Factor A ~= X S with simplex-constrained columns of S while minimizing the
 smoothed log-volume of X. A copy variable Y decouples the bilinear
 constraint: PDD dualizes ``A = Y S`` and ``X = Y``, and the inner BSUM
-cycles an exact Y solve, a majorized simplex-projected S step, and a
-singular-value shrinkage X step.
+cycles an exact Y solve, an S step, and a singular-value shrinkage X step.
+For K <= 3 the S step is the exact block minimizer, column by column in
+Gram form; for larger K, or a Y^T Y that is not safely positive definite,
+it is one majorized simplex-projected gradient step.
 """
 
 import itertools
@@ -17,11 +19,16 @@ import numpy as np
 from . import numerics
 from .core import STOP_INFEASIBLE_FLOOR, BlockProblem, PddConfig
 from .core import pdd_run as _pdd_run
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 REJECTION_CAP = 1_000_000
 MSE_DB_FLOOR = -120.0
 MSE_MAX_RANK = 8          # the permutation search of mse_metric tries K! matchings
+EXACT_S_MAX_RANK = 3      # exact S-step face enumeration grows as 2^K
+GRAM_PIVOT_REL = 1e-10    # least Cholesky pivot of Y^T Y, relative to its diagonal
+
+_EDGES = {K: tuple(np.array(ix) for ix in zip(*itertools.combinations(range(K), 2)))
+          for K in (2, EXACT_S_MAX_RANK)}    # (p, q) of the simplex edges, p < q
 
 
 @dataclass(frozen=True)
@@ -160,12 +167,32 @@ def default_beta(Y):
 
 
 def update_S(z, AP):
+    """Minimize the S block, ``||AP - Y S||^2`` over simplex columns.
+
+    ``AP`` is ``A + rho * P``. For 2 <= K <= ``EXACT_S_MAX_RANK`` the step
+    is the exact minimizer (:func:`_exact_S`) whenever G = Y^T Y is safely
+    positive definite; at K = 1 the simplex is one point. Otherwise it is
+    :func:`_majorized_S`, one majorize-minimize step that does not increase
+    the objective.
+    """
+    K = z.S.shape[0]
+    if K == 1:
+        return np.ones_like(z.S)
+    if K <= EXACT_S_MAX_RANK:
+        G = (z.Y.T @ z.Y).tolist()
+        affine = _affine_hull_map(G)
+        if affine is not None:
+            return _exact_S(G, z.Y.T @ AP, *affine)
+    return _majorized_S(z, AP)
+
+
+def _majorized_S(z, AP):
     """Majorize-minimize step on S followed by column-wise simplex projection.
 
-    ``AP`` is ``A + rho * P``. The quadratic coupling Y^T Y is upper-bounded
-    by beta I with beta > sigma_1(Y)^2, which decouples the columns into
-    independent simplex projections and guarantees the data-fit objective
-    of the S-subproblem does not increase.
+    The quadratic coupling Y^T Y is upper-bounded by beta I with
+    beta > sigma_1(Y)^2, which decouples the columns into independent
+    simplex projections and guarantees the data-fit objective of the
+    S-subproblem does not increase.
     """
     beta = default_beta(z.Y)
     # beta I - Y^T Y without building I: 0 - G, not -G, gives the +0.0 that
@@ -174,6 +201,92 @@ def update_S(z, AP):
     M.flat[::M.shape[0] + 1] += beta
     target = z.Y.T @ AP + M @ z.S
     return numerics.project_simplex_columns(target / beta)
+
+
+def _affine_hull_map(G):
+    """``(M, v)`` such that column j of ``M B + v`` minimizes
+    ``s^T G s / 2 - b_j^T s`` subject to ``1^T s = 1``, for a 2 x 2 or 3 x 3
+    Gram matrix G given as nested lists; None when G is not safely positive
+    definite.
+
+    G is safely positive definite when every pivot of its Cholesky
+    factorization (the Schur complements, formed as Cholesky forms them) is
+    above ``GRAM_PIVOT_REL`` times the largest diagonal entry of G; a zero,
+    nearly rank-deficient or non-finite Y fails. With ``adj`` the adjugate
+    of G, ``r = adj 1`` and ``c = 1^T r``, the minimizer is
+    ``G^-1 (b - mu 1)`` with ``mu = (r^T b - det) / c``, so
+    ``M = (adj - r r^T / c) / det`` and ``v = r / c``.
+    """
+    K = len(G)
+    floor = GRAM_PIVOT_REL * max([G[i][i] for i in range(K)])
+    a, b, d = G[0][0], G[0][1], G[1][1]
+    if not a > floor:
+        return None
+    p = d - b * b / a
+    if not p > floor:
+        return None
+    if K == 2:
+        det = a * p
+        adj = [[d, -b], [-b, a]]
+    else:
+        c, e, f = G[0][2], G[1][2], G[2][2]
+        t = e - b * c / a
+        q = f - c * c / a - t * t / p
+        if not q > floor:
+            return None
+        det = a * p * q
+        adj = [[d * f - e * e, c * e - b * f, b * e - c * d],
+               [c * e - b * f, a * f - c * c, b * c - a * e],
+               [b * e - c * d, b * c - a * e, a * d - b * b]]
+    r = [sum(row) for row in adj]
+    c = sum(r)
+    M = np.array([[(x - ri * rj / c) / det for x, rj in zip(row, r)]
+                  for row, ri in zip(adj, r)])
+    return M, np.array([[ri / c] for ri in r])
+
+
+def _exact_S(G, B, M, v):
+    """Exact S-block minimizer for K = 2 or 3, column by column.
+
+    Column j minimizes ``s^T G s / 2 - b_j^T s`` over the simplex, with G as
+    nested lists and ``B = Y^T (A + rho P)``. The objective is strictly
+    convex, so the affine-hull minimizer ``M b_j + v`` is optimal when it
+    has no negative entry. Otherwise the optimum lies on an edge
+    ``t e_p + (1 - t) e_q``, where the objective is
+    ``d t^2 / 2 - g t + G_qq / 2 - b_q`` with ``d = G_pp - 2 G_pq + G_qq``
+    and ``g = b_p - b_q - G_pq + G_qq``. Each of the C(K, 2) edges takes
+    t = clip(g / d, 0, 1), and the column takes the edge of least objective.
+    """
+    if not np.isfinite(B).all():
+        raise NumericalFailureError("S-step target has a non-finite entry")
+    S = M @ B
+    S += v
+    cols = np.flatnonzero(S.min(axis=0) < 0.0)
+    if cols.size == 0:
+        return S
+    p, q = _EDGES[B.shape[0]]
+    consts = np.array([[G[i][i] - 2.0 * G[i][j] + G[j][j], G[j][j] - G[i][j], 0.5 * G[j][j]]
+                       for i, j in zip(p.tolist(), q.tolist())])
+    d, gq, hq = consts[:, 0:1], consts[:, 1:2], consts[:, 2:3]
+    Bn = B[:, cols]
+    Bq = Bn[q]
+    g = Bn[p]
+    g -= Bq
+    g += gq
+    t = g / d
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    f = 0.5 * d * t
+    f -= g
+    f *= t
+    f += hq
+    f -= Bq
+    best = f.argmin(axis=0)
+    tb = t[best, np.arange(cols.size)]
+    S[:, cols] = 0.0
+    S[p[best], cols] = tb
+    S[q[best], cols] = 1.0 - tb
+    return S
 
 
 def sigma_subproblem(sigma_bar, g_tilde, rho, eps):

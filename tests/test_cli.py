@@ -170,8 +170,27 @@ class TestSolve:
             scaled, vm.default_config(scaled, seed=3, max_outer=4), restarts=2)
         results = json.loads((outdir / "results.json").read_text())
         np.testing.assert_array_equal(np.array(results["X"]), X / scale)
-        assert results["f_eps"] == vm.f_eps(X / scale, inst.eps)  # of the reported X
+        # the reported X's volume at the smoothing level scaled with it
+        assert results["f_eps"] == vm.f_eps(X / scale, inst.eps / scale**2)
+        assert results["f_eps"] == pytest.approx(
+            vm.f_eps(X, inst.eps) - 2 * inst.rank * np.log(scale), rel=1e-12)
         assert code == (0 if trace.converged else 1)
+
+    def test_volmin_prescale_objective_tells_seeds_apart(self, tmp_path):
+        from pddopt import volmin as vm
+
+        # at the smoothing level of the unscaled data, both seeds' reported X
+        # sat on the floor of f_eps and read the same volume to 13 digits
+        data, _ = vm.gen_data(10, 3, 200, 0.8, 40.0, seed=0)
+        path = tmp_path / "a.vmin"
+        ioformats.write_vmin(path, 1e-3 * data.A)
+        outdir = tmp_path / "bench"
+        run_cli("bench", "--app", "volmin", "--instance", path, "--k", 3, "--prescale",
+                "--restarts", 1, "--max-outer", 4, "--seeds", "0..1", "--out", outdir)
+        with open(outdir / "summary.csv") as fh:
+            objs = [float(r["objective"]) for r in csv.DictReader(fh) if r["seed"] in ("0", "1")]
+        assert len(objs) == 2
+        assert abs(objs[0] - objs[1]) > 1e-6 * abs(objs[0])
 
     def test_config_overrides(self, tmp_path):
         inst = tmp_path / "mc.json"

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from pddopt import numerics
 from pddopt import volmin as vm
 from pddopt.core import PddConfig, PddRecord, PddTrace
 from pddopt.errors import InvalidInputError, NumericalFailureError
-from pddopt.verify import rand_volmin_iterate
+from pddopt.verify import rand_volmin_iterate, simplex_ls_oracle
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,19 @@ class TestUpdateY:
 
 
 
+def _majorized_step_as_before(z, AP):
+    """The S step as it was for every K: one majorize-minimize step with
+    beta > sigma_1(Y)^2, then the column-wise simplex projection."""
+    beta = vm.default_beta(z.Y)
+    M = np.subtract(0.0, z.Y.T @ z.Y)
+    M.flat[::M.shape[0] + 1] += beta
+    return numerics.project_simplex_columns((z.Y.T @ AP + M @ z.S) / beta)
+
+
+def _fit(Y, S, T):
+    return np.sum((Y @ S - T) ** 2, axis=0)
+
+
 class TestUpdateS:
     def test_y_zero_fixed_point(self, small):
         inst, _ = small
@@ -94,23 +108,75 @@ class TestUpdateS:
         np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-12)
         assert S.min() >= 0.0
 
+    def test_exact_step_matches_face_oracle_interior_edge_vertex(self):
+        # targets built so that the optimum of each column is known to lie in
+        # the interior, on an edge or at a vertex of the 3-simplex
+        rng = np.random.default_rng(11)
+        Y = rng.standard_normal((6, 3))
+        normal = np.linalg.svd(Y, full_matrices=True)[0][:, 3:]   # orthogonal to range(Y)
+        C = np.array([[0.2, 0.5, 1.4, 0.6, 2.0],
+                      [0.3, 0.6, -0.5, -0.3, -0.4],
+                      [0.5, -0.1, 0.1, 0.7, -0.6]])
+        T = Y @ C + normal @ rng.standard_normal((3, 5))
+        z = vm.VolMinIterate(X=Y, S=np.full((3, 5), 1 / 3), Y=Y)
+        S = vm.update_S(z, T)
+        S_orc, fit_orc = simplex_ls_oracle(Y, T)
+        assert (S_orc > 0).sum(axis=0).tolist()[0] == 3       # interior
+        assert 1 in (S_orc > 0).sum(axis=0).tolist()           # a vertex
+        assert 2 in (S_orc > 0).sum(axis=0).tolist()           # an edge
+        np.testing.assert_allclose(_fit(Y, S, T), fit_orc, rtol=1e-12)
+        np.testing.assert_allclose(S, S_orc, atol=1e-10)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_exact_step_matches_face_oracle(self, K):
+        rng = np.random.default_rng(12 + K)
+        Y = rng.standard_normal((5, K))
+        C = rng.uniform(-0.5, 1.5, size=(K, 80))
+        C += (1.0 - C.sum(axis=0)) / K
+        T = Y @ C + 0.3 * rng.standard_normal((5, 80))
+        z = vm.VolMinIterate(X=Y, S=np.full((K, 80), 1 / K), Y=Y)
+        S = vm.update_S(z, T)
+        fit_orc = simplex_ls_oracle(Y, T)[1]
+        np.testing.assert_allclose(_fit(Y, S, T).sum(), fit_orc.sum(), rtol=1e-12)
+        assert S.min() >= 0.0
+        np.testing.assert_allclose(S.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        if K == 1:
+            assert np.all(S == 1.0)
+
+    @pytest.mark.parametrize("case", ["K4", "Y0"])
+    def test_majorized_step_bit_for_bit(self, case):
+        K = 4 if case == "K4" else 3
+        inst = vm.gen_data(8, K, 40, 0.8, None, seed=3)[0]
+        rng = np.random.default_rng(13)
+        z, P, _ = rand_volmin_iterate(inst, rng)
+        if case == "Y0":
+            z = vm.replace(z, Y=np.zeros_like(z.Y))
+        AP = inst.A + 0.5 * P
+        assert vm.update_S(z, AP).tobytes() == _majorized_step_as_before(z, AP).tobytes()
+
+    def test_nearly_collinear_y_takes_the_majorized_step(self):
+        rng = np.random.default_rng(14)
+        Y = rng.standard_normal((6, 3))
+        Y[:, 2] = Y[:, 1] + 1e-7 * rng.standard_normal(6)   # pivot ~1e-14 relative
+        z = vm.VolMinIterate(X=Y, S=np.full((3, 10), 1 / 3), Y=Y)
+        T = rng.standard_normal((6, 10))
+        assert vm._affine_hull_map((Y.T @ Y).tolist()) is None
+        assert vm.update_S(z, T).tobytes() == _majorized_step_as_before(z, T).tobytes()
+
     def test_mm_reaches_convex_optimum_single_column(self):
-        # L = 1, K = 2: repeated MM steps solve the simplex-constrained LS.
+        # L = 1, K = 4: repeated majorized steps solve the simplex-constrained LS.
         # build_instance rejects L < K (X is seeded from K data columns), and
-        # the S-step alone needs no seed, so the instance is assembled directly.
+        # the S-step alone needs no seed, so the iterate is assembled directly.
         rng = np.random.default_rng(7)
-        inst = vm.VolMinInstance(A=rng.standard_normal((4, 1)), rank=2)
+        A = rng.standard_normal((6, 1))
         z = vm.VolMinIterate(
-            X=rng.standard_normal((4, 2)), S=np.array([[0.5], [0.5]]),
-            Y=rng.standard_normal((4, 2)),
+            X=rng.standard_normal((6, 4)), S=np.full((4, 1), 0.25),
+            Y=rng.standard_normal((6, 4)),
         )
-        for _ in range(500):
-            z = vm.replace(z, S=vm.update_S(z, inst.A))
-        grid = np.linspace(0.0, 1.0, 2001)
-        cand = np.vstack([grid, 1.0 - grid])
-        vals = np.linalg.norm(z.Y @ cand - inst.A, axis=0) ** 2
-        mine = np.linalg.norm(z.Y @ z.S - inst.A) ** 2
-        assert mine <= vals.min() + 1e-6
+        for _ in range(2000):
+            z = vm.replace(z, S=vm.update_S(z, A))
+        best = simplex_ls_oracle(z.Y, A)[1][0]
+        assert _fit(z.Y, z.S, A)[0] <= best + 1e-6
 
 
 class TestUpdateX:
@@ -309,9 +375,19 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_S_target_raises_numerical_failure(self, bad):
-        # a non-finite A + rho P reaches the simplex projection, which rejects
-        # it instead of returning a NaN column
+        # a non-finite A + rho P reaches the simplex projection (Y is rank
+        # deficient, so the step is the majorized one), which rejects it
+        # instead of returning a NaN column
         z = vm.VolMinIterate(X=np.ones((4, 2)), S=np.full((2, 3), 0.5), Y=np.ones((4, 2)))
+        AP = np.ones((4, 3))
+        AP[1, 0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalFailureError, match="non-finite entry"):
+            vm.update_S(z, AP)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_S_target_raises_in_exact_step(self, bad):
+        z = vm.VolMinIterate(X=np.ones((4, 2)), S=np.full((2, 3), 0.5), Y=np.eye(4, 2))
         AP = np.ones((4, 3))
         AP[1, 0] = bad
         with np.errstate(invalid="ignore"), \
