@@ -27,6 +27,7 @@ import numpy as np
 
 from . import ioformats
 from . import multicast as mc
+from . import numerics
 from . import relay as rl
 from . import volmin as vm
 from .core import PddConfig, PddTrace
@@ -374,9 +375,9 @@ def _run_app(app, args, overrides, inst, truth, seed, trace_path):
 
 def _volmin_prescale(inst):
     """Scale factor pushing the rank-K singular value of A above the
-    smoothing floor (heuristic: columns of S average 1/sqrt(L/K) mass)."""
-    s = np.linalg.svd(inst.A, compute_uv=False)
-    sK = s[inst.rank - 1] if s.size >= inst.rank else 0.0
+    smoothing floor (heuristic: columns of S average 1/sqrt(L/K) mass).
+    ``build_instance`` ensures K <= min(N, L), so A has a K-th singular value."""
+    sK = numerics.singular_values(inst.A)[inst.rank - 1]
     target = 2.0 * np.sqrt(inst.eps) * np.sqrt(inst.n_cols / inst.rank)
     if sK <= 0:
         return 1.0

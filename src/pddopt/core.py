@@ -42,6 +42,10 @@ FLOOR_SLACK = 0.1
 FLOOR_WINDOW = 3
 FLOOR_STALL_REL = 0.01
 
+# a gap with ||.||_inf <= FEASIBLE_SLACK * eps_outer counts as feasible: the
+# copy part of h at the infeasibility stop, and volmin's restart pick
+FEASIBLE_SLACK = 10.0
+
 # what a PddConfig field annotated float or int accepts (bool excluded)
 _NUMBER_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer")}
 
@@ -298,7 +302,7 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
     stops, with ``converged`` false and ``stop_reason`` ``"infeasible-floor"``,
     after an outer iteration ``k`` at which all three of these hold:
     ``||h[:n]||^2 <= (1 + FLOOR_SLACK) * floor``;
-    ``||h[n:]||_inf <= 10 * config.eps_outer``; and
+    ``||h[n:]||_inf <= FEASIBLE_SLACK * config.eps_outer``; and
     ``| ||h_k||_inf - ||h_{k-m}||_inf | <= FLOOR_STALL_REL * ||h_{k-m}||_inf``
     with ``m = FLOOR_WINDOW``. The rule only adds an exit: the iterates up to
     the stop are those of a run without it.
@@ -388,7 +392,7 @@ def _at_floor(h, floor, n, records, eps_outer):
     fit = h[:n]
     h_inf, h_past = records[-1].h_inf, records[-1 - FLOOR_WINDOW].h_inf
     return (float(fit @ fit) <= (1.0 + FLOOR_SLACK) * floor
-            and _inf_norm(h[n:]) <= 10.0 * eps_outer
+            and _inf_norm(h[n:]) <= FEASIBLE_SLACK * eps_outer
             and abs(h_inf - h_past) <= FLOOR_STALL_REL * h_past)
 
 

@@ -178,11 +178,8 @@ def _quad_forms(G, w_sq, instance):
 
 
 def _user_products(G, W, instance):
-    """Rows ``A_k w_k`` and ``B_k w_k`` (K x n, complex) from ``G[k] = h_k^H W_k``.
-
-    ``W`` holds the point of each user as group rows, K x n_g x N_t, or
-    n_g x N_t when all users share one point.
-    """
+    """Rows ``A_k w`` and ``B_k w`` (K x n, complex) from the gains ``G`` at w,
+    given as group rows ``W`` (n_g x N_t)."""
     own = instance.own_group[:, :, None]
     HW = G[:, :, None] * instance.channels[:, None, :]  # h_k h_k^H w_i in block i
     Aw = np.where(own, HW, 0.0)
@@ -269,31 +266,24 @@ def build_surrogate_C(z, lam, rho, instance):
     the per-user rank-2 terms summed by one matrix product. It is exactly
     symmetric.
 
-    If ``||A_k^(1/2) w~||`` is degenerate (below 1e-10), that user's
-    expansion point is nudged by a small deterministic isotropic
-    perturbation and renormalized, which keeps the bound valid while
-    avoiding the division; such a user gets its own gains and products.
+    If some user's ``||A_k^(1/2) w~||`` is degenerate (below 1e-10), every
+    user's bound is instead expanded at one copy of w~ nudged by a small
+    deterministic isotropic perturbation and renormalized, which keeps the
+    bound valid while avoiding the division; it is tight at that point.
     """
-    w_tilde = np.asarray(z.w, dtype=complex).ravel()
+    if np.any(np.abs(z.G[instance.own_group]) < DEGENERATE_NORM_TOL):
+        n = instance.dim
+        jitter_rng = np.random.default_rng(0)
+        noise = jitter_rng.standard_normal(n) + 1j * jitter_rng.standard_normal(n)
+        wt = z.w + JITTER_SCALE * noise
+        z = MulticastIterate(wt / np.linalg.norm(wt), z.t, instance)
+    w = z.w
     t = np.asarray(z.t, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    K, n_g, n_t, n = instance.n_users, instance.n_groups, instance.n_t, instance.dim
+    n_g, n_t, n = instance.n_groups, instance.n_t, instance.dim
     H = instance.channels
-    # expansion point of each user, as group rows; only degenerate users move
-    W = np.broadcast_to(w_tilde.reshape(n_g, n_t), (K, n_g, n_t)).copy()
-    G, Aw, Bw = z.G, z.Aw, z.Bw
-    degenerate = np.flatnonzero(np.abs(G[instance.own_group]) < DEGENERATE_NORM_TOL)
-    if degenerate.size:
-        G = G.copy()
-        jitter_rng = np.random.default_rng(0)
-        for k in degenerate:
-            noise = jitter_rng.standard_normal(n) + 1j * jitter_rng.standard_normal(n)
-            wt = w_tilde + JITTER_SCALE * noise
-            W[k] = (wt / np.linalg.norm(wt)).reshape(n_g, n_t)
-            G[k] = H[k].conj() @ W[k].T
-        Aw, Bw = _user_products(G, W, instance)
-    nw = np.linalg.norm(W.reshape(K, n), axis=1)
-    qa, qb = _quad_forms(G, nw**2, instance)
+    nw = np.linalg.norm(w[None, :], axis=1)
+    qa, qb = _quad_forms(z.G, nw**2, instance)
     na, nb = np.sqrt(qa), np.sqrt(qb)
 
     # per user: a A_k + b B_k - cross (Awe Bwe^T + Bwe Awe^T), plus for
@@ -320,8 +310,9 @@ def build_surrogate_C(z, lam, rho, instance):
     C4[1, diag, :, 0, diag, :] = blocks.imag
     C[np.diag_indices(2 * n)] += float(np.dot(b, instance.sigma2)) / instance.p_bs
 
-    # rank-2 corrections: P + P^T with P = L^T R over stacked user rows
-    Awe, Bwe, we = _embed_rows(Aw), _embed_rows(Bw), _embed_rows(W.reshape(K, n))
+    # rank-2 corrections: P + P^T with P = L^T R over stacked user rows; the
+    # one embedded row we of w~ broadcasts over the users
+    Awe, Bwe, we = _embed_rows(z.Aw), _embed_rows(z.Bw), _embed_rows(w[None, :])
     L = np.concatenate([-cross[:, None] * Awe - d[:, None] * we, e[:, None] * we])
     P = L.T @ np.concatenate([Bwe, Awe])
     C += P + P.T

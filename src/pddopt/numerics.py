@@ -19,6 +19,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 
@@ -81,8 +82,11 @@ def require_finite(name, value):
 
 def require_dims(app, **dims):
     """Raise :class:`InvalidInputError` naming the first of ``dims``
-    (dimension name to size) of the ``app`` instance that is below 1."""
+    (dimension name to size) of the ``app`` instance that is not an integer
+    or is below 1. A ``bool`` is not an integer here; numpy integers are."""
     for name, n in dims.items():
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise InvalidInputError(f"{app} dimension {name} must be an integer, got {n!r}")
         if n < 1:
             raise InvalidInputError(f"{app} dimension {name} must be at least 1, got {n}")
 

@@ -567,6 +567,33 @@ def check_carried_values(problem, starts, new_iterate, sources, rng):
     return not any(faults.values()), ", ".join(f"{n} {kind}" for kind, n in faults.items())
 
 
+def check_prox_fixed_point(problem, i, starts, off_set, rng):
+    """The ``block_prox`` hook of block ``i`` against that block's exact step.
+    From each start ``(z, lam, rho)``, after ``step(i)`` the block's slice of
+    :func:`~pddopt.core.stationarity_residuals` is at most
+    ``1e-9 (1 + ||g_i||_inf)``, with ``g_i`` the block's AL gradient there.
+    The prox of random points lies on the block's set (``off_set(x)``, the
+    distance to it in the set's own scale, is at most 1e-12) and is a fixed
+    point of the prox."""
+    prox = problem.block_prox(i)
+    worst_res, worst_set, worst_idem = 0.0, 0.0, 0.0
+    for z, lam, rho in starts:
+        duals = problem.unpack_duals(lam, rho)
+        z = problem.step(i, z, duals, rho)
+        sizes = [problem.block_value(j, z).size for j in range(problem.n_blocks)]
+        lo = sum(sizes[:i])
+        r = stationarity_residuals(problem, z, duals, rho)[lo:lo + sizes[i]]
+        g = problem.al_block_gradient(i, z, duals, rho)
+        worst_res = max(worst_res, np.abs(r).max() / (1.0 + np.abs(g).max()))
+        for scale in (0.1, 1.0, 10.0):
+            p = prox(scale * rng.standard_normal(sizes[i]))
+            worst_set = max(worst_set, off_set(p))
+            worst_idem = max(worst_idem, np.abs(prox(p) - p).max() / max(np.abs(p).max(), 1.0))
+    return (worst_res <= 1e-9 and worst_set <= 1e-12 and worst_idem <= 1e-12,
+            f"worst residual {worst_res:.1e} (relative to 1 + |g|_inf), "
+            f"off set {worst_set:.1e}, prox(prox) dev {worst_idem:.1e}")
+
+
 def check_stateless_problem(new_problem, starts):
     """The stateless rule of :class:`~pddopt.core.BlockProblem`: from each
     start, one problem reused for two ``rbsum_run`` calls, with ``lam``
@@ -949,6 +976,22 @@ def _relay_contracts(rng):
             check_stateless_problem(lambda: rl.RelayProblem(inst), starts))
 
 
+@_property("relay", "prox-fixed-point")
+def _relay_prox_fixed_point(rng):
+    # the barred block's ball projections against its exact step
+    inst = _relay_instance(rng)
+    prob = rl.RelayProblem(inst)
+    starts = [(z, prob.pack_duals(*duals), float(rng.uniform(0.2, 2.0)))
+              for z, duals in (rand_relay_iterate(inst, rng, 2.0) for _ in range(5))]
+    n_vb = 2 * inst.n_s * inst.n_users
+
+    def off_balls(v):
+        return max(np.linalg.norm(v[:n_vb]) / np.sqrt(inst.p_s),
+                   np.linalg.norm(v[n_vb:]) / np.sqrt(inst.p_r)) - 1.0
+
+    return check_prox_fixed_point(prob, 1, starts, off_balls, rng)
+
+
 # --------------------------------------------------------------------------
 # volmin
 # --------------------------------------------------------------------------
@@ -1149,6 +1192,21 @@ def _volmin_contracts(rng):
     return (check_carried_values(vm.VolMinProblem(inst), starts,
                                  lambda z: vm.VolMinIterate(z.X, z.S, z.Y), sources, rng),
             check_stateless_problem(lambda: vm.VolMinProblem(inst), starts))
+
+
+@_property("volmin", "prox-fixed-point")
+def _volmin_prox_fixed_point(rng):
+    # the S block's simplex projection against its exact step (K = 3)
+    inst = _volmin_instance(rng)
+    K, L = inst.rank, inst.n_cols
+    starts = [(z, np.concatenate([P.ravel(), Q.ravel()]), float(rng.uniform(0.1, 2.0)))
+              for z, P, Q in (rand_volmin_iterate(inst, rng) for _ in range(5))]
+
+    def off_simplex(v):
+        S = v.reshape(K, L)
+        return max(-S.min(), np.abs(S.sum(axis=0) - 1.0).max())
+
+    return check_prox_fixed_point(vm.VolMinProblem(inst), 1, starts, off_simplex, rng)
 
 
 @_property("volmin", "mse-permutation-scale-invariance")

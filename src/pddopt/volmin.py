@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .core import STOP_INFEASIBLE_FLOOR, BlockProblem, PddConfig
+from .core import FEASIBLE_SLACK, STOP_INFEASIBLE_FLOOR, BlockProblem, PddConfig
 from .core import pdd_run as _pdd_run
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -68,7 +68,8 @@ def build_instance(A, rank, eps=1e-2):
     if A.ndim != 2:
         raise InvalidInputError(f"data must be a matrix, got ndim={A.ndim}")
     N, L = A.shape
-    if not 1 <= rank <= N:
+    numerics.require_dims("volmin", K=rank)
+    if rank > N:
         raise InvalidInputError(f"rank must satisfy 1 <= K <= {N}, got {rank}")
     if L < rank:
         raise InvalidInputError(
@@ -444,7 +445,8 @@ def solve_restarts(instance, config=None, restarts=3):
 
     The pick, in this order:
 
-    1. among runs whose final feasibility gap is at most ``10 * eps_outer``,
+    1. among runs whose final feasibility gap is at most
+       ``core.FEASIBLE_SLACK * eps_outer`` (10 eps_outer),
        the smallest smoothed volume ``f_eps``;
     2. else, among runs that stopped at the noise floor (``stop_reason``
        ``"infeasible-floor"``), the smallest ``f_eps``;
@@ -459,7 +461,7 @@ def solve_restarts(instance, config=None, restarts=3):
         cfg = replace(config, seed=config.seed + r)
         X, S, trace = solve(instance, cfg)
         runs.append((X, S, trace, trace.records[-1].h_inf, f_eps(X, instance.eps)))
-    feas_tol = 10.0 * config.eps_outer
+    feas_tol = FEASIBLE_SLACK * config.eps_outer
     feasible = [run for run in runs if run[3] <= feas_tol]
     at_floor = [run for run in runs if run[2].stop_reason == STOP_INFEASIBLE_FLOOR]
     pool = feasible or at_floor

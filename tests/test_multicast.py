@@ -204,7 +204,7 @@ class TestSurrogate:
         rng = np.random.default_rng(12)
         points = [(inst422, rand_unit_vec(rng, inst422.dim)) for _ in range(10)]
         w = rand_unit_vec(rng, inst422.dim)
-        w[:inst422.n_t] = 0.0  # users 0 and 1 get jittered expansion points
+        w[:inst422.n_t] = 0.0  # users 0 and 1 are degenerate: the point is jittered
         points.append((inst422, w / np.linalg.norm(w)))
         points.append(TestStructuredMatchesDense._guard_point())
         for inst, w in points:
@@ -229,6 +229,70 @@ class TestSurrogate:
             v = rand_unit_vec(rng, inst.dim)
             ve = numerics.real_embed_vec(v)
             assert ve @ C @ ve + const >= mc.theta_value(v, np.ones(2), lam, 0.5, inst) - 1e-6
+
+
+def per_user_surrogate_C(z, lam, rho, inst):
+    """Frozen copy of the surrogate assembly with one expansion point per user
+    (K copies of w~ and K embedded rows), off the degenerate guard."""
+    w_tilde = np.asarray(z.w, dtype=complex).ravel()
+    t = np.asarray(z.t, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    K, n_g, n_t, n = inst.n_users, inst.n_groups, inst.n_t, inst.dim
+    H = inst.channels
+    W = np.broadcast_to(w_tilde.reshape(n_g, n_t), (K, n_g, n_t)).copy()
+    nw = np.linalg.norm(W.reshape(K, n), axis=1)
+    power = np.abs(z.G) ** 2
+    qa = power[inst.own_group]
+    qb = np.where(inst.own_group, 0.0, power).sum(axis=1) + (inst.sigma2 / inst.p_bs) * nw**2
+    na, nb = np.sqrt(qa), np.sqrt(qb)
+    rl = rho * lam
+    pos = lam >= 0
+    a = np.where(pos, 1.0 + rl / na, 1.0)
+    b = np.where(pos, t**2, t**2 - rl * t / nb)
+    cross = t / (na * nb)
+    d = np.where(pos, rl * t / (nw * nb), 0.0)
+    e = np.where(pos, 0.0, rl / (nw * na))
+    const = float(np.sum(np.where(pos, rl**2 + rl * na, rl**2 - rl * t * nb)))
+    c = np.where(inst.own_group.T, a, b)
+    blocks = (c[:, :, None] * H[None]).transpose(0, 2, 1) @ H.conj()
+    blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+    C = np.zeros((2 * n, 2 * n))
+    C4 = C.reshape(2, n_g, n_t, 2, n_g, n_t)
+    diag = np.arange(n_g)
+    C4[0, diag, :, 0, diag, :] = C4[1, diag, :, 1, diag, :] = blocks.real
+    C4[0, diag, :, 1, diag, :] = -blocks.imag
+    C4[1, diag, :, 0, diag, :] = blocks.imag
+    C[np.diag_indices(2 * n)] += float(np.dot(b, inst.sigma2)) / inst.p_bs
+
+    def embed(M):
+        return np.concatenate([M.real, M.imag], axis=1)
+
+    Awe, Bwe, we = embed(z.Aw), embed(z.Bw), embed(W.reshape(K, n))
+    L = np.concatenate([-cross[:, None] * Awe - d[:, None] * we, e[:, None] * we])
+    P = L.T @ np.concatenate([Bwe, Awe])
+    C += P + P.T
+    return C, const
+
+
+class TestSurrogateMatchesPerUserAssembly:
+    """Off the degenerate guard, the one-point surrogate has the bits of the
+    per-user assembly it replaced."""
+
+    @pytest.mark.parametrize("n_t", [8, 16], ids=["8-4-2", "16-4-2-reduced"])
+    def test_bit_for_bit(self, n_t):
+        inst = mc.gen_instance(n_t, 4, 2, 10.0, seed=3)
+        if inst.n_users < inst.n_t:
+            inst = mc.channel_subspace(inst)[1]   # the instance mc.solve works on
+        rng = np.random.default_rng(30)
+        K = inst.n_users
+        for _ in range(20):
+            z = mc.MulticastIterate(rand_unit_vec(rng, inst.dim), rng.uniform(0.0, 3.0, K), inst)
+            assert np.abs(z.G[inst.own_group]).min() >= mc.DEGENERATE_NORM_TOL
+            lam, rho = rng.standard_normal(K), float(rng.uniform(0.05, 2.0))
+            C, const = mc.build_surrogate_C(z, lam, rho, inst)
+            C_ref, const_ref = per_user_surrogate_C(z, lam, rho, inst)
+            assert C.tobytes() == C_ref.tobytes()
+            assert np.float64(const).tobytes() == np.float64(const_ref).tobytes()
 
 
 class TestInnerStep:
@@ -414,16 +478,16 @@ def dense_surrogate_C(w_tilde, t, lam, rho, inst):
     dim = 2 * inst.dim
     C = np.zeros((dim, dim))
     const = 0.0
-    jitter_rng = np.random.default_rng(0)
+    wt = w_tilde
+    if dense_coupling_norms(wt, inst)[0].min() < mc.DEGENERATE_NORM_TOL:
+        # one jittered expansion point for every user
+        jitter_rng = np.random.default_rng(0)
+        noise = jitter_rng.standard_normal(wt.size) + 1j * jitter_rng.standard_normal(wt.size)
+        wt = wt + mc.JITTER_SCALE * noise
+        wt = wt / np.linalg.norm(wt)
     for k in range(inst.n_users):
         Ae, Be = A_eq[k], B_eq[k]
-        wt = w_tilde
         na = np.sqrt(_dense_quad(A[k], wt))
-        if na < mc.DEGENERATE_NORM_TOL:
-            noise = jitter_rng.standard_normal(wt.size) + 1j * jitter_rng.standard_normal(wt.size)
-            wt = wt + mc.JITTER_SCALE * noise
-            wt = wt / np.linalg.norm(wt)
-            na = np.sqrt(_dense_quad(A[k], wt))
         nb = np.sqrt(_dense_quad(B[k], wt))
         we = numerics.real_embed_vec(wt)[:, None]
         nw = float(np.linalg.norm(we))
@@ -513,7 +577,7 @@ class TestStructuredMatchesDense:
 
     def test_jittered_users(self, inst422, monkeypatch):
         # w vanishes on group 0's block: A_k w = 0 exactly for users 0 and 1,
-        # so both surrogate expansion points are jittered, in user order
+        # so every user's bound is expanded at one jittered point
         rng = np.random.default_rng(21)
         w = rand_unit_vec(rng, inst422.dim)
         w[:inst422.n_t] = 0.0
@@ -550,8 +614,8 @@ class TestStructuredMatchesDense:
 
         inst, w = self._guard_point()
         t, lam, rho = np.ones(2), np.array([0.5, -0.5]), 0.5
-        # the jitter: default_rng(0), drawn for degenerate users only, in user
-        # order, real parts then imaginary parts, then renormalized
+        # the jitter: one draw from default_rng(0) for the whole point, real
+        # parts then imaginary parts, then renormalized
         rng = np.random.default_rng(0)
         wt = w + mc.JITTER_SCALE * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         wt /= np.linalg.norm(wt)
@@ -564,7 +628,7 @@ class TestStructuredMatchesDense:
         # the O(1) terms cancel down to ~1e-8: condition number ~1e8
         assert abs(na0**2 - qa_exact) <= 1e-6 * qa_exact
         _, const = mc.build_surrogate_C(mc.MulticastIterate(w, t, inst), lam, rho, inst)
-        nb1 = mc.coupling_norms(w, inst)[1][1]
+        nb1 = mc.coupling_norms(wt, inst)[1][1]   # user 1 is expanded at wt too
         rl = rho * lam
         expect = rl[0] ** 2 + rl[0] * na0 + rl[1] ** 2 - rl[1] * t[1] * nb1
         assert const == pytest.approx(expect, rel=1e-12)

@@ -17,6 +17,34 @@ from pddopt import volmin as vm
 from pddopt.errors import InvalidInputError, NumericalFailureError
 
 
+class TestRequireDims:
+    @pytest.mark.parametrize("build, dim, got", [
+        (lambda: mc.gen_instance(2.5, 2, 1, 10.0, 0), "multicast dimension N_t", "2.5"),
+        (lambda: mc.gen_instance(2, True, 1, 10.0, 0), "multicast dimension n_groups", "True"),
+        (lambda: rl.gen_instance(2, 2.0, 1, 10.0, 0), "relay dimension N_r", "2.0"),
+        (lambda: vm.gen_data(6, 2, 20.5, 0.8, None, 0), "volmin dimension L", "20.5"),
+        (lambda: vm.build_instance(np.ones((4, 6)), 2.5), "volmin dimension K", "2.5"),
+        (lambda: vm.build_instance(np.ones((4, 6)), True), "volmin dimension K", "True"),
+        (lambda: vm.build_instance(np.ones((4, 6)), "2"), "volmin dimension K", "'2'"),
+    ], ids=["mc-float", "mc-bool", "relay-float", "volmin-gen-float", "volmin-rank-float",
+            "volmin-rank-bool", "volmin-rank-str"])
+    def test_rejects_non_integer_dimension(self, build, dim, got):
+        with pytest.raises(InvalidInputError, match=f"^{dim} must be an integer, got {got}$"):
+            build()
+
+    def test_accepts_numpy_integers(self):
+        numerics.require_dims("test", a=np.int64(1), b=np.uint8(3), c=2)
+        assert mc.gen_instance(np.int32(2), np.int64(2), 1, 10.0, 0).n_t == 2
+        inst = vm.build_instance(np.ones((4, 6)), np.int64(2))
+        assert inst.rank == 2 and type(inst.rank) is int
+
+    @pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+    def test_rejects_below_one(self, n):
+        message = f"^test dimension a must be at least 1, got {n}$"
+        with pytest.raises(InvalidInputError, match=message):
+            numerics.require_dims("test", a=n)
+
+
 class TestRealEmbedding:
     def test_identity_matrix(self):
         Me = numerics.real_embed_hermitian(np.eye(2, dtype=complex))
