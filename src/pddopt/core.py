@@ -216,15 +216,18 @@ class PddRecord:
 class PddTrace:
     """Per-iteration history of a PDD run.
 
-    ``stop_reason`` is ``"converged"`` exactly when ``converged`` is true,
-    ``"infeasible-floor"`` when the run stopped at its constraint floor, and
-    ``"max_outer"`` otherwise.
+    ``stop_reason`` is ``"converged"`` when the run met its tolerances,
+    ``"infeasible-floor"`` when it stopped at its constraint floor, and
+    ``"max_outer"`` otherwise; ``converged`` reads it.
     """
 
     records: list = field(default_factory=list)
-    converged: bool = False
     rho_floor_hits: int = 0
     stop_reason: str = STOP_MAX_OUTER
+
+    @property
+    def converged(self):
+        return self.stop_reason == STOP_CONVERGED
 
     CSV_COLUMNS = ("k", "objective", "al_value", "h_inf", "rho", "eta",
                    "branch", "inner_iters", "inner_converged", "time_ms")
@@ -373,7 +376,6 @@ def pdd_run(problem, z0, lam0, config, on_iteration=None):
         # inner accuracy must have reached the outer tolerance before the
         # feasibility test alone may stop the run (eps_k -> 0 semantics)
         if h_inf <= config.eps_outer and inner_ok and eps <= config.eps_outer:
-            trace.converged = True
             trace.stop_reason = STOP_CONVERGED
             break
         if floor > 0 and _at_floor(h, floor, n_floor, trace.records, config.eps_outer):

@@ -109,10 +109,11 @@ def build_instance(channels, groups, sigma2, p_bs):
     by sqrt(p_bs). For user k in group i, ``A_k = kron(e_i e_i^T, h_k h_k^H)``
     and ``B_k = kron(I - e_i e_i^T, h_k h_k^H) + (sigma2_k / p_bs) I``. The
     instance keeps only the O(K N_t) channel data. A zero dimension
-    (``N_t``, ``n_groups``, ``K``), a non-finite channel, noise power or
-    budget, or a ``sigma2`` that is neither a scalar nor K entries, raises
-    :class:`InvalidInputError` naming the dimension or field (``channels``,
-    ``sigma2``, ``P_BS``). So does a group member that is not an integer, and
+    (``N_t``, ``n_groups``, ``K``), a non-finite channel, a noise power or
+    budget that is not a finite real number above 0
+    (:func:`numerics.require_positive`), or a ``sigma2`` that is neither a
+    scalar nor K entries, raises :class:`InvalidInputError` naming the
+    dimension or field (``channels``, ``sigma2``, ``P_BS``). So does a group member that is not an integer, and
     a user with an all-zero channel: its SINR is 0 for every beamformer, and
     the w-update surrogate divides by its gain.
     """
@@ -133,25 +134,20 @@ def build_instance(channels, groups, sigma2, p_bs):
             f"multicast user {int(dead[0])} has an all-zero channel; "
             "its SINR is 0 for every beamformer"
         )
-    numerics.require_finite("P_BS", p_bs)
-    if p_bs <= 0:
-        raise InvalidInputError(f"power budget must be positive, got {p_bs}")
+    p_bs = numerics.require_positive("P_BS", p_bs)
     if any(len(g) == 0 for g in groups):
         raise InvalidInputError("every group needs at least one user")
     seen = [u for g in groups for u in g]
     if sorted(seen) != list(range(K)):
         raise InvalidInputError("groups must partition the user set exactly")
     sigma2 = numerics.per_user("sigma2", sigma2, K)
-    numerics.require_finite("sigma2", sigma2)
-    if np.any(sigma2 <= 0):
-        raise InvalidInputError("noise powers must be positive")
 
     group_of = np.empty(K, dtype=int)
     for i, g in enumerate(groups):
         for u in g:
             group_of[u] = i
     return MulticastInstance(
-        n_t=n_t, groups=groups, channels=channels, sigma2=sigma2, p_bs=float(p_bs),
+        n_t=n_t, groups=groups, channels=channels, sigma2=sigma2, p_bs=p_bs,
         group_of=group_of,
     )
 
@@ -169,10 +165,8 @@ def _signal_interference(G, instance):
 
 
 def _quad_forms(G, w_sq, instance):
-    """``(w^H A_k w, w^H B_k w)`` for all k from the gains ``G`` at w.
-
-    ``w_sq`` is ``||w||^2``, a scalar or one value per user.
-    """
+    """``(w^H A_k w, w^H B_k w)`` for all k from the gains ``G`` at w and
+    ``w_sq``, ``||w||^2`` as a number or a one-entry array."""
     signal, interference = _signal_interference(G, instance)
     return signal, interference + (instance.sigma2 / instance.p_bs) * w_sq
 

@@ -1,18 +1,16 @@
 """Dense linear-algebra kernels and convex projections shared by the solvers.
 
 All functions are pure: they never mutate their inputs and hold no state
-beyond a cache of LAPACK work-array sizes per matrix order, so they
+beyond one cache of LAPACK work-array sizes (:func:`_work_sizes`), so they
 are safe to call from concurrent workers. Their tolerances are the module
 constants below.
 
-The seven LAPACK routines the kernels call (``dsyevr``, ``dgesdd``,
-``zheevd``, ``zgesv`` and the three work-size queries) are bound from scipy's
-f2py extension
-``scipy.linalg._flapack``, loaded from its file, so importing this module
-does not import ``scipy.linalg`` and the array-API layer that comes with it.
-If that load fails (no file, an import error, a missing routine), the
-routines come from ``scipy.linalg.lapack.get_lapack_funcs`` instead: the
-same Fortran objects, at the cost of the ``scipy.linalg`` import.
+The LAPACK routines the kernels call, ``_LAPACK_ROUTINES``, are bound from
+scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file, so
+importing this module does not import ``scipy.linalg`` and the array-API
+layer that comes with it. If that load fails (no file, an import error, a
+missing routine), they come from ``scipy.linalg.lapack.get_lapack_funcs``
+instead: the same Fortran objects, at the cost of the ``scipy.linalg`` import.
 """
 
 import functools
@@ -65,9 +63,11 @@ def _load_lapack():
         return tuple(getattr(flapack, name) for name in _LAPACK_ROUTINES)
     except (ImportError, AttributeError):
         from scipy.linalg import lapack
-        return (*lapack.get_lapack_funcs(("syevr", "syevr_lwork", "gesdd", "gesdd_lwork")),
-                *lapack.get_lapack_funcs(("heevd", "heevd_lwork", "gesv"),
-                                         dtype=np.complex128))
+        # _LAPACK_ROUTINES lists the d routines before the z ones
+        real, cplx = (tuple(name[1:] for name in _LAPACK_ROUTINES if name[0] == prefix)
+                      for prefix in "dz")
+        return (*lapack.get_lapack_funcs(real),
+                *lapack.get_lapack_funcs(cplx, dtype=np.complex128))
 
 
 _SYEVR, _SYEVR_LWORK, _GESDD, _GESDD_LWORK, _HEEVD, _HEEVD_LWORK, _GESV = _load_lapack()
@@ -91,17 +91,31 @@ def require_dims(app, **dims):
             raise InvalidInputError(f"{app} dimension {name} must be at least 1, got {n}")
 
 
-def per_user(name, value, n):
-    """``value``, a scalar or ``n`` entries, as a new float vector of length ``n``.
-
-    Any other shape raises :class:`InvalidInputError` naming ``name``.
-    """
-    value = np.asarray(value, dtype=float)
+def require_positive(name, value):
+    """``value`` as a float if it is a real number, finite and above 0. A
+    ``bool``, a complex value and a string are not real numbers here. Anything
+    else raises :class:`InvalidInputError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
     try:
-        return np.broadcast_to(value, (n,)).copy()
-    except ValueError:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    require_finite(name, value)
+    if value <= 0:
+        raise InvalidInputError(f"{name} must be positive, got {value}")
+    return value
+
+
+def per_user(name, value, n):
+    """``value``, a scalar or ``n`` entries, each checked by
+    :func:`require_positive`, as a new float vector of length ``n``. Any other
+    shape raises :class:`InvalidInputError` naming ``name``."""
+    value = np.asarray(value, dtype=object)
+    if value.ndim > 1 or value.size not in (1, n):
         raise InvalidInputError(f"{name} must be a scalar or have {n} entries, "
-                                f"got shape {value.shape}") from None
+                                f"got shape {value.shape}")
+    return np.array([require_positive(name, x) for x in np.broadcast_to(value, (n,))])
 
 
 def fix_sign(v):
@@ -165,13 +179,16 @@ def real_embed_hermitian(M):
     return np.block([[re, -im], [im, re]])
 
 
-@functools.lru_cache(maxsize=64)
-def _syevr_work_sizes(n):
-    """``(lwork, liwork)`` of ``syevr`` on an n x n matrix, lower triangle."""
-    work, iwork, info = _SYEVR_LWORK(n, lower=1)
+@functools.lru_cache(maxsize=128)
+def _work_sizes(query, *args):
+    """The work-array sizes a LAPACK ``*_lwork`` ``query`` reports for ``args``,
+    as ints in the order the routine takes them. The key holds the query, so a
+    rebound routine never reuses another's sizes."""
+    *sizes, info = query(*args)
     if info != 0:
-        raise NumericalFailureError(f"syevr work-size query failed: info={info}")
-    return int(work), int(iwork)
+        routine = query.__name__.split()[-1].removesuffix("_lwork")  # "function dsyevr_lwork"
+        raise NumericalFailureError(f"{routine} work-size query failed: info={info}")
+    return tuple(int(x.real) for x in sizes)
 
 
 def min_eigvec_sym(C):
@@ -199,7 +216,7 @@ def min_eigvec_sym(C):
             f"eigensolver failed: expected a nonempty square matrix, got shape {C.shape}")
     if not np.isfinite(C).all():
         raise NumericalFailureError("eigensolver input has a non-finite entry")
-    lwork, liwork = _syevr_work_sizes(C.shape[0])
+    lwork, liwork = _work_sizes(_SYEVR_LWORK, C.shape[0], 1)
     vals, vecs, _, _, info = _SYEVR(C, compute_v=1, range="I", lower=1, il=1, iu=1,
                                     lwork=lwork, liwork=liwork)
     if info != 0:
@@ -217,15 +234,6 @@ def min_eigvec_sym(C):
     return v, lam
 
 
-@functools.lru_cache(maxsize=64)
-def _gesdd_work_size(m, n, compute_uv):
-    """``lwork`` of ``gesdd`` on an m x n matrix, thin factors or none."""
-    work, info = _GESDD_LWORK(m, n, compute_uv=compute_uv, full_matrices=0)
-    if info != 0:
-        raise NumericalFailureError(f"gesdd work-size query failed: info={info}")
-    return int(work)
-
-
 def _gesdd(M, compute_uv):
     """LAPACK ``gesdd`` on a finite real matrix, called directly with the
     arguments ``np.linalg.svd(M, full_matrices=False)`` (or ``compute_uv=False``)
@@ -238,7 +246,7 @@ def _gesdd(M, compute_uv):
         raise NumericalFailureError("SVD input has a non-finite entry")
     # positional arguments (compute_uv, full_matrices=0, lwork) skip the
     # keyword parsing of the f2py wrapper
-    U, s, Vt, info = _GESDD(M, compute_uv, 0, _gesdd_work_size(*M.shape, compute_uv))
+    U, s, Vt, info = _GESDD(M, compute_uv, 0, *_work_sizes(_GESDD_LWORK, *M.shape, compute_uv, 0))
     if info != 0:
         raise NumericalFailureError(f"SVD failed to converge: gesdd info={info}")
     return U, s, Vt
@@ -359,17 +367,6 @@ def solve_sylvester(A, B, C):
     return F
 
 
-@functools.lru_cache(maxsize=64)
-def _heevd_work_sizes(n):
-    """Work-array sizes (lwork, liwork, lrwork) of ``zheevd`` on an n x n
-    matrix, lower triangle, in the order the routine takes them after
-    ``compute_v`` and ``lower``."""
-    *sizes, info = _HEEVD_LWORK(n, lower=1)
-    if info != 0:
-        raise NumericalFailureError(f"heevd work-size query failed: info={info}")
-    return tuple(int(x.real) for x in sizes)
-
-
 def _eigh_lower(M):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix from its
     lower triangle: LAPACK ``zheevd`` called directly with the arguments
@@ -382,7 +379,7 @@ def _eigh_lower(M):
             f"Sylvester eigendecomposition failed: expected a square matrix, got shape {M.shape}")
     # positional arguments (compute_v=1, lower=1, then the work sizes) skip
     # the keyword parsing of the f2py wrapper
-    lam, U, info = _HEEVD(M, 1, 1, *_heevd_work_sizes(M.shape[0]))
+    lam, U, info = _HEEVD(M, 1, 1, *_work_sizes(_HEEVD_LWORK, M.shape[0], 1, 1))
     if info != 0:
         raise NumericalFailureError(f"Sylvester eigendecomposition failed: heevd info={info}")
     return lam, np.ascontiguousarray(U)

@@ -56,35 +56,31 @@ class RelayInstance:
 def build_instance(H, g, sigma_r2, sigma2, p_s, p_r, alpha=None):
     """Validate and store one relay network.
 
-    Each dimension (N_s, N_r, K) must be at least 1, every value finite,
-    and ``sigma2`` and ``alpha`` each a scalar or K entries; an
-    :class:`InvalidInputError` names the first dimension or field (by its
-    :func:`instance_to_dict` key) that is not.
+    ``H`` must be a matrix and ``g`` K x N_r, each dimension (N_s, N_r, K)
+    at least 1, the channels finite, each power and weight a finite real
+    number above 0 (:func:`numerics.require_positive`), and ``sigma2`` and
+    ``alpha`` each a scalar or K entries; an :class:`InvalidInputError`
+    names the first dimension or field (by its :func:`instance_to_dict` key)
+    that is not.
     """
     H = np.asarray(H, dtype=complex)
-    g = np.asarray(g, dtype=complex)
+    if H.ndim != 2:
+        raise InvalidInputError(f"H must be N_r x N_s, got shape {H.shape}")
     n_r, n_s = H.shape
+    g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[1] != n_r:
-        raise InvalidInputError(f"relay-user channels must be K x {n_r}, got {g.shape}")
+        raise InvalidInputError(f"g must be K x {n_r}, got shape {g.shape}")
     K = g.shape[0]
     numerics.require_dims("relay", N_s=n_s, N_r=n_r, K=K)
-    sigma2 = numerics.per_user("sigma2", sigma2, K)
-    alpha = np.ones(K) if alpha is None else numerics.per_user("alpha", alpha, K)
-    for name, value in (("H", H), ("g", g), ("sigma_R2", sigma_r2), ("sigma2", sigma2),
-                        ("P_S", p_s), ("P_R", p_r), ("alpha", alpha)):
-        numerics.require_finite(name, value)
-    if sigma_r2 <= 0:
-        raise InvalidInputError("relay noise power must be positive (the F-copy "
-                                "constraint degenerates at sigma_R = 0)")
-    if np.any(sigma2 <= 0):
-        raise InvalidInputError("user noise powers must be positive")
-    if p_s <= 0 or p_r <= 0:
-        raise InvalidInputError("power budgets must be positive")
-    if np.any(alpha <= 0):
-        raise InvalidInputError("rate weights must be positive")
-    return RelayInstance(n_s=n_s, n_r=n_r, n_users=K, H=H, g=g,
-                         sigma_r2=float(sigma_r2), sigma2=sigma2,
-                         p_s=float(p_s), p_r=float(p_r), alpha=alpha)
+    numerics.require_finite("H", H)
+    numerics.require_finite("g", g)
+    # sigma_R > 0: the F-copy constraint degenerates at sigma_R = 0
+    return RelayInstance(
+        n_s=n_s, n_r=n_r, n_users=K, H=H, g=g,
+        sigma_r2=numerics.require_positive("sigma_R2", sigma_r2),
+        sigma2=numerics.per_user("sigma2", sigma2, K),
+        p_s=numerics.require_positive("P_S", p_s), p_r=numerics.require_positive("P_R", p_r),
+        alpha=np.ones(K) if alpha is None else numerics.per_user("alpha", alpha, K))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ class VolMinInstance:
 
 
 def build_instance(A, rank, eps=1e-2):
+    if np.iscomplexobj(A):
+        raise InvalidInputError("data must be real, got a complex array")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidInputError(f"data must be a matrix, got ndim={A.ndim}")
@@ -75,12 +77,8 @@ def build_instance(A, rank, eps=1e-2):
         raise InvalidInputError(
             f"need at least K data columns to seed X: K={rank}, L={L}"
         )
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("data contains non-finite entries")
-    numerics.require_finite("eps", eps)
-    if eps <= 0:
-        raise InvalidInputError(f"smoothing eps must be positive, got {eps}")
-    return VolMinInstance(A=A, rank=int(rank), eps=float(eps))
+    numerics.require_finite("data", A)
+    return VolMinInstance(A=A, rank=int(rank), eps=numerics.require_positive("eps", eps))
 
 
 @dataclass(frozen=True)

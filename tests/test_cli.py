@@ -606,6 +606,20 @@ class TestBadInstanceFile:
         assert self._solve(tmp_path, "multicast", "--instance", path) == 2
         assert "integer user indices, got 0.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, message", [
+        (True, "P_BS must be a real number, got True"),
+        ("1", "P_BS must be a real number, got '1'"),
+        ([1.0], "P_BS must be a real number, got [1.0]"),
+        (10**400, "P_BS has a non-finite entry"),
+    ], ids=["bool", "string", "list", "huge-integer"])
+    def test_multicast_instance_with_non_number_budget(self, tmp_path, capsys, value, message):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"channels": [[[1.0, 0.0]], [[0.0, 1.0]]],
+                                    "groups": [[0], [1]], "sigma2": [1.0, 1.0], "P_BS": value}))
+        assert self._solve(tmp_path, "multicast", "--instance", path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "results.json").exists()
+
     @pytest.mark.parametrize("rows, cols, extra", [(2**32 - 1, 2**32 - 1, 0), (2, 2, 8)],
                              ids=["oversized-header", "trailing-bytes"])
     def test_vmin_payload_size_mismatch(self, tmp_path, capsys, rows, cols, extra):

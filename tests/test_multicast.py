@@ -59,6 +59,11 @@ class TestBuildInstance:
         with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry"):
             mc.build_instance(args["channels"], [[0], [1]], args["sigma2"], args["P_BS"])
 
+    @pytest.mark.parametrize("channels", [np.ones(2), np.ones((2, 2, 1))], ids=["1d", "3d"])
+    def test_rejects_channels_not_a_matrix(self, channels):
+        with pytest.raises(InvalidInputError, match="^channels must be K x N_t, got shape "):
+            mc.build_instance(channels, [[0], [1]], 1.0, 1.0)
+
     @pytest.mark.parametrize("sigma2", [[1.0, 1.0, 1.0], [], np.ones((2, 2))])
     def test_rejects_wrong_length_sigma2(self, sigma2):
         with pytest.raises(InvalidInputError, match="^sigma2 must be a scalar or have 2 "):

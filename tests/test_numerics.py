@@ -1,6 +1,8 @@
+import fractions
 import importlib.machinery
 import importlib.util
 import itertools
+import re
 import sys
 import types
 from decimal import Decimal, localcontext
@@ -43,6 +45,83 @@ class TestRequireDims:
         message = f"^test dimension a must be at least 1, got {n}$"
         with pytest.raises(InvalidInputError, match=message):
             numerics.require_dims("test", a=n)
+
+
+def _mc_with(field, value):
+    fields = {"sigma2": 1.0, "P_BS": 1.0, field: value}
+    return mc.build_instance(np.eye(2), [[0], [1]], fields["sigma2"], fields["P_BS"])
+
+
+def _relay_with(field, value):
+    fields = {"sigma_R2": 1.0, "sigma2": 1.0, "P_S": 1.0, "P_R": 1.0, "alpha": None,
+              field: value}
+    return rl.build_instance(np.eye(2), np.eye(2), fields["sigma_R2"], fields["sigma2"],
+                             fields["P_S"], fields["P_R"], fields["alpha"])
+
+
+def _volmin_with(field, value):
+    return vm.build_instance(np.eye(3), 2, eps=value)
+
+
+_POSITIVE_FIELDS = [pytest.param(build, field, id=f"{app}-{field}") for app, build, field in [
+    ("multicast", _mc_with, "P_BS"), ("multicast", _mc_with, "sigma2"),
+    ("relay", _relay_with, "sigma_R2"), ("relay", _relay_with, "sigma2"),
+    ("relay", _relay_with, "P_S"), ("relay", _relay_with, "P_R"),
+    ("relay", _relay_with, "alpha"), ("volmin", _volmin_with, "eps")]]
+
+
+class TestRequirePositive:
+    """One rule for every positive field of the three instances: a real
+    number that is not a bool, finite and above 0."""
+
+    @pytest.mark.parametrize("build, field", _POSITIVE_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1j, 1 + 0j, "1"],
+                             ids=["true", "false", "np-true", "imag", "complex-real", "str"])
+    def test_rejects_non_real(self, build, field, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            build(field, value)
+
+    @pytest.mark.parametrize("value", [None, [2.0], np.array(2.0)], ids=["none", "list", "0-d"])
+    def test_scalar_field_rejects_non_number(self, value):
+        with pytest.raises(InvalidInputError, match="^P_BS must be a real number, got "):
+            _mc_with("P_BS", value)
+
+    @pytest.mark.parametrize("build, field", _POSITIVE_FIELDS)
+    def test_rejects_integer_beyond_float_range(self, build, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} has a non-finite entry$"):
+            build(field, 10**400)
+
+    @pytest.mark.parametrize("build, field", _POSITIVE_FIELDS)
+    @pytest.mark.parametrize("value", [0, -0.0, -1.5])
+    def test_rejects_non_positive(self, build, field, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be positive, got {float(value)}$"):
+            build(field, value)
+
+    @pytest.mark.parametrize("build, field", [(_mc_with, "sigma2"), (_relay_with, "sigma2"),
+                                              (_relay_with, "alpha")],
+                             ids=["multicast-sigma2", "relay-sigma2", "relay-alpha"])
+    @pytest.mark.parametrize("entry, message", [(True, "must be a real number, got True"),
+                                                ("1", "must be a real number, got '1'"),
+                                                (1j, "must be a real number, got 1j"),
+                                                (0.0, "must be positive, got 0.0")],
+                             ids=["bool", "str", "complex", "zero"])
+    def test_checks_every_per_user_entry(self, build, field, entry, message):
+        with pytest.raises(InvalidInputError, match=f"^{field} {re.escape(message)}$"):
+            build(field, [1.0, entry])
+
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(0.25), np.int64(3),
+                                       fractions.Fraction(1, 4)])
+    def test_accepts_real_numbers_as_floats(self, value):
+        for build, field in (param.values for param in _POSITIVE_FIELDS):
+            inst = build(field, value)
+            attr = {"P_BS": "p_bs", "sigma_R2": "sigma_r2", "P_S": "p_s",
+                    "P_R": "p_r"}.get(field, field)
+            got = getattr(inst, attr)
+            assert np.asarray(got).dtype == np.float64
+            assert np.all(np.asarray(got) == float(value))
+        assert numerics.per_user("x", value, 3).tolist() == [float(value)] * 3
 
 
 class TestRealEmbedding:
@@ -407,7 +486,6 @@ class TestSolveLinear:
 
 _BOUND_NAMES = ("_SYEVR", "_SYEVR_LWORK", "_GESDD", "_GESDD_LWORK",
                 "_HEEVD", "_HEEVD_LWORK", "_GESV")
-_WORK_SIZE_CACHES = ("_syevr_work_sizes", "_gesdd_work_size", "_heevd_work_sizes")
 
 
 def _get_lapack_funcs_binding():
@@ -418,19 +496,13 @@ def _get_lapack_funcs_binding():
 @pytest.fixture
 def rebind(monkeypatch):
     """Bind ``numerics`` to a given tuple of the seven routines until the test
-    ends, with the work-size caches emptied on either side."""
-    def clear_caches():
-        for cache in _WORK_SIZE_CACHES:
-            getattr(numerics, cache).cache_clear()
-
+    ends. The work-size cache is keyed by the query routine, so it needs no
+    clearing."""
     def bind(routines):
         for name, routine in zip(_BOUND_NAMES, routines):
             monkeypatch.setattr(numerics, name, routine)
-        clear_caches()
 
-    yield bind
-    monkeypatch.undo()
-    clear_caches()
+    return bind
 
 
 @pytest.fixture
@@ -478,6 +550,28 @@ def _seeded_solves():
     return {"multicast": (w.tobytes(), np.asarray(t).tobytes()),
             "relay": (relay["V"].tobytes(), relay["F"].tobytes()),
             "volmin": (X.tobytes(), S.tobytes())}
+
+
+class TestWorkSizes:
+    @pytest.mark.parametrize("query, routine, kernel", [
+        ("_SYEVR_LWORK", "dsyevr", lambda: numerics.min_eigvec_sym(np.eye(4))),
+        ("_GESDD_LWORK", "dgesdd", lambda: numerics.singular_values(np.ones((5, 3)))),
+        ("_HEEVD_LWORK", "zheevd",
+         lambda: numerics.solve_sylvester(np.eye(3), np.eye(2), np.ones((3, 2)))),
+    ], ids=["syevr", "gesdd", "heevd"])
+    def test_failed_query_raises(self, monkeypatch, query, routine, kernel):
+        real = getattr(numerics, query)
+
+        def failing(*args):
+            *sizes, _ = real(*args)
+            return *sizes, -2
+
+        # the name f2py gives the routine, "function <routine>_lwork"
+        failing.__name__ = real.__name__
+        monkeypatch.setattr(numerics, query, failing)
+        with pytest.raises(NumericalFailureError,
+                           match=f"^{routine} work-size query failed: info=-2$"):
+            kernel()
 
 
 class TestLapackBinding:

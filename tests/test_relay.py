@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ class TestInstance:
         with pytest.raises(InvalidInputError, match=f"^{field} must be a scalar or have 2 "):
             rl.build_instance(np.eye(2), np.eye(2), 1.0, args["sigma2"], 1.0, 1.0,
                               args["alpha"])
+
+    @pytest.mark.parametrize("H, g, message", [
+        (np.ones(2), np.ones((1, 2)), "H must be N_r x N_s, got shape (2,)"),
+        (np.ones((2, 2, 1)), np.ones((1, 2)), "H must be N_r x N_s, got shape (2, 2, 1)"),
+        (np.eye(2), np.ones((1, 3)), "g must be K x 2, got shape (1, 3)"),
+        (np.eye(2), np.ones(2), "g must be K x 2, got shape (2,)"),
+    ], ids=["H-vector", "H-3d", "g-wrong-width", "g-vector"])
+    def test_rejects_misshapen_channel(self, H, g, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            rl.build_instance(H, g, 1.0, 1.0, 1.0, 1.0)
 
     def test_json_roundtrip(self, inst222):
         back = rl.instance_from_dict(rl.instance_to_dict(inst222))

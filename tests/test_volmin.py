@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,19 @@ class TestSolve:
     def test_non_finite_smoothing_rejected(self, eps):
         with pytest.raises(InvalidInputError, match="^eps has a non-finite entry"):
             vm.build_instance(np.ones((3, 4)), rank=2, eps=eps)
+
+    @pytest.mark.parametrize("A, rank, message", [
+        (np.ones(4), 2, "data must be a matrix, got ndim=1"),
+        (np.ones((2, 4, 1)), 2, "data must be a matrix, got ndim=3"),
+        (np.ones((2, 6)), 3, "rank must satisfy 1 <= K <= 2, got 3"),
+        (np.where(np.eye(3, 4) == 1, np.nan, 1.0), 2, "data has a non-finite entry"),
+        (np.full((3, 4), np.inf), 2, "data has a non-finite entry"),
+        (1j * np.ones((3, 4)), 2, "data must be real, got a complex array"),
+        (np.ones((3, 4)) + 0j, 2, "data must be real, got a complex array"),
+    ], ids=["vector", "3d", "rank-above-N", "nan", "inf", "complex", "complex-real-valued"])
+    def test_rejects_bad_data(self, A, rank, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            vm.build_instance(A, rank)
 
     def test_fewer_columns_than_rank_rejected(self):
         # seeding X needs K distinct data columns, so L < K fails at build time
